@@ -835,7 +835,11 @@ def build_parser() -> _Parser:
     cal = add("calibrate", "spacing intervals that hit a target gripper count")
     cal.add_argument("--target-count", required=True, type=int)
     cal.add_argument("--range", default="1 cm,15 cm", help="search range 'low,high' (quantities)")
-    cal.add_argument("--step", default="1 mm", help="scan step (quantity)")
+    cal.add_argument(
+        "--step",
+        default="1 mm",
+        help="resolution of the answer (quantity); the cost is logarithmic in range/step",
+    )
     cal.add_argument("--margin", help="edge margin (quantity, default 2 cm)")
 
     check = add("check", "full grasp feasibility verdict")

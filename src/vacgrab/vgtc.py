@@ -170,9 +170,21 @@ def adjusted_min_pressure(window: PressureWindow, ratio: float) -> float:
 # ---------------------------------------------------------------------------
 # grid layouts
 
-def _axis_count(usable: float, spacing: float) -> int:
-    # the tolerance keeps exact multiples (0.22 / 0.044) from rounding down
-    return int(math.floor((usable + BOUNDARY_TOL) / spacing)) + 1
+# Largest grid generate_layout builds: 35x the 28,959 positions of a
+# 2 x 1.5 m piece at 1 cm, far below what a sizing run needs, and small
+# enough that a mistyped spacing fails at once instead of filling memory.
+MAX_LAYOUT_POSITIONS = 10**6
+
+# Most scan samples calibrate_spacing accepts: past 2**53 the sample index
+# no longer converts exactly to a float.
+MAX_CALIBRATION_SAMPLES = 2**53
+
+
+def _axis_count(usable: float, spacing: float) -> int | float:
+    # the tolerance keeps exact multiples (0.22 / 0.044) from rounding down;
+    # a quotient that overflows counts as unboundedly many positions
+    q = (usable + BOUNDARY_TOL) / spacing
+    return math.floor(q) + 1 if q < math.inf else math.inf
 
 
 def _axis_positions(low: float, usable: float, spacing: float, count: int) -> list[float]:
@@ -181,20 +193,14 @@ def _axis_positions(low: float, usable: float, spacing: float, count: int) -> li
     return [start + i * spacing for i in range(count)]
 
 
-def generate_layout(outline: Polygon, margin: float, spacing: float) -> Layout:
-    """Axis-aligned gripper grid over the margin-shrunk rectangle.
+def _usable_span(outline: Polygon, margin: float) -> tuple[float, float]:
+    """Length and width of the margin-shrunk rectangle a grid may fill.
 
-    Per axis the grid holds floor(usable/spacing) + 1 positions at the
-    exact requested pitch, centered in the usable span; when usable is
-    an exact multiple of spacing the end positions land on the inset
-    boundary. A dimension shorter than the spacing degenerates to a
-    single centered row or column.
-
-    Only rectangular outlines are supported.
+    Raises ValidationError for a negative margin, a non-rectangular
+    outline, or a margin that leaves no usable area; none of these
+    depends on the grid spacing.
     """
-    if spacing <= 0:
-        raise ValidationError(f"spacing must be > 0, got {spacing}")
-    if margin < 0:
+    if not margin >= 0:  # also rejects nan
         raise ValidationError(f"margin must be >= 0, got {margin}")
     if not outline.is_axis_aligned_rectangle():
         raise ValidationError("layout generation needs an axis-aligned rectangular outline")
@@ -206,14 +212,47 @@ def generate_layout(outline: Polygon, margin: float, spacing: float) -> Layout:
             f"margin {margin} m too large: no usable area inside a "
             f"{x1 - x0:.4g} x {y1 - y0:.4g} m outline"
         )
-    usable_l = max(usable_l, 0.0)
-    usable_w = max(usable_w, 0.0)
+    return max(usable_l, 0.0), max(usable_w, 0.0)
+
+
+def generate_layout(outline: Polygon, margin: float, spacing: float) -> Layout:
+    """Axis-aligned gripper grid over the margin-shrunk rectangle.
+
+    Per axis the grid holds floor(usable/spacing) + 1 positions at the
+    exact requested pitch, centered in the usable span; when usable is
+    an exact multiple of spacing the end positions land on the inset
+    boundary. A dimension shorter than the spacing degenerates to a
+    single centered row or column.
+
+    Only rectangular outlines are supported. A grid of more than
+    MAX_LAYOUT_POSITIONS positions is rejected before any is built.
+    """
+    if not 0 < spacing < math.inf:
+        raise ValidationError(f"spacing must be finite and > 0, got {spacing}")
+    usable_l, usable_w = _usable_span(outline, margin)
     cols = _axis_count(usable_l, spacing)
     rows = _axis_count(usable_w, spacing)
+    if cols * rows > MAX_LAYOUT_POSITIONS:
+        raise ValidationError(
+            f"spacing {spacing:.3g} m too small: {cols} x {rows} positions exceed "
+            f"the {MAX_LAYOUT_POSITIONS} a layout may hold"
+        )
+    x0, y0, _, _ = outline.bounds
     xs = _axis_positions(x0 + margin, usable_l, spacing, cols)
     ys = _axis_positions(y0 + margin, usable_w, spacing, rows)
     positions = tuple((x, y) for y in ys for x in xs)
     return Layout(positions=positions, spacing=spacing, margin=margin, rows=rows, cols=cols)
+
+
+def _first(pred, lo: int, hi: int) -> int:
+    """First k in [lo, hi) with pred(k), or hi; pred is False then True."""
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if pred(mid):
+            hi = mid
+        else:
+            lo = mid + 1
+    return lo
 
 
 def calibrate_spacing(
@@ -225,43 +264,65 @@ def calibrate_spacing(
 ) -> list[tuple[float, float]]:
     """Spacing sub-intervals whose grid holds exactly target_count grippers.
 
-    The open range (low, high) is scanned at the given step; runs of
-    consecutive matching samples are merged into (first, last) interval
-    tuples. An empty list is a valid answer: no spacing in range
-    reproduces the target. Spacings whose layout fails outright (margin
-    too large) simply do not match.
+    The candidates are the samples s_k = low + k*step, k >= 1, that lie
+    below high - 1e-12 in the open range (low, high); the step sets the
+    resolution of the answer. The grid at s_k holds
+    _axis_count(usable_l, s_k) * _axis_count(usable_w, s_k) grippers,
+    exactly as generate_layout would build it.
+
+    s_k never decreases as k grows, and each axis count never increases
+    as the spacing grows, so the count never increases along the
+    samples: the matching samples form one contiguous run. Bisection on
+    k finds the first sample with count <= target_count and the first
+    with count < target_count, so the cost is O(log(samples)) count
+    evaluations and no layout is built. The result is [(first, last)]
+    of that run, or [] when no sample matches -- a valid answer: no
+    spacing in range reproduces the target. A margin that leaves no
+    usable area (or an outline that is not a rectangle) fails at every
+    spacing, so it also yields [].
+
+    Raises ValidationError for a bad target, a range that is not
+    0 <= low < high with a finite high, a step that is not finite and
+    positive, or more than MAX_CALIBRATION_SAMPLES samples in range.
     """
     if not isinstance(target_count, int) or isinstance(target_count, bool) or target_count < 1:
         raise ValidationError(f"target_count must be an integer >= 1, got {target_count!r}")
     low, high = float(search_range[0]), float(search_range[1])
-    if not (0 <= low < high):
-        raise ValidationError(f"search_range must satisfy 0 <= low < high, got {search_range}")
-    if step <= 0:
-        raise ValidationError(f"step must be > 0, got {step}")
+    if not (0 <= low < high < math.inf):
+        raise ValidationError(
+            f"search_range must satisfy 0 <= low < high < inf, got {search_range}"
+        )
+    if not 0 < step < math.inf:
+        raise ValidationError(f"step must be finite and > 0, got {step}")
+    samples = (high - low) / step
+    if samples > MAX_CALIBRATION_SAMPLES:
+        raise ValidationError(
+            f"step {step:.3g} m too small: {samples:.3g} samples in range exceed 2**53"
+        )
+    try:
+        usable_l, usable_w = _usable_span(outline, margin)
+    except ValidationError:
+        return []
 
-    intervals: list[tuple[float, float]] = []
-    run_start: float | None = None
-    run_end = 0.0
-    k = 1
-    while True:
-        s = low + k * step
-        if s >= high - 1e-12:
-            break
-        try:
-            count = len(generate_layout(outline, margin, s).positions)
-        except ValidationError:
-            count = -1
-        if count == target_count:
-            if run_start is None:
-                run_start = s
-            run_end = s
-        elif run_start is not None:
-            intervals.append((run_start, run_end))
-            run_start = None
-        k += 1
-    if run_start is not None:
-        intervals.append((run_start, run_end))
-    return intervals
+    cutoff = high - 1e-12
+
+    def sample(k: int) -> float:
+        return low + k * step
+
+    def count(k: int) -> int | float:
+        s = sample(k)
+        return _axis_count(usable_l, s) * _axis_count(usable_w, s)
+
+    # samples k = 1 .. end-1 lie below the cutoff
+    hi = 1
+    while sample(hi) < cutoff:
+        hi *= 2
+    end = _first(lambda k: sample(k) >= cutoff, 1, hi)
+    first = _first(lambda k: count(k) <= target_count, 1, end)
+    stop = _first(lambda k: count(k) < target_count, first, end)
+    if first == stop:
+        return []
+    return [(sample(first), sample(stop - 1))]
 
 
 def single_grab_radius_test(

@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
 from importlib import resources
+from pathlib import Path
 
 import pytest
 
+import vacgrab
 from vacgrab import (
     Permeability,
     PipeSegment,
@@ -371,6 +376,42 @@ def test_calibrate_structured_empty(facing_config, capsys):
     assert code == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["intervals"] == []
+
+
+def run_cli(*argv):
+    """Run `python -m vacgrab` in a child process that must end within 30 s."""
+    env = dict(os.environ, PYTHONPATH=str(Path(vacgrab.__file__).parents[1]))
+    return subprocess.run(
+        [sys.executable, "-m", "vacgrab", *argv],
+        capture_output=True, text=True, timeout=30, env=env,
+    )
+
+
+@pytest.mark.parametrize(
+    "extra, code",
+    [
+        (["--range", "1 cm,1e400 cm"], 2),  # infinite high end
+        (["--step", "1e-320"], 2),  # ~1e319 samples
+        (["--step", "1e400"], 2),  # infinite step
+        (["--step", "1e-9"], 0),  # 1.4e8 samples, answered by bisection
+    ],
+)
+def test_calibrate_extreme_inputs_end_promptly(bag_config, extra, code):
+    result = run_cli("calibrate", "--config", bag_config, "--target-count", "6", *extra)
+    assert result.returncode == code
+    assert "Traceback" not in result.stderr
+    if code == 0:
+        assert result.stdout == "spacing intervals for 6 grippers:\n  0.0750 m .. 0.1100 m\n"
+    else:
+        assert result.stderr.startswith("error: ")
+
+
+@pytest.mark.parametrize("spacing", ["0.001 mm", "1e-320 m"])
+def test_plan_oversized_layout_exit_two(facing_config, spacing):
+    result = run_cli("plan", "--config", facing_config, "--spacing", spacing)
+    assert result.returncode == 2
+    assert "Traceback" not in result.stderr
+    assert "positions" in result.stderr
 
 
 def test_batch_bundled_corpus(capsys):

@@ -3,6 +3,7 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from vacgrab import vgtc
 from vacgrab import (
     Layout,
     Polygon,
@@ -17,7 +18,13 @@ from vacgrab import (
     single_grab_radius_test,
 )
 
-from oracles import mc_disk_rect_area, scan_matching_spacings
+from oracles import (
+    GRID_TOL,
+    grid_count,
+    grid_spacing_runs,
+    mc_disk_rect_area,
+    scan_matching_spacings,
+)
 
 WINDOW = PressureWindow(p_min=37_561.0)
 
@@ -228,6 +235,31 @@ def test_layout_rejects_bad_parameters():
         generate_layout(rect, -0.01, 0.05)
     with pytest.raises(ValidationError):
         generate_layout(rect, 0.01, 0.0)
+    for spacing in (math.nan, math.inf):  # inf used to place a nan position
+        with pytest.raises(ValidationError, match="spacing"):
+            generate_layout(rect, 0.01, spacing)
+    with pytest.raises(ValidationError):
+        generate_layout(rect, math.nan, 0.05)
+
+
+def test_layout_size_capped_before_allocation(monkeypatch):
+    def no_allocation(*args):
+        raise AssertionError("grid positions built for an over-size layout")
+
+    monkeypatch.setattr(vgtc, "_axis_positions", no_allocation)
+    # 1 um on 1 x 1 m: about 1e12 positions
+    with pytest.raises(ValidationError, match="positions"):
+        generate_layout(Polygon.rectangle(1.0, 1.0), 0.0, 1e-6)
+    # a quotient that overflows to inf is rejected the same way
+    with pytest.raises(ValidationError, match="positions"):
+        generate_layout(Polygon.rectangle(1.0, 1.0), 0.0, 1e-320)
+
+
+def test_layout_size_cap_is_inclusive(monkeypatch):
+    monkeypatch.setattr(vgtc, "MAX_LAYOUT_POSITIONS", 12)
+    assert len(generate_layout(Polygon.rectangle(0.30, 0.36), 0.02, 0.09).positions) == 12
+    with pytest.raises(ValidationError, match="positions"):
+        generate_layout(Polygon.rectangle(0.30, 0.36), 0.02, 0.08)  # 4 x 5
 
 
 @settings(max_examples=80)
@@ -285,6 +317,7 @@ def test_calibrate_matches_brute_scan():
 
     for target in (4, 6, 9, 12):
         intervals = calibrate_spacing(rect, 0.02, target, (0.01, 0.15), 0.001)
+        assert intervals == grid_spacing_runs(0.26, 0.19, 0.02, target, 0.01, 0.15, 0.001)
         expected = scan_matching_spacings(count, target, 0.01, 0.15, 0.001)
         covered = [
             s for s in expected
@@ -294,6 +327,54 @@ def test_calibrate_matches_brute_scan():
         for lo, hi in intervals:
             mid = 0.5 * (lo + hi)
             assert count(mid) == target
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    length=st.floats(min_value=0.03, max_value=0.40),
+    width=st.floats(min_value=0.03, max_value=0.40),
+    margin=st.floats(min_value=0.0, max_value=0.05),
+    low=st.floats(min_value=0.005, max_value=0.05),
+    span=st.floats(min_value=0.001, max_value=0.15),
+    step=st.floats(min_value=0.0002, max_value=0.005),
+    reachable=st.booleans(),
+    probe=st.floats(min_value=0.0, max_value=1.0),
+    arbitrary=st.integers(min_value=1, max_value=60),
+)
+def test_calibrate_matches_grid_oracle(
+    length, width, margin, low, span, step, reachable, probe, arbitrary
+):
+    high = low + span
+    has_room = min(length, width) - 2.0 * margin >= -GRID_TOL
+    target = arbitrary
+    if reachable and has_room:
+        target = grid_count(length, width, margin, low + probe * span)
+    intervals = calibrate_spacing(
+        Polygon.rectangle(length, width), margin, target, (low, high), step
+    )
+    expected = (
+        grid_spacing_runs(length, width, margin, target, low, high, step) if has_room else []
+    )
+    assert intervals == expected
+    assert len(intervals) <= 1
+
+
+def test_calibrate_run_ends_at_fine_step():
+    # 1.4e8 samples: the run's ends are checked against their neighbours
+    # by sample index, without enumerating the samples
+    low, high, step = 0.01, 0.15, 1e-9
+    [(a, b)] = calibrate_spacing(Polygon.rectangle(0.26, 0.19), 0.02, 6, (low, high), step)
+    for end, outward in ((a, -1), (b, 1)):
+        k = round((end - low) / step)
+        assert low + k * step == end
+        assert grid_count(0.26, 0.19, 0.02, end) == 6
+        neighbour = low + (k + outward) * step
+        assert (
+            k + outward < 1
+            or neighbour >= high - 1e-12
+            or grid_count(0.26, 0.19, 0.02, neighbour) != 6
+        )
+    assert (a, b) == pytest.approx((0.075, 0.11), abs=2e-9)
 
 
 def test_calibrate_empty_result_is_valid():
@@ -310,6 +391,29 @@ def test_calibrate_rejects_bad_inputs():
         calibrate_spacing(rect, 0.02, 4, (0.15, 0.01), 0.001)
     with pytest.raises(ValidationError):
         calibrate_spacing(rect, 0.02, 4, (0.01, 0.15), 0.0)
+    for step in (math.inf, math.nan):
+        with pytest.raises(ValidationError, match="step"):
+            calibrate_spacing(rect, 0.02, 4, (0.01, 0.15), step)
+    with pytest.raises(ValidationError, match="search_range"):
+        calibrate_spacing(rect, 0.02, 4, (0.01, math.inf), 0.001)
+    # more samples in range than a float index holds exactly
+    with pytest.raises(ValidationError, match="samples"):
+        calibrate_spacing(rect, 0.02, 4, (0.01, 0.15), 1e-320)
+    with pytest.raises(ValidationError, match="samples"):
+        calibrate_spacing(rect, 0.02, 4, (0.0, 1.0), 0.99 / 2**53)
+    # exactly at the cap the bisection still runs, with exact indices
+    [(a, b)] = calibrate_spacing(rect, 0.02, 4, (0.0, 1.0), 1.0 / 2**53)
+    assert 0.08 < a < 0.0801 and 0.16 - 1e-9 < b < 0.1601
+
+
+def test_calibrate_never_builds_a_layout(monkeypatch):
+    def no_layout(*args):
+        raise AssertionError("calibration built a layout")
+
+    monkeypatch.setattr(vgtc, "generate_layout", no_layout)
+    rect = Polygon.rectangle(0.26, 0.19)
+    assert calibrate_spacing(rect, 0.02, 6, (0.01, 0.15), 0.001)
+    assert calibrate_spacing(rect, 0.2, 6, (0.01, 0.15), 0.001) == []  # no usable area
 
 
 # ---------------------------------------------------------------------------
