@@ -58,8 +58,6 @@ from .pneumatics import (
     bernoulli_balance,
     constriction_pressure_drop,
     continuity_velocity,
-    flow_rate,
-    flow_velocity,
     line_loss_total,
     net_supply_vacuum,
     parallel_flow_split,
@@ -68,8 +66,6 @@ from .pneumatics import (
 from .statics import (
     HoldingForceResult,
     holding_force,
-    holding_force_friction_lift,
-    holding_force_plate_lift,
     per_gripper_force,
     required_pressure,
 )
@@ -81,7 +77,6 @@ from .vgtc import (
     circle_polygon_intersection_area,
     effective_ratio,
     generate_layout,
-    single_grab_radius_test,
 )
 
 __version__ = "0.1.0"
@@ -93,17 +88,15 @@ __all__ = [
     "PressureWindow", "Polygon", "Permeability", "LoadCase",
     "ValidationError", "UnitError", "convert_units",
     # statics
-    "HoldingForceResult", "holding_force", "holding_force_plate_lift",
-    "holding_force_friction_lift", "required_pressure", "per_gripper_force",
+    "HoldingForceResult", "holding_force", "required_pressure", "per_gripper_force",
     # pneumatics
     "LineLossResult", "NetSupplyResult", "continuity_velocity",
     "constriction_pressure_drop", "bernoulli_balance",
     "solve_pressure_from_balance", "net_supply_vacuum",
-    "parallel_flow_split", "flow_rate", "flow_velocity", "line_loss_total",
+    "parallel_flow_split", "line_loss_total",
     # vgtc
     "Vgtc", "Layout", "circle_polygon_intersection_area", "effective_ratio",
     "adjusted_min_pressure", "generate_layout", "calibrate_spacing",
-    "single_grab_radius_test",
     # feasibility
     "Scenario", "GraspReport", "Verdict", "evaluate", "run_corpus",
     "CorpusRow", "CorpusEntry", "scenario_from_row",

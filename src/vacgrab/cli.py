@@ -20,16 +20,19 @@ from __future__ import annotations
 
 import argparse
 import csv
+import enum
 import io
 import json
 import re
 import sys
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields, replace
+from functools import cache
 from importlib import resources
-from typing import Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from . import pneumatics, statics
 from .feasibility import (
+    DEFAULT_EDGE_MARGIN,
     CorpusEntry,
     CorpusRow,
     GraspReport,
@@ -43,7 +46,6 @@ from .model import (
     LoadCase,
     MotionProfile,
     Permeability,
-    PhysicalConstants,
     PipeSegment,
     Polygon,
     PressureWindow,
@@ -77,59 +79,89 @@ class UsageError(Exception):
 
 
 # ---------------------------------------------------------------------------
-# config parsing
+# config schema and parsing
 
 _NUMBER_RE = re.compile(r"^([-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?)\s*(.*)$")
+_SECTION_RE = re.compile(r"\[([a-z_]+)\]")
+_KEY_RE = re.compile(r"[a-z_][a-z0-9_]*")
 
-# key kinds: dimensional kinds convert units; the rest parse bare tokens
-_FABRIC_KEYS = {
-    "id": "str",
-    "length": "length",
-    "width": "length",
-    "vertices": "vertices",
-    "mass": "mass",
-    "friction": "float",
-    "permeability": "str",
-    "material": "str",
-}
-_MOTION_KEYS = {
-    "acceleration": "float",
-    "safety_factor": "float",
-    "load_case": "str",
-    "lift_height": "length",
-    "translate_distance": "length",
-}
-_CUP_KEYS = {"orifice_diameter": "length", "count": "int"}
-_GENERATOR_KEYS = {
-    "max_vacuum": "pressure",
-    "supply_flow_rate": "flow",
-    "setup_pressure": "pressure",
-    "nozzle_diameter": "length",
-}
-_LINE_KEYS = {
-    "inner_diameter": "length",
-    "length": "length",
-    "elevation": "length",
-    "upstream_velocity": "float",
-}
-_VGTC_KEYS = {
-    "radius": "length",
-    "p_min": "pressure",
-    "p_max": "pressure",
-    "center_x": "length",
-    "center_y": "length",
-    "margin": "length",
-}
-_UNITS_KEYS = {"mass": "str", "length": "str", "pressure": "str", "flow": "str"}
 
-_SCHEMA = {
-    "fabric": _FABRIC_KEYS,
-    "motion": _MOTION_KEYS,
-    "cup": _CUP_KEYS,
-    "generator": _GENERATOR_KEYS,
-    "line": _LINE_KEYS,
-    "vgtc": _VGTC_KEYS,
-    "units": _UNITS_KEYS,
+class ConfigField(NamedTuple):
+    """One config key: its section, how its text parses, what it sets.
+
+    kind: a dimension of SI_UNIT (number with optional unit), float (bare
+    number), int, str, an Enum class or Polygon (vertex list). target: the
+    value object the key sets; attr: its attribute, if not named like the
+    key. Keys without a target are applied by explicit code.
+    """
+
+    section: str
+    key: str
+    kind: object
+    target: type | None = None
+    attr: str | None = None
+
+    @property
+    def attribute(self) -> str:
+        return self.attr or self.key
+
+    @property
+    def required(self) -> bool:
+        """Whether the key must be given: its target attribute has no default."""
+        return self.target is not None and any(
+            f.name == self.attribute and f.default is MISSING and f.default_factory is MISSING
+            for f in fields(self.target)
+        )
+
+
+# Keys with a rule the table cannot state, applied by name below.
+_LENGTH = ConfigField("fabric", "length", "length")  # with width: a rectangle outline
+_WIDTH = ConfigField("fabric", "width", "length")
+_VERTICES = ConfigField("fabric", "vertices", Polygon)  # or the outline itself
+_MAX_VACUUM = ConfigField("generator", "max_vacuum", "pressure", VacuumGenerator)  # sign ignored
+_UPSTREAM_VELOCITY = ConfigField("line", "upstream_velocity", float, Scenario)  # first [line] only
+_CENTER_X = ConfigField("vgtc", "center_x", "length")
+_CENTER_Y = ConfigField("vgtc", "center_y", "length")
+_MARGIN = ConfigField("vgtc", "margin", "length", Scenario)
+
+# Every config key, in the order emit_scenario_config writes them.
+CONFIG_FIELDS = (
+    ConfigField("fabric", "id", str, FabricPiece),
+    _LENGTH,
+    _WIDTH,
+    _VERTICES,
+    ConfigField("fabric", "mass", "mass", FabricPiece),
+    ConfigField("fabric", "friction", float, FabricPiece, "friction_coefficient"),
+    ConfigField("fabric", "permeability", Permeability, FabricPiece),
+    ConfigField("fabric", "material", str, FabricPiece),
+    ConfigField("motion", "acceleration", float, MotionProfile),
+    ConfigField("motion", "safety_factor", float, MotionProfile),
+    ConfigField("motion", "load_case", LoadCase, MotionProfile),
+    ConfigField("motion", "lift_height", "length", MotionProfile),
+    ConfigField("motion", "translate_distance", "length", MotionProfile),
+    ConfigField("cup", "orifice_diameter", "length", SuctionCup),
+    ConfigField("cup", "count", int, SuctionCup),
+    _MAX_VACUUM,
+    ConfigField("generator", "supply_flow_rate", "flow", VacuumGenerator),
+    ConfigField("generator", "setup_pressure", "pressure", VacuumGenerator),
+    ConfigField("generator", "nozzle_diameter", "length", VacuumGenerator),
+    ConfigField("line", "inner_diameter", "length", PipeSegment),
+    ConfigField("line", "length", "length", PipeSegment),
+    ConfigField("line", "elevation", "length", PipeSegment),
+    _UPSTREAM_VELOCITY,
+    ConfigField("vgtc", "radius", "length", Vgtc),
+    ConfigField("vgtc", "p_min", "pressure", PressureWindow),
+    ConfigField("vgtc", "p_max", "pressure", PressureWindow),
+    _CENTER_X,
+    _CENTER_Y,
+    _MARGIN,
+    *(ConfigField("units", dim, str) for dim in SI_UNIT),  # default unit for bare numbers
+)
+
+# section -> key -> field
+_SECTIONS = {
+    section: {f.key: f for f in CONFIG_FIELDS if f.section == section}
+    for section in dict.fromkeys(f.section for f in CONFIG_FIELDS)
 }
 
 
@@ -154,6 +186,10 @@ class ConfigDocument:
         except KeyError:
             raise ConfigError(f"missing section: {name}") from None
 
+    def get(self, name: str) -> _RawSection:
+        """A section, or an empty one when the config leaves it out."""
+        return self.sections.get(name) or _RawSection(name=name, line=0)
+
 
 def _tokenize(text: str) -> list[_RawSection]:
     sections: list[_RawSection] = []
@@ -163,11 +199,11 @@ def _tokenize(text: str) -> list[_RawSection]:
         if not line:
             continue
         if line.startswith("["):
-            m = re.fullmatch(r"\[([a-z_]+)\]", line)
+            m = _SECTION_RE.fullmatch(line)
             if not m:
                 raise ConfigError(f"malformed section header {line!r}", line_no)
             name = m.group(1)
-            if name not in _SCHEMA:
+            if name not in _SECTIONS:
                 raise ConfigError(f"unknown section [{name}]", line_no)
             current = _RawSection(name=name, line=line_no)
             sections.append(current)
@@ -177,9 +213,9 @@ def _tokenize(text: str) -> list[_RawSection]:
         if "=" not in line:
             raise ConfigError(f"expected 'key = value', got {line!r}", line_no)
         key, value = (part.strip() for part in line.split("=", 1))
-        if not re.fullmatch(r"[a-z_][a-z0-9_]*", key):
+        if not _KEY_RE.fullmatch(key):
             raise ConfigError(f"malformed key {key!r}", line_no)
-        if key not in _SCHEMA[current.name]:
+        if key not in _SECTIONS[current.name]:
             raise ConfigError(f"unknown key {key!r} in [{current.name}]", line_no)
         if key in current.entries:
             raise ConfigError(f"duplicate key {key!r} in [{current.name}]", line_no)
@@ -212,13 +248,13 @@ def parse_document(text: str) -> ConfigDocument:
     return ConfigDocument(sections=singles, line_sections=lines, units=units)
 
 
-def _parse_quantity(text: str, kind: str, units: dict[str, str], key: str, line_no: int) -> float:
+def _parse_quantity(text: str, kind, units: dict[str, str], key: str, line_no: int) -> float:
     m = _NUMBER_RE.match(text.strip())
     if not m:
         raise ConfigError(f"{key}: cannot parse a number from {text!r}", line_no)
     value = float(m.group(1))
     suffix = m.group(2).strip()
-    if kind == "float":
+    if kind is float:
         if suffix:
             raise ConfigError(f"{key}: unexpected unit {suffix!r} on a bare number", line_no)
         return value
@@ -230,30 +266,31 @@ def _parse_quantity(text: str, kind: str, units: dict[str, str], key: str, line_
         raise ConfigError(f"{key}: {exc}", line_no) from exc
 
 
-def _get(
-    section: _RawSection,
-    key: str,
-    kind: str,
-    units: dict[str, str],
-    default=None,
-    required: bool = False,
-):
-    if key not in section.entries:
-        if required:
-            raise ConfigError(f"missing key {key!r} in [{section.name}]", section.line)
-        return default
-    text, line_no = section.entries[key]
-    if kind in ("mass", "length", "pressure", "flow", "float"):
-        return _parse_quantity(text, kind, units, key, line_no)
-    if kind == "int":
+def _parse_value(kind, key: str, text: str, units: dict[str, str], line_no: int, section_line: int):
+    """One config value parsed by its field's kind."""
+    if kind is float or kind in SI_UNIT:
+        value = _parse_quantity(text, kind, units, key, line_no)
+    elif kind is int:
         try:
-            return int(text)
+            value = int(text)
         except ValueError:
             raise ConfigError(f"{key}: expected an integer, got {text!r}", line_no) from None
-    return text  # str
+    elif kind is str:
+        return text
+    elif kind is Polygon:
+        return _parse_vertices(text, units, key, line_no)
+    else:
+        try:
+            return kind(text)
+        except ValueError:
+            choices = ", ".join(m.value for m in kind)
+            raise ConfigError(f"{key}: expected one of {choices}, got {text!r}", section_line) from None
+    if not abs(value) <= sys.float_info.max:  # overflowed to inf, or an int no float can hold
+        raise ConfigError(f"{key}: {text.strip()!r} is out of range", line_no)
+    return value
 
 
-def _parse_vertices(text: str, units: dict[str, str], line_no: int) -> Polygon:
+def _parse_vertices(text: str, units: dict[str, str], key: str, line_no: int) -> Polygon:
     points = []
     for pair in text.split(";"):
         pair = pair.strip()
@@ -261,141 +298,115 @@ def _parse_vertices(text: str, units: dict[str, str], line_no: int) -> Polygon:
             continue
         coords = pair.split(",")
         if len(coords) != 2:
-            raise ConfigError(f"vertices: expected 'x, y' pairs, got {pair!r}", line_no)
-        points.append(
-            tuple(_parse_quantity(c, "length", units, "vertices", line_no) for c in coords)
-        )
+            raise ConfigError(f"{key}: expected 'x, y' pairs, got {pair!r}", line_no)
+        points.append(tuple(_parse_value("length", key, c, units, line_no, line_no) for c in coords))
     try:
         return Polygon(tuple(points))
     except ValidationError as exc:
-        raise ConfigError(f"vertices: {exc}", line_no) from exc
+        raise ConfigError(f"{key}: {exc}", line_no) from exc
 
 
-def _enum_value(enum_cls, text: str, key: str, line_no: int):
-    for member in enum_cls:
-        if member.value == text:
-            return member
-    choices = ", ".join(m.value for m in enum_cls)
-    raise ConfigError(f"{key}: expected one of {choices}, got {text!r}", line_no)
+def _values(sec: _RawSection, units: dict[str, str]) -> dict[str, object]:
+    """Each key given in one section, parsed by its declared kind."""
+    declared = _SECTIONS[sec.name]
+    return {
+        key: _parse_value(declared[key].kind, key, text, units, line_no, sec.line)
+        for key, (text, line_no) in sec.entries.items()
+    }
+
+
+@cache
+def _keys_for(section: str, target: type) -> tuple[tuple[str, str, bool], ...]:
+    """(key, attribute, required) of each key in a section that sets `target`."""
+    return tuple(
+        (f.key, f.attribute, f.required) for f in _SECTIONS[section].values() if f.target is target
+    )
+
+
+def _build(target: type, sec: _RawSection, values: dict[str, object], **given):
+    """`target` from one section's values; keys left out keep its defaults."""
+    for key, attr, required in _keys_for(sec.name, target):
+        if attr not in given:
+            if key in values:
+                given[attr] = values[key]
+            elif required:
+                raise ConfigError(f"missing key {key!r} in [{sec.name}]", sec.line)
+    return target(**given)
 
 
 def build_fabric(doc: ConfigDocument) -> FabricPiece:
     sec = doc.require("fabric")
-    units = doc.units
-    length = _get(sec, "length", "length", units)
-    width = _get(sec, "width", "length", units)
-    vertices = sec.entries.get("vertices")
-    if vertices is not None and (length is not None or width is not None):
+    values = _values(sec, doc.units)
+    outline = values.get(_VERTICES.key)
+    sides = [values[f.key] for f in (_LENGTH, _WIDTH) if f.key in values]
+    if outline is not None and sides:
         raise ConfigError("give either length/width or vertices, not both", sec.line)
-    if vertices is not None:
-        outline = _parse_vertices(vertices[0], units, vertices[1])
-    elif length is not None and width is not None:
-        outline = Polygon.rectangle(length, width)
-    else:
-        raise ConfigError("fabric needs length and width, or vertices", sec.line)
-    permeability = _enum_value(
-        Permeability,
-        _get(sec, "permeability", "str", units, default=Permeability.AIR_IMPERMEABLE.value),
-        "permeability",
-        sec.line,
-    )
-    return FabricPiece(
-        id=_get(sec, "id", "str", units, required=True),
-        outline=outline,
-        mass=_get(sec, "mass", "mass", units, required=True),
-        friction_coefficient=_get(sec, "friction", "float", units, required=True),
-        permeability=permeability,
-        material=_get(sec, "material", "str", units, default=""),
-    )
+    if outline is None:
+        if len(sides) != 2:
+            raise ConfigError("fabric needs length and width, or vertices", sec.line)
+        outline = Polygon.rectangle(*sides)
+    return _build(FabricPiece, sec, values, outline=outline)
 
 
 def build_motion(doc: ConfigDocument) -> MotionProfile:
-    if "motion" not in doc.sections:
-        return MotionProfile()
-    sec = doc.sections["motion"]
-    units = doc.units
-    defaults = MotionProfile()
-    return MotionProfile(
-        acceleration=_get(sec, "acceleration", "float", units, defaults.acceleration),
-        safety_factor=_get(sec, "safety_factor", "float", units, defaults.safety_factor),
-        load_case=_enum_value(
-            LoadCase,
-            _get(sec, "load_case", "str", units, defaults.load_case.value),
-            "load_case",
-            sec.line,
-        ),
-        lift_height=_get(sec, "lift_height", "length", units, defaults.lift_height),
-        translate_distance=_get(
-            sec, "translate_distance", "length", units, defaults.translate_distance
-        ),
-    )
+    sec = doc.get("motion")
+    return _build(MotionProfile, sec, _values(sec, doc.units))
 
 
 def build_cup(doc: ConfigDocument) -> SuctionCup:
     sec = doc.require("cup")
-    units = doc.units
-    return SuctionCup(
-        orifice_diameter=_get(sec, "orifice_diameter", "length", units, required=True),
-        count=_get(sec, "count", "int", units, default=1),
-    )
+    return _build(SuctionCup, sec, _values(sec, doc.units))
 
 
 def build_generator(doc: ConfigDocument) -> VacuumGenerator:
-    if "generator" not in doc.sections:
-        return VacuumGenerator()
-    sec = doc.sections["generator"]
-    units = doc.units
-    defaults = VacuumGenerator()
-    max_vac = _get(sec, "max_vacuum", "pressure", units, defaults.max_vacuum)
-    return VacuumGenerator(
-        max_vacuum=abs(max_vac),  # signed gauge accepted at the boundary
-        supply_flow_rate=_get(sec, "supply_flow_rate", "flow", units, defaults.supply_flow_rate),
-        setup_pressure=_get(sec, "setup_pressure", "pressure", units, defaults.setup_pressure),
-        nozzle_diameter=_get(sec, "nozzle_diameter", "length", units, defaults.nozzle_diameter),
-    )
+    sec = doc.get("generator")
+    values = _values(sec, doc.units)
+    if _MAX_VACUUM.key in values:  # signed gauge accepted at the boundary
+        values[_MAX_VACUUM.key] = abs(values[_MAX_VACUUM.key])
+    return _build(VacuumGenerator, sec, values)
 
 
-def build_line(doc: ConfigDocument) -> tuple[tuple[PipeSegment, ...], float | None]:
+def build_line(
+    doc: ConfigDocument, generator: VacuumGenerator
+) -> tuple[tuple[PipeSegment, ...], float]:
+    """The hose segments and the velocity entering the first one.
+
+    Without upstream_velocity the velocity follows from the flow rate:
+    v = Q / A of the first segment.
+    """
     if not doc.line_sections:
         raise ConfigError("missing section: line")
     segments = []
-    upstream_velocity: float | None = None
+    upstream_velocity = None
     for i, sec in enumerate(doc.line_sections):
-        if "upstream_velocity" in sec.entries:
+        values = _values(sec, doc.units)
+        if _UPSTREAM_VELOCITY.key in values:
             if i != 0:
                 raise ConfigError(
-                    "upstream_velocity belongs in the first [line] section only",
-                    sec.entries["upstream_velocity"][1],
+                    f"{_UPSTREAM_VELOCITY.key} belongs in the first [line] section only",
+                    sec.entries[_UPSTREAM_VELOCITY.key][1],
                 )
-            upstream_velocity = _get(sec, "upstream_velocity", "float", doc.units)
-        segments.append(
-            PipeSegment(
-                inner_diameter=_get(sec, "inner_diameter", "length", doc.units, required=True),
-                length=_get(sec, "length", "length", doc.units, default=0.0),
-                elevation=_get(sec, "elevation", "length", doc.units, default=0.0),
-            )
-        )
+            upstream_velocity = values[_UPSTREAM_VELOCITY.key]
+        segments.append(_build(PipeSegment, sec, values))
+    if upstream_velocity is None:
+        upstream_velocity = generator.supply_flow_rate / segments[0].area
     return tuple(segments), upstream_velocity
 
 
-def build_vgtc(doc: ConfigDocument) -> tuple[Vgtc | None, float | None]:
+def build_vgtc(doc: ConfigDocument) -> tuple[Vgtc | None, float]:
+    """The grabbing circle (None without [vgtc]) and the edge margin for layouts."""
     if "vgtc" not in doc.sections:
-        return None, None
+        return None, DEFAULT_EDGE_MARGIN
     sec = doc.sections["vgtc"]
-    units = doc.units
-    window = PressureWindow(
-        p_min=_get(sec, "p_min", "pressure", units, required=True),
-        p_max=_get(sec, "p_max", "pressure", units, default=None),
+    values = _values(sec, doc.units)
+    circle = _build(
+        Vgtc,
+        sec,
+        values,
+        pressure_window=_build(PressureWindow, sec, values),
+        center=(values.get(_CENTER_X.key, 0.0), values.get(_CENTER_Y.key, 0.0)),
     )
-    circle = Vgtc(
-        center=(
-            _get(sec, "center_x", "length", units, default=0.0),
-            _get(sec, "center_y", "length", units, default=0.0),
-        ),
-        radius=_get(sec, "radius", "length", units, required=True),
-        pressure_window=window,
-    )
-    return circle, _get(sec, "margin", "length", units, default=None)
+    return circle, values.get(_MARGIN.key, DEFAULT_EDGE_MARGIN)
 
 
 def build_scenario(doc: ConfigDocument) -> Scenario:
@@ -403,11 +414,8 @@ def build_scenario(doc: ConfigDocument) -> Scenario:
     motion = build_motion(doc)
     cup = build_cup(doc)
     generator = build_generator(doc)
-    line, upstream_velocity = build_line(doc)
+    line, upstream_velocity = build_line(doc, generator)
     vgtc, margin = build_vgtc(doc)
-    if upstream_velocity is None:
-        # flow-rate-driven fallback: v = Q / A of the first segment
-        upstream_velocity = generator.supply_flow_rate / line[0].area
     return Scenario(
         fabric=fabric,
         motion=motion,
@@ -416,7 +424,7 @@ def build_scenario(doc: ConfigDocument) -> Scenario:
         line=line,
         upstream_velocity=upstream_velocity,
         vgtc=vgtc,
-        margin=margin if margin is not None else 0.02,
+        margin=margin,
     )
 
 
@@ -427,56 +435,44 @@ def parse_config(text: str | bytes) -> Scenario:
     return build_scenario(parse_document(text))
 
 
+def _config_text(value) -> str:
+    if isinstance(value, Polygon):
+        return "; ".join(f"{x!r}, {y!r}" for x, y in value.vertices)
+    if isinstance(value, enum.Enum):
+        return value.value
+    return value if isinstance(value, str) else repr(value)
+
+
 def emit_scenario_config(scenario: Scenario) -> str:
     """Echo a scenario as a config document (SI units, bare numbers).
 
-    parse_config() on the result reconstructs the scenario exactly.
+    parse_config() on the result reconstructs the scenario exactly. A
+    value of None or "" is left out and parses back as the default.
     """
-    out = ["[fabric]"]
-    out.append(f"id = {scenario.fabric.id}")
-    verts = "; ".join(f"{x!r}, {y!r}" for x, y in scenario.fabric.outline.vertices)
-    out.append(f"vertices = {verts}")
-    out.append(f"mass = {scenario.fabric.mass!r}")
-    out.append(f"friction = {scenario.fabric.friction_coefficient!r}")
-    out.append(f"permeability = {scenario.fabric.permeability.value}")
-    if scenario.fabric.material:
-        out.append(f"material = {scenario.fabric.material}")
-    out.append("")
-    out.append("[motion]")
-    out.append(f"acceleration = {scenario.motion.acceleration!r}")
-    out.append(f"safety_factor = {scenario.motion.safety_factor!r}")
-    out.append(f"load_case = {scenario.motion.load_case.value}")
-    out.append(f"lift_height = {scenario.motion.lift_height!r}")
-    out.append(f"translate_distance = {scenario.motion.translate_distance!r}")
-    out.append("")
-    out.append("[cup]")
-    out.append(f"orifice_diameter = {scenario.cup.orifice_diameter!r}")
-    out.append(f"count = {scenario.cup.count}")
-    out.append("")
-    out.append("[generator]")
-    out.append(f"max_vacuum = {scenario.generator.max_vacuum!r}")
-    out.append(f"supply_flow_rate = {scenario.generator.supply_flow_rate!r}")
-    out.append(f"setup_pressure = {scenario.generator.setup_pressure!r}")
-    out.append(f"nozzle_diameter = {scenario.generator.nozzle_diameter!r}")
-    for i, seg in enumerate(scenario.line):
+    fabric, circle = scenario.fabric, scenario.vgtc
+    # (section, objects its keys read, values of keys without a target)
+    sections = [
+        ("fabric", (fabric,), {_VERTICES.key: fabric.outline}),
+        ("motion", (scenario.motion,), {}),
+        ("cup", (scenario.cup,), {}),
+        ("generator", (scenario.generator,), {}),
+    ]
+    for i, segment in enumerate(scenario.line):
+        sections.append(("line", (segment, scenario) if i == 0 else (segment,), {}))
+    if circle is not None:
+        center = {_CENTER_X.key: circle.center[0], _CENTER_Y.key: circle.center[1]}
+        sections.append(("vgtc", (circle, circle.pressure_window, scenario), center))
+    out = []
+    for name, objects, values in sections:
+        out.append(f"[{name}]")
+        for f in _SECTIONS[name].values():
+            value = values.get(f.key)
+            for obj in objects:
+                if type(obj) is f.target:
+                    value = getattr(obj, f.attribute)
+            if value is not None and value != "":
+                out.append(f"{f.key} = {_config_text(value)}")
         out.append("")
-        out.append("[line]")
-        out.append(f"inner_diameter = {seg.inner_diameter!r}")
-        out.append(f"length = {seg.length!r}")
-        out.append(f"elevation = {seg.elevation!r}")
-        if i == 0:
-            out.append(f"upstream_velocity = {scenario.upstream_velocity!r}")
-    if scenario.vgtc is not None:
-        out.append("")
-        out.append("[vgtc]")
-        out.append(f"radius = {scenario.vgtc.radius!r}")
-        out.append(f"p_min = {scenario.vgtc.pressure_window.p_min!r}")
-        if scenario.vgtc.pressure_window.p_max is not None:
-            out.append(f"p_max = {scenario.vgtc.pressure_window.p_max!r}")
-        out.append(f"center_x = {scenario.vgtc.center[0]!r}")
-        out.append(f"center_y = {scenario.vgtc.center[1]!r}")
-        out.append(f"margin = {scenario.margin!r}")
-    out.append("")
     return "\n".join(out)
 
 
@@ -486,58 +482,14 @@ def emit_scenario_config(scenario: Scenario) -> str:
 CSV_COLUMNS = ("id", "force_N", "req_pressure_Pa", "loss_Pa", "net_Pa", "gripper_count", "verdict")
 
 
-def _layout_to_dict(layout: Layout | None):
-    if layout is None:
-        return None
-    return {
-        "positions": [[x, y] for x, y in layout.positions],
-        "spacing": layout.spacing,
-        "margin": layout.margin,
-        "rows": layout.rows,
-        "cols": layout.cols,
-    }
-
-
+# vars() of a report, layout or line step maps its fields to their values
+# in declaration order, without the deep copy dataclasses.asdict() makes.
 def report_to_dict(report: GraspReport) -> dict:
     return {
-        "fabric_id": report.fabric_id,
-        "gripper_count": report.gripper_count,
-        "holding_force": report.holding_force,
-        "required_pressure_single_cup": report.required_pressure_single_cup,
-        "required_pressure_shared": report.required_pressure_shared,
-        "line_loss": report.line_loss,
-        "net_supply": report.net_supply,
-        "layout": _layout_to_dict(report.layout),
-        "effective_ratios": list(report.effective_ratios),
+        **vars(report),
+        "layout": vars(report.layout) if report.layout is not None else None,
         "verdict": report.verdict.value,
-        "advisories": list(report.advisories),
     }
-
-
-def report_from_dict(data: dict) -> GraspReport:
-    layout = None
-    if data.get("layout") is not None:
-        raw = data["layout"]
-        layout = Layout(
-            positions=tuple((x, y) for x, y in raw["positions"]),
-            spacing=raw["spacing"],
-            margin=raw["margin"],
-            rows=raw["rows"],
-            cols=raw["cols"],
-        )
-    return GraspReport(
-        fabric_id=data["fabric_id"],
-        gripper_count=data["gripper_count"],
-        holding_force=data["holding_force"],
-        required_pressure_single_cup=data["required_pressure_single_cup"],
-        required_pressure_shared=data["required_pressure_shared"],
-        line_loss=data["line_loss"],
-        net_supply=data["net_supply"],
-        layout=layout,
-        effective_ratios=tuple(data["effective_ratios"]),
-        verdict=Verdict(data["verdict"]),
-        advisories=tuple(data["advisories"]),
-    )
 
 
 def _csv_row(report: GraspReport) -> list[str]:
@@ -581,42 +533,76 @@ def _human_report(report: GraspReport) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _render(format: str, command: str, renderers: dict[str, Callable[[], object]]) -> bytes:
+    """A command's output in `format`, which must be one of its formats.
+
+    renderers maps each format the command supports to a function that
+    builds the output: text for human and csv, JSON-ready data for
+    structured.
+    """
+    if format not in renderers:
+        *others, last = renderers
+        raise UsageError(f"{command} supports --format {', '.join(others)} or {last}")
+    output = renderers[format]()
+    if format == "structured":
+        output = json.dumps(output, indent=2) + "\n"
+    return output.encode("utf-8")
+
+
+def _csv_text(rows: Iterable[list[str]]) -> str:
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(CSV_COLUMNS)
+    writer.writerows(rows)
+    return buf.getvalue()
+
+
 def emit_report(report: GraspReport, format: str = "human") -> bytes:
     """Render one report as aligned text, a CSV row, or structured JSON."""
-    if format == "structured":
-        return (json.dumps(report_to_dict(report), indent=2) + "\n").encode("utf-8")
-    if format == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(CSV_COLUMNS)
-        writer.writerow(_csv_row(report))
-        return buf.getvalue().encode("utf-8")
-    if format == "human":
-        return _human_report(report).encode("utf-8")
-    raise UsageError(f"unknown format {format!r}")
+    return _render(format, "check", {
+        "human": lambda: _human_report(report),
+        "csv": lambda: _csv_text([_csv_row(report)]),
+        "structured": lambda: report_to_dict(report),
+    })
 
 
 def parse_report(data: bytes | str) -> GraspReport:
     """Inverse of emit_report(..., 'structured')."""
-    if isinstance(data, bytes):
-        data = data.decode("utf-8")
-    return report_from_dict(json.loads(data))
+    report = json.loads(data)
+    layout = report.get("layout")
+    return GraspReport(**{
+        **report,
+        "layout": Layout(**layout) if layout is not None else None,
+        "effective_ratios": tuple(report["effective_ratios"]),
+        "verdict": Verdict(report["verdict"]),
+        "advisories": tuple(report["advisories"]),
+    })
+
+
+def _human_batch(entries: Sequence[CorpusEntry]) -> str:
+    lines = []
+    for entry in entries:
+        if entry.report is not None:
+            r = entry.report
+            lines.append(
+                f"{entry.label:<10} {r.fabric_id:<24} force {r.holding_force:>9.4g} N  "
+                f"req {r.required_pressure_single_cup:>9.6g} Pa  "
+                f"net {r.net_supply:>9.6g} Pa  {r.verdict.value}"
+            )
+        else:
+            lines.append(f"{entry.label:<10} error: {entry.error}")
+    return "\n".join(lines) + "\n"
 
 
 def emit_batch(entries: Sequence[CorpusEntry], format: str = "human") -> bytes:
     """Render a corpus run; error entries keep their slot."""
-    if format == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(CSV_COLUMNS)
-        for entry in entries:
-            if entry.report is not None:
-                writer.writerow(_csv_row(entry.report))
-            else:
-                writer.writerow([entry.label, "", "", "", "", "", f"error: {entry.error}"])
-        return buf.getvalue().encode("utf-8")
-    if format == "structured":
-        payload = [
+    return _render(format, "batch", {
+        "human": lambda: _human_batch(entries),
+        "csv": lambda: _csv_text(
+            _csv_row(e.report) if e.report is not None else [e.label, "", "", "", "", "", f"error: {e.error}"]
+            for e in entries
+        ),
+        "structured": lambda: [
             {
                 "index": e.index,
                 "label": e.label,
@@ -624,22 +610,8 @@ def emit_batch(entries: Sequence[CorpusEntry], format: str = "human") -> bytes:
                 "error": e.error,
             }
             for e in entries
-        ]
-        return (json.dumps(payload, indent=2) + "\n").encode("utf-8")
-    if format == "human":
-        lines = []
-        for entry in entries:
-            if entry.report is not None:
-                r = entry.report
-                lines.append(
-                    f"{entry.label:<10} {r.fabric_id:<24} force {r.holding_force:>9.4g} N  "
-                    f"req {r.required_pressure_single_cup:>9.6g} Pa  "
-                    f"net {r.net_supply:>9.6g} Pa  {r.verdict.value}"
-                )
-            else:
-                lines.append(f"{entry.label:<10} error: {entry.error}")
-        return ("\n".join(lines) + "\n").encode("utf-8")
-    raise UsageError(f"unknown format {format!r}")
+        ],
+    })
 
 
 # ---------------------------------------------------------------------------
@@ -784,12 +756,9 @@ def parse_corpus_csv(text: str) -> list[CorpusRow]:
     return rows
 
 
-def bundled_corpus_text() -> str:
-    return resources.files("vacgrab").joinpath("data/table1.csv").read_text("utf-8")
-
-
 def load_bundled_corpus() -> list[CorpusRow]:
-    return parse_corpus_csv(bundled_corpus_text())
+    text = resources.files("vacgrab").joinpath("data/table1.csv").read_text("utf-8")
+    return parse_corpus_csv(text)
 
 
 # ---------------------------------------------------------------------------
@@ -840,7 +809,9 @@ def build_parser() -> _Parser:
         default="1 mm",
         help="resolution of the answer (quantity); the cost is logarithmic in range/step",
     )
-    cal.add_argument("--margin", help="edge margin (quantity, default 2 cm)")
+    cal.add_argument(
+        "--margin", help="edge margin (quantity; default: the config's [vgtc] margin, else 2 cm)"
+    )
 
     check = add("check", "full grasp feasibility verdict")
     check.add_argument("--svg", help="write a layout diagram when a grabbing circle is set")
@@ -863,20 +834,18 @@ def _load_document(path: str) -> ConfigDocument:
 def _cmd_force(args) -> tuple[bytes, list[str]]:
     doc = _load_document(args.config)
     result = statics.holding_force(build_fabric(doc), build_motion(doc))
-    if args.format == "structured":
-        m, mu, g, a, s = result.inputs_echo
-        payload = {
+    m, mu, g, a, s = result.inputs_echo
+    return _render(args.format, args.command, {
+        "human": lambda: (
+            f"load case     : {result.load_case.value}\n"
+            f"holding force : {result.force:.6g} N\n"
+        ),
+        "structured": lambda: {
             "force": result.force,
             "load_case": result.load_case.value,
             "inputs": {"mass": m, "friction": mu, "gravity": g, "acceleration": a, "safety_factor": s},
-        }
-        return (json.dumps(payload, indent=2) + "\n").encode(), []
-    if args.format != "human":
-        raise UsageError("force supports --format human or structured")
-    return (
-        f"load case     : {result.load_case.value}\n"
-        f"holding force : {result.force:.6g} N\n"
-    ).encode(), []
+        },
+    }), []
 
 
 def _cmd_pressure(args) -> tuple[bytes, list[str]]:
@@ -885,29 +854,25 @@ def _cmd_pressure(args) -> tuple[bytes, list[str]]:
     result = statics.holding_force(build_fabric(doc), build_motion(doc))
     single = statics.required_pressure(result.force, cup)
     shared = statics.required_pressure(statics.per_gripper_force(result.force, cup), cup)
-    if args.format == "structured":
-        payload = {
+    return _render(args.format, args.command, {
+        "human": lambda: (
+            f"holding force      : {result.force:.6g} N\n"
+            f"required (1 cup)   : {single:.6g} Pa\n"
+            f"required (shared)  : {shared:.6g} Pa across {cup.count} cups\n"
+        ),
+        "structured": lambda: {
             "holding_force": result.force,
             "required_pressure_single_cup": single,
             "required_pressure_shared": shared,
             "cup_count": cup.count,
-        }
-        return (json.dumps(payload, indent=2) + "\n").encode(), []
-    if args.format != "human":
-        raise UsageError("pressure supports --format human or structured")
-    return (
-        f"holding force      : {result.force:.6g} N\n"
-        f"required (1 cup)   : {single:.6g} Pa\n"
-        f"required (shared)  : {shared:.6g} Pa across {cup.count} cups\n"
-    ).encode(), []
+        },
+    }), []
 
 
 def _cmd_line_loss(args) -> tuple[bytes, list[str]]:
     doc = _load_document(args.config)
-    line, upstream_velocity = build_line(doc)
     generator = build_generator(doc)
-    if upstream_velocity is None:
-        upstream_velocity = generator.supply_flow_rate / line[0].area
+    line, upstream_velocity = build_line(doc, generator)
     total, steps = pneumatics.line_loss_total(line, upstream_velocity)
     net = pneumatics.net_supply_vacuum(generator, max(total, 0.0))
     advisories = [
@@ -915,84 +880,72 @@ def _cmd_line_loss(args) -> tuple[bytes, list[str]]:
         for i, step in enumerate(steps, start=1)
         if step.mach_advisory
     ]
-    if args.format == "structured":
-        payload = {
+
+    def human() -> str:
+        lines = [f"upstream velocity : {upstream_velocity:.6g} m/s"]
+        for i, step in enumerate(steps, start=1):
+            lines.append(
+                f"step {i}            : {step.delta_p:.6g} Pa "
+                f"(v {step.upstream_velocity:.4g} -> {step.downstream_velocity:.4g} m/s)"
+            )
+        lines.append(f"total loss        : {total:.6g} Pa")
+        lines.append(f"net supply        : {net.pressure:.6g} Pa")
+        return "\n".join(lines) + "\n"
+
+    return _render(args.format, args.command, {
+        "human": human,
+        "structured": lambda: {
             "upstream_velocity": upstream_velocity,
-            "steps": [
-                {
-                    "delta_p": s.delta_p,
-                    "upstream_velocity": s.upstream_velocity,
-                    "downstream_velocity": s.downstream_velocity,
-                    "area_ratio": s.area_ratio,
-                    "pressure_recovery": s.pressure_recovery,
-                    "mach_advisory": s.mach_advisory,
-                }
-                for s in steps
-            ],
+            "steps": [vars(step) for step in steps],
             "total_loss": total,
             "net_supply": net.pressure,
             "clamped": net.clamped,
-        }
-        return (json.dumps(payload, indent=2) + "\n").encode(), advisories
-    if args.format != "human":
-        raise UsageError("line-loss supports --format human or structured")
-    lines = [f"upstream velocity : {upstream_velocity:.6g} m/s"]
-    for i, step in enumerate(steps, start=1):
-        lines.append(
-            f"step {i}            : {step.delta_p:.6g} Pa "
-            f"(v {step.upstream_velocity:.4g} -> {step.downstream_velocity:.4g} m/s)"
-        )
-    lines.append(f"total loss        : {total:.6g} Pa")
-    lines.append(f"net supply        : {net.pressure:.6g} Pa")
-    return ("\n".join(lines) + "\n").encode(), advisories
+        },
+    }), advisories
 
 
 def _cmd_plan(args) -> tuple[bytes, list[str]]:
     doc = _load_document(args.config)
     fabric = build_fabric(doc)
-    circle, cfg_margin = build_vgtc(doc)
+    circle, margin = build_vgtc(doc)
     if circle is None:
         raise ConfigError("missing section: vgtc")
-    margin = cfg_margin if cfg_margin is not None else 0.02
     if args.margin:
         margin = _parse_cli_quantity(args.margin, "length", "--margin")
     spacing = circle.radius
     if args.spacing:
         spacing = _parse_cli_quantity(args.spacing, "length", "--spacing")
     layout = generate_layout(fabric.outline, margin, spacing)
-    ratios = [
-        effective_ratio(
-            Vgtc(center=pos, radius=circle.radius, pressure_window=circle.pressure_window),
-            fabric.outline,
-        )
-        for pos in layout.positions
-    ]
+    ratios = [effective_ratio(replace(circle, center=pos), fabric.outline) for pos in layout.positions]
     if args.svg:
         with open(args.svg, "wb") as fh:
             fh.write(emit_layout_svg(layout, fabric.outline, circle))
-    if args.format == "structured":
-        payload = {
-            "layout": _layout_to_dict(layout),
+
+    def human() -> str:
+        lines = [
+            f"grid          : {layout.cols} cols x {layout.rows} rows = {len(layout.positions)} grippers",
+            f"spacing       : {layout.spacing:.6g} m",
+            f"margin        : {layout.margin:.6g} m",
+            f"min ratio     : {min(ratios):.4f}" if ratios else "min ratio     : n/a",
+        ]
+        for pos, ratio in zip(layout.positions, ratios):
+            lines.append(f"  ({pos[0]:.4f}, {pos[1]:.4f}) m  effective {ratio:.4f}")
+        return "\n".join(lines) + "\n"
+
+    return _render(args.format, args.command, {
+        "human": human,
+        "structured": lambda: {
+            "layout": vars(layout),
             "effective_ratios": ratios,
             "radius": circle.radius,
-        }
-        return (json.dumps(payload, indent=2) + "\n").encode(), []
-    if args.format != "human":
-        raise UsageError("plan supports --format human or structured")
-    lines = [
-        f"grid          : {layout.cols} cols x {layout.rows} rows = {len(layout.positions)} grippers",
-        f"spacing       : {layout.spacing:.6g} m",
-        f"margin        : {layout.margin:.6g} m",
-        f"min ratio     : {min(ratios):.4f}" if ratios else "min ratio     : n/a",
-    ]
-    for pos, ratio in zip(layout.positions, ratios):
-        lines.append(f"  ({pos[0]:.4f}, {pos[1]:.4f}) m  effective {ratio:.4f}")
-    return ("\n".join(lines) + "\n").encode(), []
+        },
+    }), []
 
 
 def _cmd_calibrate(args) -> tuple[bytes, list[str]]:
     doc = _load_document(args.config)
     fabric = build_fabric(doc)
+    _, margin = build_vgtc(doc)
     try:
         low_text, high_text = args.range.split(",", 1)
     except ValueError:
@@ -1000,22 +953,25 @@ def _cmd_calibrate(args) -> tuple[bytes, list[str]]:
     low = _parse_cli_quantity(low_text, "length", "--range")
     high = _parse_cli_quantity(high_text, "length", "--range")
     step = _parse_cli_quantity(args.step, "length", "--step")
-    margin = _parse_cli_quantity(args.margin, "length", "--margin") if args.margin else 0.02
+    if args.margin:
+        margin = _parse_cli_quantity(args.margin, "length", "--margin")
     intervals = calibrate_spacing(fabric.outline, margin, args.target_count, (low, high), step)
-    if args.format == "structured":
-        payload = {
+
+    def human() -> str:
+        if not intervals:
+            return f"no spacing in range yields {args.target_count} grippers\n"
+        lines = [f"spacing intervals for {args.target_count} grippers:"]
+        lines.extend(f"  {a:.4f} m .. {b:.4f} m" for a, b in intervals)
+        return "\n".join(lines) + "\n"
+
+    return _render(args.format, args.command, {
+        "human": human,
+        "structured": lambda: {
             "target_count": args.target_count,
             "margin": margin,
             "intervals": [[a, b] for a, b in intervals],
-        }
-        return (json.dumps(payload, indent=2) + "\n").encode(), []
-    if args.format != "human":
-        raise UsageError("calibrate supports --format human or structured")
-    if not intervals:
-        return (f"no spacing in range yields {args.target_count} grippers\n").encode(), []
-    lines = [f"spacing intervals for {args.target_count} grippers:"]
-    lines.extend(f"  {a:.4f} m .. {b:.4f} m" for a, b in intervals)
-    return ("\n".join(lines) + "\n").encode(), []
+        },
+    }), []
 
 
 def _cmd_check(args) -> tuple[bytes, list[str]]:
@@ -1067,10 +1023,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-    except UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 1
-    try:
         output, advisories = _COMMANDS[args.command](args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

@@ -84,8 +84,14 @@ def convert_units(value: float, from_unit: str, to_unit: str) -> float:
 
 
 def circular_area(diameter: float) -> float:
-    """Cross-section area of a circular orifice or pipe bore."""
-    return math.pi * (diameter / 2.0) ** 2
+    """Cross-section area of a circular orifice or pipe bore.
+
+    A square too large for a float gives inf; float ** raises instead.
+    """
+    try:
+        return math.pi * (diameter / 2.0) ** 2
+    except OverflowError:
+        return math.inf
 
 
 def _require(condition: bool, message: str) -> None:
@@ -346,6 +352,7 @@ class SuctionCup:
             self.orifice_diameter > 0,
             f"orifice_diameter must be > 0, got {self.orifice_diameter}",
         )
+        _require(self.area > 0, f"orifice_diameter {self.orifice_diameter} m has an area of 0")
         _require(
             isinstance(self.count, int) and not isinstance(self.count, bool) and self.count >= 1,
             f"count must be an integer >= 1, got {self.count!r}",
@@ -392,6 +399,7 @@ class PipeSegment:
 
     def __post_init__(self):
         _require(self.inner_diameter > 0, f"inner_diameter must be > 0, got {self.inner_diameter}")
+        _require(self.area > 0, f"inner_diameter {self.inner_diameter} m has a bore area of 0")
         _require(self.length >= 0, f"length must be >= 0, got {self.length}")
 
     @property

@@ -190,24 +190,6 @@ def parallel_flow_split(
     return flows
 
 
-def flow_rate(volume: float, time: float) -> float:
-    """Volumetric flow from a volume moved over a time: Q = V/t."""
-    if time <= 0:
-        raise ValidationError(f"time must be > 0, got {time}")
-    if volume < 0:
-        raise ValidationError(f"volume must be >= 0, got {volume}")
-    return volume / time
-
-
-def flow_velocity(flow: float, area: float) -> float:
-    """Mean velocity for a flow through a cross-section: v = Q/A."""
-    if area <= 0:
-        raise ValidationError(f"area must be > 0, got {area}")
-    if flow < 0:
-        raise ValidationError(f"flow must be >= 0, got {flow}")
-    return flow / area
-
-
 def line_loss_total(
     segments: Sequence[PipeSegment],
     upstream_velocity: float,

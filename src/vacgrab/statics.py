@@ -34,60 +34,28 @@ class HoldingForceResult:
     inputs_echo: tuple[float, float, float, float, float]  # (m, mu, g, a, S)
 
 
-def _echo(fabric: FabricPiece, motion: MotionProfile, consts: PhysicalConstants):
-    return (
+def holding_force(
+    fabric: FabricPiece,
+    motion: MotionProfile,
+    consts: PhysicalConstants = PhysicalConstants(),
+) -> HoldingForceResult:
+    """Holding force for motion.load_case.
+
+    A plate lift needs m*(g+a)*S; when friction carries the piece the
+    mass is divided by the friction coefficient: (m/mu)*(g+a)*S.
+    """
+    mass = fabric.mass
+    if motion.load_case is LoadCase.FRICTION_LIFT:
+        mass = mass / fabric.friction_coefficient
+    force = mass * (consts.gravity + motion.acceleration) * motion.safety_factor
+    echo = (
         fabric.mass,
         fabric.friction_coefficient,
         consts.gravity,
         motion.acceleration,
         motion.safety_factor,
     )
-
-
-def holding_force_plate_lift(
-    fabric: FabricPiece,
-    motion: MotionProfile,
-    consts: PhysicalConstants = PhysicalConstants(),
-) -> HoldingForceResult:
-    """Holding force for a straight vertical plate lift: m*(g+a)*S."""
-    if motion.load_case is not LoadCase.PLATE_LIFT:
-        raise ValidationError(
-            f"motion.load_case must be plate_lift, got {motion.load_case.value}"
-        )
-    force = fabric.mass * (consts.gravity + motion.acceleration) * motion.safety_factor
-    return HoldingForceResult(force, LoadCase.PLATE_LIFT, _echo(fabric, motion, consts))
-
-
-def holding_force_friction_lift(
-    fabric: FabricPiece,
-    motion: MotionProfile,
-    consts: PhysicalConstants = PhysicalConstants(),
-) -> HoldingForceResult:
-    """Holding force when friction carries the piece: (m/mu)*(g+a)*S."""
-    if motion.load_case is not LoadCase.FRICTION_LIFT:
-        raise ValidationError(
-            f"motion.load_case must be friction_lift, got {motion.load_case.value}"
-        )
-    if fabric.friction_coefficient <= 0:
-        raise ValidationError("friction coefficient must be > 0 for a friction lift")
-    force = (
-        fabric.mass
-        / fabric.friction_coefficient
-        * (consts.gravity + motion.acceleration)
-        * motion.safety_factor
-    )
-    return HoldingForceResult(force, LoadCase.FRICTION_LIFT, _echo(fabric, motion, consts))
-
-
-def holding_force(
-    fabric: FabricPiece,
-    motion: MotionProfile,
-    consts: PhysicalConstants = PhysicalConstants(),
-) -> HoldingForceResult:
-    """Dispatch on motion.load_case."""
-    if motion.load_case is LoadCase.PLATE_LIFT:
-        return holding_force_plate_lift(fabric, motion, consts)
-    return holding_force_friction_lift(fabric, motion, consts)
+    return HoldingForceResult(force, motion.load_case, echo)
 
 
 def required_pressure(force: float, cup: SuctionCup) -> float:

@@ -33,7 +33,12 @@ from .model import (
 
 @dataclass(frozen=True)
 class Vgtc:
-    """A grabbing circle: center and radius in fabric-local meters."""
+    """A grabbing circle: center and radius in fabric-local meters.
+
+    A bench-measured circle is recorded by constructing one: the largest
+    radius at which the single-gripper test still picked exactly one
+    layer, with the pressure window observed while doing it.
+    """
 
     center: Point
     radius: float
@@ -50,7 +55,10 @@ class Vgtc:
 
     @property
     def disk_area(self) -> float:
-        return math.pi * self.radius**2
+        try:
+            return math.pi * self.radius**2
+        except OverflowError:  # a radius whose square no float holds
+            return math.inf
 
 
 @dataclass(frozen=True)
@@ -193,12 +201,16 @@ def _axis_positions(low: float, usable: float, spacing: float, count: int) -> li
     return [start + i * spacing for i in range(count)]
 
 
+class _NoUsableArea(ValidationError):
+    """The margin leaves no usable area inside the outline."""
+
+
 def _usable_span(outline: Polygon, margin: float) -> tuple[float, float]:
     """Length and width of the margin-shrunk rectangle a grid may fill.
 
-    Raises ValidationError for a negative margin, a non-rectangular
-    outline, or a margin that leaves no usable area; none of these
-    depends on the grid spacing.
+    Raises ValidationError for a negative margin or a non-rectangular
+    outline, and _NoUsableArea for a margin that leaves no usable area;
+    none of these depends on the grid spacing.
     """
     if not margin >= 0:  # also rejects nan
         raise ValidationError(f"margin must be >= 0, got {margin}")
@@ -208,7 +220,7 @@ def _usable_span(outline: Polygon, margin: float) -> tuple[float, float]:
     usable_l = (x1 - x0) - 2.0 * margin
     usable_w = (y1 - y0) - 2.0 * margin
     if usable_l < -BOUNDARY_TOL or usable_w < -BOUNDARY_TOL:
-        raise ValidationError(
+        raise _NoUsableArea(
             f"margin {margin} m too large: no usable area inside a "
             f"{x1 - x0:.4g} x {y1 - y0:.4g} m outline"
         )
@@ -278,12 +290,12 @@ def calibrate_spacing(
     evaluations and no layout is built. The result is [(first, last)]
     of that run, or [] when no sample matches -- a valid answer: no
     spacing in range reproduces the target. A margin that leaves no
-    usable area (or an outline that is not a rectangle) fails at every
-    spacing, so it also yields [].
+    usable area fits no grid at any spacing, so it also yields [].
 
-    Raises ValidationError for a bad target, a range that is not
-    0 <= low < high with a finite high, a step that is not finite and
-    positive, or more than MAX_CALIBRATION_SAMPLES samples in range.
+    Raises ValidationError for a bad target, a negative or nan margin,
+    an outline that is not an axis-aligned rectangle, a range that is
+    not 0 <= low < high with a finite high, a step that is not finite
+    and positive, or more than MAX_CALIBRATION_SAMPLES samples in range.
     """
     if not isinstance(target_count, int) or isinstance(target_count, bool) or target_count < 1:
         raise ValidationError(f"target_count must be an integer >= 1, got {target_count!r}")
@@ -301,7 +313,7 @@ def calibrate_spacing(
         )
     try:
         usable_l, usable_w = _usable_span(outline, margin)
-    except ValidationError:
+    except _NoUsableArea:
         return []
 
     cutoff = high - 1e-12
@@ -323,18 +335,3 @@ def calibrate_spacing(
     if first == stop:
         return []
     return [(sample(first), sample(stop - 1))]
-
-
-def single_grab_radius_test(
-    window: PressureWindow,
-    measured_pass_radius: float,
-    center: Point = (0.0, 0.0),
-) -> Vgtc:
-    """Record a bench-measured grabbing circle.
-
-    This is the data-entry point for the physical single-gripper test:
-    the largest radius that still picked exactly one layer, together
-    with the pressure window observed while doing it. No physics is
-    computed here; the value feeds layout planning.
-    """
-    return Vgtc(center=center, radius=measured_pass_radius, pressure_window=window)

@@ -15,6 +15,7 @@ from vacgrab import (
     PressureWindow,
     Verdict,
     Vgtc,
+    calibrate_spacing,
     evaluate,
     generate_layout,
 )
@@ -366,6 +367,80 @@ def test_calibrate_command(facing_config, capsys):
     assert main(["calibrate", "--config", facing_config, "--target-count", "6"]) == 0
     out = capsys.readouterr().out
     assert "0.0440" in out
+
+
+def edited(tmp_path, name, old="", new=""):
+    """A copy of a shipped config, with one text replaced if given."""
+    text = shipped(name)
+    assert old in text
+    path = tmp_path / f"edited-{name}"
+    path.write_text(text.replace(old, new, 1))
+    return str(path)
+
+
+TRIANGLE = ("length = 26 cm\nwidth = 19 cm", "vertices = 0 cm, 0 cm; 26 cm, 0 cm; 0 cm, 19 cm")
+
+
+@pytest.mark.parametrize(
+    "edit, args, message",
+    [
+        ((), ["--margin=-1 cm"], "margin must be >= 0"),
+        (TRIANGLE, [], "rectangular"),
+    ],
+    ids=["negative-margin", "triangle"],
+)
+def test_calibrate_rejects_bad_margin_and_outline(tmp_path, capsys, edit, args, message):
+    # bad input, not an unreachable count: plan rejects the same margin
+    config = edited(tmp_path, "pocket_bag.conf", *edit)
+    assert main(["calibrate", "--config", config, "--target-count", "6", *args]) == 2
+    assert message in capsys.readouterr().err
+
+
+def test_calibrate_falls_back_to_config_margin(tmp_path, capsys):
+    config = edited(tmp_path, "pocket_facing.conf", "margin = 2", "margin = 1")
+    assert main(["calibrate", "--config", config, "--target-count", "6", "--format", "structured"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    outline = parse_config(Path(config).read_text()).fabric.outline
+    assert payload["margin"] == 0.01
+    assert payload["intervals"] == [
+        list(interval) for interval in calibrate_spacing(outline, 0.01, 6, (0.01, 0.15), 0.001)
+    ]
+    assert main(["plan", "--config", config, "--format", "structured"]) == 0
+    assert json.loads(capsys.readouterr().out)["layout"]["margin"] == 0.01
+
+
+@pytest.mark.parametrize(
+    "old, new",
+    [
+        ("mass = 2.5 g", "mass = 1e400 g"),  # overflows while parsing
+        ("max_vacuum = -92 kPa", "max_vacuum = -1e304 bar"),  # overflows converting units
+        ("count = 6", "count = 1" + "0" * 400),  # an integer no float can hold
+        ("length = 26 cm", "length = 1e400 cm"),
+    ],
+    ids=["mass", "max_vacuum", "count", "length"],
+)
+def test_config_value_out_of_range_exit_two(tmp_path, capsys, old, new):
+    config = edited(tmp_path, "pocket_bag.conf", old, new)
+    line = Path(config).read_text().splitlines().index(new) + 1
+    assert main(["check", "--config", config]) == 2
+    key = new.split(" =")[0]
+    assert capsys.readouterr().err.startswith(f"error: line {line}: {key}: ")
+
+
+@pytest.mark.parametrize(
+    "command, old, new",
+    [
+        ("check", "inner_diameter = 2 mm", "inner_diameter = 1e-200 m"),
+        ("line-loss", "inner_diameter = 2 mm", "inner_diameter = 1e-200 m"),
+        ("check", "orifice_diameter = 2 mm", "orifice_diameter = 1e-200 m"),
+        ("pressure", "orifice_diameter = 2 mm", "orifice_diameter = 1e-200 m"),
+    ],
+    ids=["check-line", "line-loss", "check-cup", "pressure"],
+)
+def test_zero_bore_area_exit_two(tmp_path, capsys, command, old, new):
+    config = edited(tmp_path, "pocket_bag.conf", old, new)
+    assert main([command, "--config", config]) == 2
+    assert "area of 0" in capsys.readouterr().err
 
 
 def test_calibrate_structured_empty(facing_config, capsys):

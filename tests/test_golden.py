@@ -1,4 +1,4 @@
-"""Byte-for-byte CLI outputs recorded before the config schema refactor.
+"""Byte-for-byte CLI outputs that a refactor must keep.
 
 Every command runs in every --format on both shipped configs and the
 bundled corpus, and `check` runs on one broken config per kind of

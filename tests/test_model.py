@@ -167,6 +167,17 @@ def test_pipe_segment_area():
     assert seg.area == pytest.approx(2.123e-5, rel=1e-3)
 
 
+def test_extreme_bore_areas():
+    # 1e-200 m is positive, but its area underflows to 0 and would divide by zero
+    with pytest.raises(ValidationError, match="area of 0"):
+        SuctionCup(orifice_diameter=1e-200)
+    with pytest.raises(ValidationError, match="area of 0"):
+        PipeSegment(inner_diameter=1e-200)
+    # float ** raises OverflowError where the area is simply too large
+    assert circular_area(1e308) == math.inf
+    assert SuctionCup(orifice_diameter=1e308).area == math.inf
+
+
 @given(d=st.floats(min_value=1e-5, max_value=1.0, allow_nan=False))
 def test_circular_area_identity(d):
     assert abs(circular_area(d) - math.pi * (d / 2) ** 2) <= 1e-12 * circular_area(d)

@@ -13,8 +13,6 @@ from vacgrab import (
     bernoulli_balance,
     constriction_pressure_drop,
     continuity_velocity,
-    flow_rate,
-    flow_velocity,
     line_loss_total,
     net_supply_vacuum,
     parallel_flow_split,
@@ -247,16 +245,6 @@ def test_parallel_split_weight_mismatch():
 def test_parallel_split_sums_exactly(total, n):
     flows = parallel_flow_split(total, n)
     assert abs(math.fsum(flows) - total) <= 2 * math.ulp(max(total, 1e-300))
-
-
-def test_flow_rate_and_velocity():
-    assert flow_rate(1.05e-3, 1.0) == 1.05e-3
-    assert flow_rate(0.0, 5.0) == 0.0
-    assert flow_velocity(1.05e-3, 2.123e-5) == pytest.approx(49.46, abs=0.01)
-    with pytest.raises(ValidationError):
-        flow_rate(1.0, 0.0)
-    with pytest.raises(ValidationError):
-        flow_velocity(1.0, 0.0)
 
 
 # ---------------------------------------------------------------------------

@@ -11,8 +11,6 @@ from vacgrab import (
     SuctionCup,
     ValidationError,
     holding_force,
-    holding_force_friction_lift,
-    holding_force_plate_lift,
     per_gripper_force,
     required_pressure,
 )
@@ -30,50 +28,40 @@ FRICTION = MotionProfile(load_case=LoadCase.FRICTION_LIFT)
 # plate lift
 
 def test_plate_lift_reference_values():
-    res = holding_force_plate_lift(fabric(2.5e-3), PLATE)
+    res = holding_force(fabric(2.5e-3), PLATE)
     assert res.force == pytest.approx(0.07405, abs=1e-9)
     assert res.load_case is LoadCase.PLATE_LIFT
 
 
 def test_plate_lift_static_weight():
-    res = holding_force_plate_lift(
+    res = holding_force(
         fabric(1.0), MotionProfile(acceleration=0, safety_factor=1, load_case=LoadCase.PLATE_LIFT)
     )
     assert res.force == pytest.approx(9.81, rel=1e-12)
 
 
 def test_plate_lift_tiny_mass_linearity():
-    res = holding_force_plate_lift(fabric(1e-9), PLATE)
+    res = holding_force(fabric(1e-9), PLATE)
     assert res.force == pytest.approx(1e-9 * 29.62, rel=1e-12)
-
-
-def test_plate_lift_requires_matching_load_case():
-    with pytest.raises(ValidationError, match="plate_lift"):
-        holding_force_plate_lift(fabric(1e-3), FRICTION)
 
 
 # ---------------------------------------------------------------------------
 # friction lift
 
 def test_friction_lift_pocket_bag():
-    res = holding_force_friction_lift(fabric(2.5e-3, mu=0.5), FRICTION)
+    res = holding_force(fabric(2.5e-3, mu=0.5), FRICTION)
     assert res.force == pytest.approx(0.148, abs=1e-3)
 
 
 def test_friction_lift_pocket_facing():
-    res = holding_force_friction_lift(fabric(2.0e-3, mu=0.5), FRICTION)
+    res = holding_force(fabric(2.0e-3, mu=0.5), FRICTION)
     assert res.force == pytest.approx(0.118, abs=1e-3)
 
 
 def test_friction_lift_mu_one_reduces_to_weight():
     motion = MotionProfile(acceleration=0, safety_factor=1, load_case=LoadCase.FRICTION_LIFT)
-    res = holding_force_friction_lift(fabric(0.5, mu=1.0), motion)
+    res = holding_force(fabric(0.5, mu=1.0), motion)
     assert res.force == pytest.approx(0.5 * 9.81, rel=1e-12)
-
-
-def test_friction_lift_requires_matching_load_case():
-    with pytest.raises(ValidationError, match="friction_lift"):
-        holding_force_friction_lift(fabric(1e-3), PLATE)
 
 
 def test_dispatch_follows_selector():
@@ -83,7 +71,7 @@ def test_dispatch_follows_selector():
 
 def test_inputs_echo_round_trip():
     consts = PhysicalConstants()
-    res = holding_force_friction_lift(fabric(2.5e-3, mu=0.5), FRICTION, consts)
+    res = holding_force(fabric(2.5e-3, mu=0.5), FRICTION, consts)
     m, mu, g, a, s = res.inputs_echo
     assert (m, mu, g, a, s) == (2.5e-3, 0.5, 9.81, 5.0, 2.0)
     assert res.force == pytest.approx(m / mu * (g + a) * s, rel=1e-15)
@@ -137,8 +125,8 @@ def test_per_gripper_force_identity_and_split():
     scale=st.floats(min_value=1.1, max_value=10, allow_nan=False),
 )
 def test_force_linear_in_mass(m, scale):
-    f1 = holding_force_friction_lift(fabric(m), FRICTION).force
-    f2 = holding_force_friction_lift(fabric(m * scale), FRICTION).force
+    f1 = holding_force(fabric(m), FRICTION).force
+    f2 = holding_force(fabric(m * scale), FRICTION).force
     assert f2 == pytest.approx(f1 * scale, rel=1e-9)
 
 
@@ -149,7 +137,7 @@ def test_force_linear_in_mass(m, scale):
 def test_force_linear_in_safety_factor(s1, s2):
     def force(s):
         motion = MotionProfile(safety_factor=s, load_case=LoadCase.FRICTION_LIFT)
-        return holding_force_friction_lift(fabric(1e-3), motion).force
+        return holding_force(fabric(1e-3), motion).force
 
     assert force(s1) * s2 == pytest.approx(force(s2) * s1, rel=1e-9)
 
@@ -163,7 +151,7 @@ def test_force_monotone_in_acceleration(a_lo, a_hi):
 
     def force(a):
         motion = MotionProfile(acceleration=a, load_case=LoadCase.FRICTION_LIFT)
-        return holding_force_friction_lift(fabric(1e-3), motion).force
+        return holding_force(fabric(1e-3), motion).force
 
     assert force(a_hi) >= force(a_lo)
 
@@ -174,14 +162,14 @@ def test_force_monotone_in_acceleration(a_lo, a_hi):
 )
 def test_friction_force_strictly_decreasing_in_mu(mu_lo, mu_hi):
     mu_lo, mu_hi = sorted((mu_lo, mu_hi))
-    f_lo = holding_force_friction_lift(fabric(1e-3, mu=mu_lo), FRICTION).force
-    f_hi = holding_force_friction_lift(fabric(1e-3, mu=mu_hi), FRICTION).force
+    f_lo = holding_force(fabric(1e-3, mu=mu_lo), FRICTION).force
+    f_hi = holding_force(fabric(1e-3, mu=mu_hi), FRICTION).force
     if mu_lo < mu_hi:
         assert f_lo > f_hi
 
 
 @given(m=st.floats(min_value=1e-6, max_value=10, allow_nan=False))
 def test_friction_with_mu_one_equals_plate(m):
-    plate = holding_force_plate_lift(fabric(m, mu=1.0), PLATE).force
-    friction = holding_force_friction_lift(fabric(m, mu=1.0), FRICTION).force
+    plate = holding_force(fabric(m, mu=1.0), PLATE).force
+    friction = holding_force(fabric(m, mu=1.0), FRICTION).force
     assert friction == pytest.approx(plate, rel=1e-15)

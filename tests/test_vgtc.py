@@ -15,7 +15,6 @@ from vacgrab import (
     circle_polygon_intersection_area,
     effective_ratio,
     generate_layout,
-    single_grab_radius_test,
 )
 
 from oracles import (
@@ -52,6 +51,11 @@ def test_corner_centered_quarter_disk():
     rect = Polygon.rectangle(1.0, 0.5)
     area = circle_polygon_intersection_area(circle(0.0, 0.0, 0.1), rect)
     assert area == pytest.approx(math.pi * 0.01 / 4, rel=1e-9)
+
+
+def test_disk_area_of_a_huge_radius_is_inf():
+    # float ** raises OverflowError where the square is simply too large
+    assert circle(0.0, 0.0, 1e300).disk_area == math.inf
 
 
 def test_disjoint_is_zero():
@@ -396,6 +400,13 @@ def test_calibrate_rejects_bad_inputs():
             calibrate_spacing(rect, 0.02, 4, (0.01, 0.15), step)
     with pytest.raises(ValidationError, match="search_range"):
         calibrate_spacing(rect, 0.02, 4, (0.01, math.inf), 0.001)
+    # a bad margin or outline is bad input, not an unreachable count
+    for margin in (-0.01, math.nan):
+        with pytest.raises(ValidationError, match="margin"):
+            calibrate_spacing(rect, margin, 4, (0.01, 0.15), 0.001)
+    triangle = Polygon(((0.0, 0.0), (0.3, 0.0), (0.0, 0.2)))
+    with pytest.raises(ValidationError, match="rectangular"):
+        calibrate_spacing(triangle, 0.02, 4, (0.01, 0.15), 0.001)
     # more samples in range than a float index holds exactly
     with pytest.raises(ValidationError, match="samples"):
         calibrate_spacing(rect, 0.02, 4, (0.01, 0.15), 1e-320)
@@ -421,7 +432,7 @@ def test_calibrate_never_builds_a_layout(monkeypatch):
 
 def test_single_grab_radius_test_builds_circle():
     window = PressureWindow(p_min=37_561.0)
-    c = single_grab_radius_test(window, 0.044)
+    c = Vgtc(center=(0.0, 0.0), radius=0.044, pressure_window=window)
     assert c.radius == 0.044
     assert c.pressure_window is window
     assert c.center == (0.0, 0.0)
@@ -429,12 +440,12 @@ def test_single_grab_radius_test_builds_circle():
 
 def test_single_grab_radius_test_rejects_zero_radius():
     with pytest.raises(ValidationError):
-        single_grab_radius_test(WINDOW, 0.0)
+        Vgtc(center=(0.0, 0.0), radius=0.0, pressure_window=WINDOW)
 
 
 def test_window_ordering_still_enforced():
     with pytest.raises(ValidationError):
-        single_grab_radius_test(PressureWindow(p_min=5.0, p_max=4.0), 0.05)
+        Vgtc(center=(0.0, 0.0), radius=0.05, pressure_window=PressureWindow(p_min=5.0, p_max=4.0))
 
 
 def test_layout_type_checks_consistency():
