@@ -63,12 +63,7 @@ from .pneumatics import (
     parallel_flow_split,
     solve_pressure_from_balance,
 )
-from .statics import (
-    HoldingForceResult,
-    holding_force,
-    per_gripper_force,
-    required_pressure,
-)
+from .statics import holding_force, per_gripper_force, required_pressure
 from .vgtc import (
     Layout,
     Vgtc,
@@ -88,7 +83,7 @@ __all__ = [
     "PressureWindow", "Polygon", "Permeability", "LoadCase",
     "ValidationError", "UnitError", "convert_units",
     # statics
-    "HoldingForceResult", "holding_force", "required_pressure", "per_gripper_force",
+    "holding_force", "required_pressure", "per_gripper_force",
     # pneumatics
     "LineLossResult", "NetSupplyResult", "continuity_velocity",
     "constriction_pressure_drop", "bernoulli_balance",

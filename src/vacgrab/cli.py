@@ -46,6 +46,7 @@ from .model import (
     LoadCase,
     MotionProfile,
     Permeability,
+    PhysicalConstants,
     PipeSegment,
     Polygon,
     PressureWindow,
@@ -120,8 +121,6 @@ _WIDTH = ConfigField("fabric", "width", "length")
 _VERTICES = ConfigField("fabric", "vertices", Polygon)  # or the outline itself
 _MAX_VACUUM = ConfigField("generator", "max_vacuum", "pressure", VacuumGenerator)  # sign ignored
 _UPSTREAM_VELOCITY = ConfigField("line", "upstream_velocity", float, Scenario)  # first [line] only
-_CENTER_X = ConfigField("vgtc", "center_x", "length")
-_CENTER_Y = ConfigField("vgtc", "center_y", "length")
 _MARGIN = ConfigField("vgtc", "margin", "length", Scenario)
 
 # Every config key, in the order emit_scenario_config writes them.
@@ -137,23 +136,16 @@ CONFIG_FIELDS = (
     ConfigField("motion", "acceleration", float, MotionProfile),
     ConfigField("motion", "safety_factor", float, MotionProfile),
     ConfigField("motion", "load_case", LoadCase, MotionProfile),
-    ConfigField("motion", "lift_height", "length", MotionProfile),
-    ConfigField("motion", "translate_distance", "length", MotionProfile),
     ConfigField("cup", "orifice_diameter", "length", SuctionCup),
     ConfigField("cup", "count", int, SuctionCup),
     _MAX_VACUUM,
     ConfigField("generator", "supply_flow_rate", "flow", VacuumGenerator),
-    ConfigField("generator", "setup_pressure", "pressure", VacuumGenerator),
-    ConfigField("generator", "nozzle_diameter", "length", VacuumGenerator),
     ConfigField("line", "inner_diameter", "length", PipeSegment),
     ConfigField("line", "length", "length", PipeSegment),
-    ConfigField("line", "elevation", "length", PipeSegment),
     _UPSTREAM_VELOCITY,
     ConfigField("vgtc", "radius", "length", Vgtc),
     ConfigField("vgtc", "p_min", "pressure", PressureWindow),
     ConfigField("vgtc", "p_max", "pressure", PressureWindow),
-    _CENTER_X,
-    _CENTER_Y,
     _MARGIN,
     *(ConfigField("units", dim, str) for dim in SI_UNIT),  # default unit for bare numbers
 )
@@ -266,7 +258,7 @@ def _parse_quantity(text: str, kind, units: dict[str, str], key: str, line_no: i
         raise ConfigError(f"{key}: {exc}", line_no) from exc
 
 
-def _parse_value(kind, key: str, text: str, units: dict[str, str], line_no: int, section_line: int):
+def _parse_value(kind, key: str, text: str, units: dict[str, str], line_no: int):
     """One config value parsed by its field's kind."""
     if kind is float or kind in SI_UNIT:
         value = _parse_quantity(text, kind, units, key, line_no)
@@ -284,7 +276,7 @@ def _parse_value(kind, key: str, text: str, units: dict[str, str], line_no: int,
             return kind(text)
         except ValueError:
             choices = ", ".join(m.value for m in kind)
-            raise ConfigError(f"{key}: expected one of {choices}, got {text!r}", section_line) from None
+            raise ConfigError(f"{key}: expected one of {choices}, got {text!r}", line_no) from None
     if not abs(value) <= sys.float_info.max:  # overflowed to inf, or an int no float can hold
         raise ConfigError(f"{key}: {text.strip()!r} is out of range", line_no)
     return value
@@ -299,7 +291,7 @@ def _parse_vertices(text: str, units: dict[str, str], key: str, line_no: int) ->
         coords = pair.split(",")
         if len(coords) != 2:
             raise ConfigError(f"{key}: expected 'x, y' pairs, got {pair!r}", line_no)
-        points.append(tuple(_parse_value("length", key, c, units, line_no, line_no) for c in coords))
+        points.append(tuple(_parse_value("length", key, c, units, line_no) for c in coords))
     try:
         return Polygon(tuple(points))
     except ValidationError as exc:
@@ -310,7 +302,7 @@ def _values(sec: _RawSection, units: dict[str, str]) -> dict[str, object]:
     """Each key given in one section, parsed by its declared kind."""
     declared = _SECTIONS[sec.name]
     return {
-        key: _parse_value(declared[key].kind, key, text, units, line_no, sec.line)
+        key: _parse_value(declared[key].kind, key, text, units, line_no)
         for key, (text, line_no) in sec.entries.items()
     }
 
@@ -331,7 +323,10 @@ def _build(target: type, sec: _RawSection, values: dict[str, object], **given):
                 given[attr] = values[key]
             elif required:
                 raise ConfigError(f"missing key {key!r} in [{sec.name}]", sec.line)
-    return target(**given)
+    try:
+        return target(**given)
+    except ValidationError as exc:
+        raise ConfigError(str(exc), sec.line) from exc
 
 
 def build_fabric(doc: ConfigDocument) -> FabricPiece:
@@ -404,7 +399,7 @@ def build_vgtc(doc: ConfigDocument) -> tuple[Vgtc | None, float]:
         sec,
         values,
         pressure_window=_build(PressureWindow, sec, values),
-        center=(values.get(_CENTER_X.key, 0.0), values.get(_CENTER_Y.key, 0.0)),
+        center=(0.0, 0.0),  # evaluate and plan move the circle to each grid position
     )
     return circle, values.get(_MARGIN.key, DEFAULT_EDGE_MARGIN)
 
@@ -446,7 +441,8 @@ def _config_text(value) -> str:
 def emit_scenario_config(scenario: Scenario) -> str:
     """Echo a scenario as a config document (SI units, bare numbers).
 
-    parse_config() on the result reconstructs the scenario exactly. A
+    parse_config() on the result reconstructs the scenario exactly,
+    except that a grabbing circle comes back centered at the origin. A
     value of None or "" is left out and parses back as the default.
     """
     fabric, circle = scenario.fabric, scenario.vgtc
@@ -460,8 +456,7 @@ def emit_scenario_config(scenario: Scenario) -> str:
     for i, segment in enumerate(scenario.line):
         sections.append(("line", (segment, scenario) if i == 0 else (segment,), {}))
     if circle is not None:
-        center = {_CENTER_X.key: circle.center[0], _CENTER_Y.key: circle.center[1]}
-        sections.append(("vgtc", (circle, circle.pressure_window, scenario), center))
+        sections.append(("vgtc", (circle, circle.pressure_window, scenario), {}))
     out = []
     for name, objects, values in sections:
         out.append(f"[{name}]")
@@ -833,17 +828,23 @@ def _load_document(path: str) -> ConfigDocument:
 
 def _cmd_force(args) -> tuple[bytes, list[str]]:
     doc = _load_document(args.config)
-    result = statics.holding_force(build_fabric(doc), build_motion(doc))
-    m, mu, g, a, s = result.inputs_echo
+    fabric, motion, consts = build_fabric(doc), build_motion(doc), PhysicalConstants()
+    force = statics.holding_force(fabric, motion, consts)
     return _render(args.format, args.command, {
         "human": lambda: (
-            f"load case     : {result.load_case.value}\n"
-            f"holding force : {result.force:.6g} N\n"
+            f"load case     : {motion.load_case.value}\n"
+            f"holding force : {force:.6g} N\n"
         ),
         "structured": lambda: {
-            "force": result.force,
-            "load_case": result.load_case.value,
-            "inputs": {"mass": m, "friction": mu, "gravity": g, "acceleration": a, "safety_factor": s},
+            "force": force,
+            "load_case": motion.load_case.value,
+            "inputs": {
+                "mass": fabric.mass,
+                "friction": fabric.friction_coefficient,
+                "gravity": consts.gravity,
+                "acceleration": motion.acceleration,
+                "safety_factor": motion.safety_factor,
+            },
         },
     }), []
 
@@ -851,17 +852,17 @@ def _cmd_force(args) -> tuple[bytes, list[str]]:
 def _cmd_pressure(args) -> tuple[bytes, list[str]]:
     doc = _load_document(args.config)
     cup = build_cup(doc)
-    result = statics.holding_force(build_fabric(doc), build_motion(doc))
-    single = statics.required_pressure(result.force, cup)
-    shared = statics.required_pressure(statics.per_gripper_force(result.force, cup), cup)
+    force = statics.holding_force(build_fabric(doc), build_motion(doc))
+    single = statics.required_pressure(force, cup)
+    shared = statics.required_pressure(statics.per_gripper_force(force, cup), cup)
     return _render(args.format, args.command, {
         "human": lambda: (
-            f"holding force      : {result.force:.6g} N\n"
+            f"holding force      : {force:.6g} N\n"
             f"required (1 cup)   : {single:.6g} Pa\n"
             f"required (shared)  : {shared:.6g} Pa across {cup.count} cups\n"
         ),
         "structured": lambda: {
-            "holding_force": result.force,
+            "holding_force": force,
             "required_pressure_single_cup": single,
             "required_pressure_shared": shared,
             "cup_count": cup.count,

@@ -121,8 +121,8 @@ def evaluate(
         raise _stage("holding-force", exc) from exc
 
     try:
-        req_single = statics.required_pressure(force.force, scenario.cup)
-        shared_force = statics.per_gripper_force(force.force, scenario.cup)
+        req_single = statics.required_pressure(force, scenario.cup)
+        shared_force = statics.per_gripper_force(force, scenario.cup)
         req_shared = statics.required_pressure(shared_force, scenario.cup)
     except ValidationError as exc:
         raise _stage("required-pressure", exc) from exc
@@ -200,7 +200,7 @@ def evaluate(
     return GraspReport(
         fabric_id=scenario.fabric.id,
         gripper_count=scenario.cup.count,
-        holding_force=force.force,
+        holding_force=force,
         required_pressure_single_cup=req_single,
         required_pressure_shared=req_shared,
         line_loss=total_loss,

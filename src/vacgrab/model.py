@@ -104,7 +104,7 @@ def _require(condition: bool, message: str) -> None:
 
 Point = tuple[float, float]
 
-# points this close to a polygon boundary count as inside (closed polygon)
+# lengths this close count as equal (rectangle detection, grid counts); meters
 BOUNDARY_TOL = 1e-9
 
 
@@ -139,19 +139,6 @@ def _segments_intersect(p1: Point, p2: Point, q1: Point, q2: Point) -> bool:
     if d4 == 0 and _on_segment(p1, p2, q2):
         return True
     return False
-
-
-def _point_segment_distance(p: Point, a: Point, b: Point) -> float:
-    ax, ay = a
-    bx, by = b
-    px, py = p
-    dx, dy = bx - ax, by - ay
-    seg2 = dx * dx + dy * dy
-    if seg2 == 0.0:
-        return math.hypot(px - ax, py - ay)
-    t = ((px - ax) * dx + (py - ay) * dy) / seg2
-    t = min(1.0, max(0.0, t))
-    return math.hypot(px - (ax + t * dx), py - (ay + t * dy))
 
 
 @dataclass(frozen=True)
@@ -228,20 +215,6 @@ class Polygon:
         x0, y0, x1, y1 = self.bounds
         return abs(self.area - (x1 - x0) * (y1 - y0)) <= tol * max(1.0, self.area)
 
-    def contains(self, point: Point, tol: float = BOUNDARY_TOL) -> bool:
-        """Closed-polygon membership: boundary points (within tol) are inside."""
-        px, py = point
-        for a, b in self.edges():
-            if _point_segment_distance((px, py), a, b) <= tol:
-                return True
-        inside = False
-        for (x1, y1), (x2, y2) in self.edges():
-            if (y1 > py) != (y2 > py):
-                x_at = x1 + (py - y1) * (x2 - x1) / (y2 - y1)
-                if px < x_at:
-                    inside = not inside
-        return inside
-
 
 def as_polygon(outline) -> Polygon:
     """Canonicalize an outline spec to a Polygon.
@@ -276,23 +249,14 @@ class LoadCase(enum.Enum):
 
 @dataclass(frozen=True)
 class PhysicalConstants:
-    """Ambient air and gravity constants used throughout.
-
-    kinematic_viscosity is carried for future friction-loss extensions;
-    the current loss model does not consume it.
-    """
+    """Ambient air and gravity constants used throughout."""
 
     gravity: float = 9.81  # m/s^2
     air_density: float = 1.204  # kg/m^3 at 101.325 kPa, 20 C
-    kinematic_viscosity: float = 1.6e-5  # m^2/s at 20 C
 
     def __post_init__(self):
         _require(self.gravity > 0, f"gravity must be > 0, got {self.gravity}")
         _require(self.air_density > 0, f"air_density must be > 0, got {self.air_density}")
-        _require(
-            self.kinematic_viscosity > 0,
-            f"kinematic_viscosity must be > 0, got {self.kinematic_viscosity}",
-        )
 
 
 @dataclass(frozen=True)
@@ -304,7 +268,7 @@ class FabricPiece:
     mass: float  # kg
     friction_coefficient: float  # dimensionless, (0, 2]
     permeability: Permeability = Permeability.AIR_IMPERMEABLE
-    material: str = ""
+    material: str = ""  # recorded for the audit trail; no equation reads it
 
     def __post_init__(self):
         object.__setattr__(self, "outline", as_polygon(self.outline))
@@ -326,18 +290,11 @@ class MotionProfile:
     acceleration: float = 5.0  # m/s^2
     safety_factor: float = 2.0
     load_case: LoadCase = LoadCase.FRICTION_LIFT
-    lift_height: float = 0.20  # m
-    translate_distance: float = 0.50  # m
 
     def __post_init__(self):
         _require(self.acceleration >= 0, f"acceleration must be >= 0, got {self.acceleration}")
         _require(self.safety_factor >= 1, f"safety_factor must be >= 1, got {self.safety_factor}")
         _require(isinstance(self.load_case, LoadCase), "load_case must be a LoadCase value")
-        _require(self.lift_height >= 0, f"lift_height must be >= 0, got {self.lift_height}")
-        _require(
-            self.translate_distance >= 0,
-            f"translate_distance must be >= 0, got {self.translate_distance}",
-        )
 
 
 @dataclass(frozen=True)
@@ -373,8 +330,6 @@ class VacuumGenerator:
 
     max_vacuum: float = 92_000.0  # Pa magnitude
     supply_flow_rate: float = 63.0 / 60_000.0  # m^3/s (63 L/min)
-    setup_pressure: float = 500_000.0  # Pa, compressed-air side
-    nozzle_diameter: float = 1.5e-3  # m
 
     def __post_init__(self):
         _require(
@@ -385,8 +340,6 @@ class VacuumGenerator:
             self.supply_flow_rate > 0,
             f"supply_flow_rate must be > 0, got {self.supply_flow_rate}",
         )
-        _require(self.setup_pressure >= 0, f"setup_pressure must be >= 0, got {self.setup_pressure}")
-        _require(self.nozzle_diameter > 0, f"nozzle_diameter must be > 0, got {self.nozzle_diameter}")
 
 
 @dataclass(frozen=True)
@@ -394,8 +347,7 @@ class PipeSegment:
     """One hose segment of the suction line."""
 
     inner_diameter: float  # m
-    length: float = 0.0  # m
-    elevation: float = 0.0  # m
+    length: float = 0.0  # m, recorded; the bore-step loss model does not read it
 
     def __post_init__(self):
         _require(self.inner_diameter > 0, f"inner_diameter must be > 0, got {self.inner_diameter}")

@@ -83,8 +83,8 @@ def constriction_pressure_drop(
 ) -> LineLossResult:
     """Pressure drop across a bore change at equal elevation.
 
-    Segment elevations are ignored here; route elevation changes
-    through solve_pressure_from_balance instead.
+    A height difference between stations goes through
+    solve_pressure_from_balance instead.
     """
     if v1 < 0:
         raise ValidationError(f"upstream velocity must be >= 0, got {v1}")

@@ -13,8 +13,6 @@ cup; per_gripper_force() splits a whole-piece force across a cup bank.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .model import (
     FabricPiece,
     LoadCase,
@@ -25,21 +23,12 @@ from .model import (
 )
 
 
-@dataclass(frozen=True)
-class HoldingForceResult:
-    """Computed holding force with the inputs echoed for the audit trail."""
-
-    force: float  # N
-    load_case: LoadCase
-    inputs_echo: tuple[float, float, float, float, float]  # (m, mu, g, a, S)
-
-
 def holding_force(
     fabric: FabricPiece,
     motion: MotionProfile,
     consts: PhysicalConstants = PhysicalConstants(),
-) -> HoldingForceResult:
-    """Holding force for motion.load_case.
+) -> float:
+    """Holding force in N for motion.load_case.
 
     A plate lift needs m*(g+a)*S; when friction carries the piece the
     mass is divided by the friction coefficient: (m/mu)*(g+a)*S.
@@ -47,15 +36,7 @@ def holding_force(
     mass = fabric.mass
     if motion.load_case is LoadCase.FRICTION_LIFT:
         mass = mass / fabric.friction_coefficient
-    force = mass * (consts.gravity + motion.acceleration) * motion.safety_factor
-    echo = (
-        fabric.mass,
-        fabric.friction_coefficient,
-        consts.gravity,
-        motion.acceleration,
-        motion.safety_factor,
-    )
-    return HoldingForceResult(force, motion.load_case, echo)
+    return mass * (consts.gravity + motion.acceleration) * motion.safety_factor
 
 
 def required_pressure(force: float, cup: SuctionCup) -> float:

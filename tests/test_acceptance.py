@@ -81,8 +81,8 @@ def fabric(mass, mu=0.5):
 def test_criterion_1_holding_forces():
     with criterion(1, "friction-lift holding forces 0.148 N / 0.118 N (+-0.001)"):
         motion = MotionProfile()  # a=5, S=2, friction lift
-        bag = holding_force(fabric(2.5e-3), motion).force
-        facing = holding_force(fabric(2.0e-3), motion).force
+        bag = holding_force(fabric(2.5e-3), motion)
+        facing = holding_force(fabric(2.0e-3), motion)
         assert bag == pytest.approx(0.148, abs=1e-3)
         assert facing == pytest.approx(0.118, abs=1e-3)
 
@@ -94,8 +94,8 @@ def test_criterion_2_required_pressures():
     with criterion(2, "required pressures 47,111 Pa / 37,561 Pa (+-1%)"):
         motion = MotionProfile()
         cup = SuctionCup(orifice_diameter=2e-3)
-        bag = required_pressure(holding_force(fabric(2.5e-3), motion).force, cup)
-        facing = required_pressure(holding_force(fabric(2.0e-3), motion).force, cup)
+        bag = required_pressure(holding_force(fabric(2.5e-3), motion), cup)
+        facing = required_pressure(holding_force(fabric(2.0e-3), motion), cup)
         assert bag == pytest.approx(47_111, rel=0.01)
         assert facing == pytest.approx(37_561, rel=0.01)
 

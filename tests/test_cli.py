@@ -140,7 +140,7 @@ def test_scenario_echo_round_trip(pocket_bag, std_line):
     scenario = make_scenario(
         pocket_bag,
         std_line,
-        vgtc=Vgtc(center=(0.01, 0.02), radius=0.044, pressure_window=window),
+        vgtc=Vgtc(center=(0.0, 0.0), radius=0.044, pressure_window=window),
         margin=0.015,
     )
     assert parse_config(emit_scenario_config(scenario)) == scenario
@@ -441,6 +441,13 @@ def test_zero_bore_area_exit_two(tmp_path, capsys, command, old, new):
     config = edited(tmp_path, "pocket_bag.conf", old, new)
     assert main([command, "--config", config]) == 2
     assert "area of 0" in capsys.readouterr().err
+
+
+def test_value_object_error_names_its_section(tmp_path, capsys):
+    config = edited(tmp_path, "pocket_bag.conf", "inner_diameter = 2 mm", "inner_diameter = 1e-200 m")
+    assert Path(config).read_text().splitlines()[34] == "[line]"  # the second of two
+    assert main(["line-loss", "--config", config]) == 2
+    assert capsys.readouterr().err == "error: line 35: inner_diameter 1e-200 m has a bore area of 0\n"
 
 
 def test_calibrate_structured_empty(facing_config, capsys):

@@ -4,6 +4,10 @@ Configs are generated from the schema itself: every key of every
 section, with values drawn by the key's declared kind, optionally with
 one value replaced by a corrupt or extreme token. Whatever the input,
 the CLI must answer with an exit code in {0, 1, 2, 3} and never raise.
+
+Each key is also varied alone on a working config: some command's
+stdout or exit code must change, except for the keys declared INERT,
+which must change nothing.
 """
 
 import enum
@@ -132,3 +136,114 @@ def test_any_config_exits_with_a_code(config_path, text, command):
     if code == 2:
         assert err.getvalue().startswith("error: ")
 
+
+# ---------------------------------------------------------------------------
+# every key feeds an output
+
+# pocket_facing's rig with every command answering: a grabbing circle for
+# plan/check/calibrate and two bores for line-loss
+BASE = {
+    "fabric": {
+        "id": "piece", "length": "26 cm", "width": "5 cm", "mass": "2 g", "friction": "0.5",
+        "permeability": "impermeable", "material": "polyester",
+    },
+    "motion": {"acceleration": "5", "safety_factor": "2", "load_case": "friction_lift"},
+    "cup": {"orifice_diameter": "2 mm", "count": "6"},
+    "generator": {"max_vacuum": "-92 kPa", "supply_flow_rate": "63 L/min"},
+    "line": {"inner_diameter": "5.2 mm", "length": "1 m", "upstream_velocity": "37.14"},
+    "vgtc": {"radius": "4.4 cm", "p_min": "37.561 kPa", "margin": "2 cm"},
+}
+SECOND_LINE = "[line]\ninner_diameter = 2 mm\nlength = 10 cm\n"
+
+# contexts a key only matters in (None removes a key)
+_VERTICES = {"fabric": {"length": None, "width": None, "vertices": "0 cm, 0 cm; 26 cm, 0 cm; 26 cm, 5 cm; 0 cm, 5 cm"}}
+_NO_VELOCITY = {"line": {"upstream_velocity": None}}
+_WINDOW = {"fabric": {"permeability": "permeable"}, "vgtc": {"p_min": "10 kPa", "p_max": "50 kPa"}}
+
+# (section, key) -> (context, another value for the key); every key of the schema
+CHANGES = {
+    ("fabric", "id"): ({}, "other"),
+    ("fabric", "material"): ({}, "cotton"),
+    ("fabric", "length"): ({}, "30 cm"),
+    ("fabric", "width"): ({}, "8 cm"),
+    ("fabric", "vertices"): (_VERTICES, "0 cm, 0 cm; 30 cm, 0 cm; 30 cm, 8 cm; 0 cm, 8 cm"),
+    ("fabric", "mass"): ({}, "3 g"),
+    ("fabric", "friction"): ({}, "0.6"),
+    ("fabric", "permeability"): ({"vgtc": {"p_min": "10 kPa"}}, "permeable"),  # Pass -> Uncalibrated
+    ("motion", "acceleration"): ({}, "3"),
+    ("motion", "safety_factor"): ({}, "3"),
+    ("motion", "load_case"): ({}, "plate_lift"),
+    ("cup", "orifice_diameter"): ({}, "3 mm"),
+    ("cup", "count"): ({}, "4"),
+    ("generator", "max_vacuum"): ({}, "-80 kPa"),
+    ("generator", "supply_flow_rate"): (_NO_VELOCITY, "40 L/min"),
+    ("line", "inner_diameter"): ({}, "6 mm"),
+    ("line", "length"): ({}, "5 m"),
+    ("line", "upstream_velocity"): ({}, "20"),
+    ("vgtc", "radius"): ({}, "3 cm"),
+    ("vgtc", "p_min"): ({}, "10 kPa"),
+    ("vgtc", "p_max"): (_WINDOW, "60 kPa"),
+    ("vgtc", "margin"): ({}, "1 cm"),
+    ("units", "length"): ({"units": {"length": "cm"}, "vgtc": {"radius": "4.4"}}, "mm"),
+    ("units", "mass"): ({"units": {"mass": "g"}, "fabric": {"mass": "2"}}, "kg"),
+    ("units", "pressure"): ({"units": {"pressure": "kPa"}, "generator": {"max_vacuum": "-92"}}, "Pa"),
+    ("units", "flow"): ({"units": {"flow": "L/min"}, "generator": {"supply_flow_rate": "63"}, **_NO_VELOCITY}, "m3/s"),
+}
+
+# keys that are parsed and kept but change no output, each with the reason it stays
+INERT = {
+    ("fabric", "material"): "recorded for the audit trail; every benchmark-generated config writes it",
+    ("line", "length"): "the bore-step loss model has no friction term; generated configs write it",
+}
+
+_EVERY_COMMAND = [
+    ["force", "--format", "structured"], ["pressure", "--format", "structured"],
+    ["line-loss", "--format", "structured"], ["plan", "--format", "structured"],
+    ["calibrate", "--target-count", "6", "--format", "structured"], ["check", "--format", "structured"],
+]
+
+
+def _config_text(edits):
+    sections = {name: dict(keys) for name, keys in BASE.items()}
+    for name, keys in edits.items():
+        section = sections.setdefault(name, {})
+        for key, value in keys.items():
+            if value is None:
+                section.pop(key, None)
+            else:
+                section[key] = value
+    blocks = [f"[{name}]\n" + "".join(f"{k} = {v}\n" for k, v in keys.items()) for name, keys in sections.items()]
+    return "\n".join(blocks) + "\n" + SECOND_LINE
+
+
+def _answers(path, text):
+    """(exit code, stdout) of every command on one config."""
+    path.write_text(text, encoding="utf-8")
+    answers = []
+    for command in _EVERY_COMMAND:
+        out = io.StringIO()
+        with redirect_stdout(out), redirect_stderr(io.StringIO()):
+            code = main([*command, "--config", str(path)])
+        answers.append((code, out.getvalue()))
+    return answers
+
+
+def test_every_key_is_varied():
+    assert set(CHANGES) == {(f.section, f.key) for f in CONFIG_FIELDS}
+    assert set(INERT) <= set(CHANGES)
+
+
+@pytest.mark.parametrize("field", CONFIG_FIELDS, ids=lambda f: f"{f.section}.{f.key}")
+def test_every_key_changes_some_output(field, tmp_path):
+    where = (field.section, field.key)
+    assert where in CHANGES, f"[{field.section}] {field.key} has no varied value; remove it or declare it inert"
+    context, other = CHANGES[where]
+    changed = {name: dict(keys) for name, keys in context.items()}
+    changed.setdefault(field.section, {})[field.key] = other
+    before = _answers(tmp_path / "a.conf", _config_text(context))
+    after = _answers(tmp_path / "b.conf", _config_text(changed))
+    assert any(code == 0 for code, _ in before), "the context config must be accepted"
+    if where in INERT:
+        assert before == after, f"{where} is declared inert but changed an output"
+    else:
+        assert before != after

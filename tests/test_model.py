@@ -81,12 +81,9 @@ def test_constants_defaults():
     c = PhysicalConstants()
     assert c.gravity == 9.81
     assert c.air_density == 1.204
-    assert c.kinematic_viscosity == 1.6e-5
 
 
-@pytest.mark.parametrize(
-    "kwargs", [{"gravity": 0}, {"air_density": -1}, {"kinematic_viscosity": 0}]
-)
+@pytest.mark.parametrize("kwargs", [{"gravity": 0}, {"air_density": -1}])
 def test_constants_must_be_positive(kwargs):
     with pytest.raises(ValidationError):
         PhysicalConstants(**kwargs)
@@ -122,7 +119,6 @@ def test_fabric_accepts_vertex_list():
 def test_motion_defaults():
     m = MotionProfile()
     assert (m.acceleration, m.safety_factor) == (5.0, 2.0)
-    assert (m.lift_height, m.translate_distance) == (0.20, 0.50)
 
 
 def test_motion_invariants():
@@ -149,8 +145,6 @@ def test_generator_defaults():
     g = VacuumGenerator()
     assert g.max_vacuum == 92_000.0
     assert g.supply_flow_rate == pytest.approx(1.05e-3, rel=1e-12)
-    assert g.setup_pressure == 500_000.0
-    assert g.nozzle_diameter == 1.5e-3
 
 
 def test_generator_vacuum_bounded_by_atmosphere():
@@ -222,14 +216,6 @@ def test_polygon_rejects_degenerate():
         Polygon(((0, 0), (1, 0), (2, 0)))  # zero area
     with pytest.raises(ValidationError):
         Polygon(((0, 0), (1, 0)))
-
-
-def test_polygon_contains_boundary_tolerance():
-    rect = Polygon.rectangle(0.26, 0.19)
-    assert rect.contains((0.0, 0.1))
-    assert rect.contains((-5e-10, 0.1))  # within the 1e-9 boundary band
-    assert not rect.contains((-1e-3, 0.1))
-    assert rect.contains((0.13, 0.095))
 
 
 def test_axis_aligned_rectangle_detection():

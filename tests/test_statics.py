@@ -7,7 +7,6 @@ from vacgrab import (
     FabricPiece,
     LoadCase,
     MotionProfile,
-    PhysicalConstants,
     SuctionCup,
     ValidationError,
     holding_force,
@@ -28,53 +27,46 @@ FRICTION = MotionProfile(load_case=LoadCase.FRICTION_LIFT)
 # plate lift
 
 def test_plate_lift_reference_values():
-    res = holding_force(fabric(2.5e-3), PLATE)
-    assert res.force == pytest.approx(0.07405, abs=1e-9)
-    assert res.load_case is LoadCase.PLATE_LIFT
+    force = holding_force(fabric(2.5e-3), PLATE)
+    assert force == pytest.approx(0.07405, abs=1e-9)
 
 
 def test_plate_lift_static_weight():
-    res = holding_force(
+    force = holding_force(
         fabric(1.0), MotionProfile(acceleration=0, safety_factor=1, load_case=LoadCase.PLATE_LIFT)
     )
-    assert res.force == pytest.approx(9.81, rel=1e-12)
+    assert force == pytest.approx(9.81, rel=1e-12)
 
 
 def test_plate_lift_tiny_mass_linearity():
-    res = holding_force(fabric(1e-9), PLATE)
-    assert res.force == pytest.approx(1e-9 * 29.62, rel=1e-12)
+    force = holding_force(fabric(1e-9), PLATE)
+    assert force == pytest.approx(1e-9 * 29.62, rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
 # friction lift
 
 def test_friction_lift_pocket_bag():
-    res = holding_force(fabric(2.5e-3, mu=0.5), FRICTION)
-    assert res.force == pytest.approx(0.148, abs=1e-3)
+    force = holding_force(fabric(2.5e-3, mu=0.5), FRICTION)
+    assert force == pytest.approx(0.148, abs=1e-3)
 
 
 def test_friction_lift_pocket_facing():
-    res = holding_force(fabric(2.0e-3, mu=0.5), FRICTION)
-    assert res.force == pytest.approx(0.118, abs=1e-3)
+    force = holding_force(fabric(2.0e-3, mu=0.5), FRICTION)
+    assert force == pytest.approx(0.118, abs=1e-3)
 
 
 def test_friction_lift_mu_one_reduces_to_weight():
     motion = MotionProfile(acceleration=0, safety_factor=1, load_case=LoadCase.FRICTION_LIFT)
-    res = holding_force(fabric(0.5, mu=1.0), motion)
-    assert res.force == pytest.approx(0.5 * 9.81, rel=1e-12)
+    force = holding_force(fabric(0.5, mu=1.0), motion)
+    assert force == pytest.approx(0.5 * 9.81, rel=1e-12)
 
 
 def test_dispatch_follows_selector():
-    assert holding_force(fabric(1e-3), PLATE).load_case is LoadCase.PLATE_LIFT
-    assert holding_force(fabric(1e-3), FRICTION).load_case is LoadCase.FRICTION_LIFT
-
-
-def test_inputs_echo_round_trip():
-    consts = PhysicalConstants()
-    res = holding_force(fabric(2.5e-3, mu=0.5), FRICTION, consts)
-    m, mu, g, a, s = res.inputs_echo
-    assert (m, mu, g, a, s) == (2.5e-3, 0.5, 9.81, 5.0, 2.0)
-    assert res.force == pytest.approx(m / mu * (g + a) * s, rel=1e-15)
+    piece = fabric(1e-3, mu=0.5)
+    plate = holding_force(piece, PLATE)
+    assert plate == pytest.approx(1e-3 * 29.62, rel=1e-12)
+    assert holding_force(piece, FRICTION) == pytest.approx(plate / 0.5, rel=1e-15)
 
 
 # ---------------------------------------------------------------------------
@@ -125,8 +117,8 @@ def test_per_gripper_force_identity_and_split():
     scale=st.floats(min_value=1.1, max_value=10, allow_nan=False),
 )
 def test_force_linear_in_mass(m, scale):
-    f1 = holding_force(fabric(m), FRICTION).force
-    f2 = holding_force(fabric(m * scale), FRICTION).force
+    f1 = holding_force(fabric(m), FRICTION)
+    f2 = holding_force(fabric(m * scale), FRICTION)
     assert f2 == pytest.approx(f1 * scale, rel=1e-9)
 
 
@@ -137,7 +129,7 @@ def test_force_linear_in_mass(m, scale):
 def test_force_linear_in_safety_factor(s1, s2):
     def force(s):
         motion = MotionProfile(safety_factor=s, load_case=LoadCase.FRICTION_LIFT)
-        return holding_force(fabric(1e-3), motion).force
+        return holding_force(fabric(1e-3), motion)
 
     assert force(s1) * s2 == pytest.approx(force(s2) * s1, rel=1e-9)
 
@@ -151,7 +143,7 @@ def test_force_monotone_in_acceleration(a_lo, a_hi):
 
     def force(a):
         motion = MotionProfile(acceleration=a, load_case=LoadCase.FRICTION_LIFT)
-        return holding_force(fabric(1e-3), motion).force
+        return holding_force(fabric(1e-3), motion)
 
     assert force(a_hi) >= force(a_lo)
 
@@ -162,14 +154,14 @@ def test_force_monotone_in_acceleration(a_lo, a_hi):
 )
 def test_friction_force_strictly_decreasing_in_mu(mu_lo, mu_hi):
     mu_lo, mu_hi = sorted((mu_lo, mu_hi))
-    f_lo = holding_force(fabric(1e-3, mu=mu_lo), FRICTION).force
-    f_hi = holding_force(fabric(1e-3, mu=mu_hi), FRICTION).force
+    f_lo = holding_force(fabric(1e-3, mu=mu_lo), FRICTION)
+    f_hi = holding_force(fabric(1e-3, mu=mu_hi), FRICTION)
     if mu_lo < mu_hi:
         assert f_lo > f_hi
 
 
 @given(m=st.floats(min_value=1e-6, max_value=10, allow_nan=False))
 def test_friction_with_mu_one_equals_plate(m):
-    plate = holding_force(fabric(m, mu=1.0), PLATE).force
-    friction = holding_force(fabric(m, mu=1.0), FRICTION).force
+    plate = holding_force(fabric(m, mu=1.0), PLATE)
+    friction = holding_force(fabric(m, mu=1.0), FRICTION)
     assert friction == pytest.approx(plate, rel=1e-15)
