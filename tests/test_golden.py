@@ -26,6 +26,10 @@ GOLDEN = Path(__file__).resolve().parent / "golden"
 
 BAG = "pocket_bag.conf"
 FACING = "pocket_facing.conf"
+# pocket_bag.conf with a grabbing circle: 48 positions, the 24 on the
+# border overhang the piece and the 24 inside do not, so one SVG holds
+# shaded and unshaded disks
+CIRCLE = "pocket_bag_circle.conf"
 COMMANDS = ("force", "pressure", "line-loss", "plan", "calibrate", "check")
 FORMATS = ("human", "csv", "structured")
 
@@ -57,6 +61,10 @@ FAULTS = {
 }
 
 
+def _circle_config() -> str:
+    return shipped(BAG) + "\n[vgtc]\nradius = 3 cm\np_min = 30 kPa\nmargin = 2 cm\n"
+
+
 def _cases() -> dict[str, list[str]]:
     cases = {}
     for config in (BAG, FACING):
@@ -75,6 +83,11 @@ def _cases() -> dict[str, list[str]]:
         "plan-pocket_facing-margin": ["plan", "--config", FACING, "--margin", "1 cm"],
         "calibrate-pocket_bag-unreachable": ["calibrate", "--config", BAG, "--target-count", "8"],
         "batch-bundled-strict": ["batch", "--strict"],
+        "plan-pocket_bag_circle-human-svg": ["plan", "--config", CIRCLE, "--svg", "plan-pocket_bag_circle.svg"],
+        "plan-pocket_bag_circle-structured-svg": [
+            "plan", "--config", CIRCLE, "--format", "structured", "--svg", "plan-pocket_bag_circle.svg",
+        ],
+        "check-pocket_bag_circle-svg": ["check", "--config", CIRCLE, "--svg", "check-pocket_bag_circle.svg"],
     })
     for fault in FAULTS:
         cases[f"fault-{fault}"] = ["check", "--config", f"{fault}.conf"]
@@ -87,6 +100,7 @@ CASES = _cases()
 def _write_inputs(directory: Path) -> None:
     for name in (BAG, FACING):
         (directory / name).write_text(shipped(name), encoding="utf-8")
+    (directory / CIRCLE).write_text(_circle_config(), encoding="utf-8")
     for fault, text in FAULTS.items():
         (directory / f"{fault}.conf").write_text(text, encoding="utf-8")
 
