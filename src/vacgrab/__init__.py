@@ -71,6 +71,7 @@ from .vgtc import (
     calibrate_spacing,
     circle_polygon_intersection_area,
     effective_ratio,
+    effective_ratios,
     generate_layout,
 )
 
@@ -91,7 +92,7 @@ __all__ = [
     "parallel_flow_split", "line_loss_total",
     # vgtc
     "Vgtc", "Layout", "circle_polygon_intersection_area", "effective_ratio",
-    "adjusted_min_pressure", "generate_layout", "calibrate_spacing",
+    "effective_ratios", "adjusted_min_pressure", "generate_layout", "calibrate_spacing",
     # feasibility
     "Scenario", "GraspReport", "Verdict", "evaluate", "run_corpus",
     "CorpusRow", "CorpusEntry", "scenario_from_row",

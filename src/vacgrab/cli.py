@@ -25,7 +25,7 @@ import io
 import json
 import re
 import sys
-from dataclasses import MISSING, dataclass, field, fields, replace
+from dataclasses import MISSING, dataclass, field, fields
 from functools import cache
 from importlib import resources
 from typing import Callable, Iterable, NamedTuple, Sequence
@@ -57,14 +57,9 @@ from .model import (
     ValidationError,
     convert_units,
 )
-from .vgtc import (
-    Layout,
-    Vgtc,
-    calibrate_spacing,
-    circle_polygon_intersection_area,
-    effective_ratio,
-    generate_layout,
-)
+from .vgtc import Layout, Vgtc, calibrate_spacing, effective_ratios, generate_layout
+# not called here: bench/vgbench/trace.py patches these names to count per-position calls
+from .vgtc import circle_polygon_intersection_area, effective_ratio  # noqa: F401
 
 
 class ConfigError(ValueError):
@@ -339,7 +334,10 @@ def build_fabric(doc: ConfigDocument) -> FabricPiece:
     if outline is None:
         if len(sides) != 2:
             raise ConfigError("fabric needs length and width, or vertices", sec.line)
-        outline = Polygon.rectangle(*sides)
+        try:
+            outline = Polygon.rectangle(*sides)
+        except ValidationError as exc:
+            raise ConfigError(str(exc), sec.line) from exc
     return _build(FabricPiece, sec, values, outline=outline)
 
 
@@ -623,7 +621,8 @@ def _fmt(value: float) -> str:
 def emit_layout_svg(layout: Layout, outline: Polygon, vgtc: Vgtc) -> bytes:
     """Standalone SVG: outline, dashed margin inset, grip dots, circles.
 
-    Positions whose circle exits the outline additionally get their
+    A position whose effective ratio (vgtc.effective_ratios, the ratios
+    check and plan report) is below 1 - 1e-9 additionally gets its
     effective (clipped) area shaded. Output is deterministic byte for
     byte for identical inputs.
     """
@@ -666,15 +665,9 @@ def emit_layout_svg(layout: Layout, outline: Polygon, vgtc: Vgtc) -> bytes:
             'fill="none" stroke="#999999" stroke-width="1" stroke-dasharray="6 4"/>'
         )
 
-    disk_area = vgtc.disk_area
-    clipped = []
-    for pos in layout.positions:
-        circle = Vgtc(center=pos, radius=vgtc.radius, pressure_window=vgtc.pressure_window)
-        area = circle_polygon_intersection_area(circle, outline)
-        clipped.append(area < disk_area * (1.0 - 1e-9))
     r_px = _fmt(vgtc.radius * _SVG_SCALE)
-    for pos, is_clipped in zip(layout.positions, clipped):
-        if is_clipped:
+    for pos, ratio in zip(layout.positions, effective_ratios(vgtc, outline, layout.positions)):
+        if ratio < 1.0 - 1e-9:
             parts.append(
                 f'<circle class="effective-shade" cx="{_fmt(tx(pos[0]))}" cy="{_fmt(ty(pos[1]))}" '
                 f'r="{r_px}" fill="#7fb3d5" fill-opacity="0.35" clip-path="url(#fabric-clip)"/>'
@@ -826,6 +819,14 @@ def _load_document(path: str) -> ConfigDocument:
         raise ConfigError(f"cannot read config {path!r}: {exc.strerror}") from exc
 
 
+def _write_svg(path: str, svg: bytes) -> None:
+    try:
+        with open(path, "wb") as fh:
+            fh.write(svg)
+    except OSError as exc:
+        raise ConfigError(f"cannot write SVG {path!r}: {exc.strerror}") from exc
+
+
 def _cmd_force(args) -> tuple[bytes, list[str]]:
     doc = _load_document(args.config)
     fabric, motion, consts = build_fabric(doc), build_motion(doc), PhysicalConstants()
@@ -917,10 +918,9 @@ def _cmd_plan(args) -> tuple[bytes, list[str]]:
     if args.spacing:
         spacing = _parse_cli_quantity(args.spacing, "length", "--spacing")
     layout = generate_layout(fabric.outline, margin, spacing)
-    ratios = [effective_ratio(replace(circle, center=pos), fabric.outline) for pos in layout.positions]
+    ratios = effective_ratios(circle, fabric.outline, layout.positions)
     if args.svg:
-        with open(args.svg, "wb") as fh:
-            fh.write(emit_layout_svg(layout, fabric.outline, circle))
+        _write_svg(args.svg, emit_layout_svg(layout, fabric.outline, circle))
 
     def human() -> str:
         lines = [
@@ -982,8 +982,7 @@ def _cmd_check(args) -> tuple[bytes, list[str]]:
     if args.svg:
         if report.layout is None or scenario.vgtc is None:
             raise UsageError("--svg needs a [vgtc] section in the config")
-        with open(args.svg, "wb") as fh:
-            fh.write(emit_layout_svg(report.layout, scenario.fabric.outline, scenario.vgtc))
+        _write_svg(args.svg, emit_layout_svg(report.layout, scenario.fabric.outline, scenario.vgtc))
     return emit_report(report, args.format), list(report.advisories)
 
 

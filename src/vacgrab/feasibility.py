@@ -9,7 +9,8 @@ The pipeline per scenario:
 3. line loss summed over consecutive bore changes;
 4. net vacuum left at the cup;
 5. with a calibrated grabbing circle: gripper layout, per-position
-   effective ratios, and edge-inflated minimum pressures;
+   effective ratios (vgtc.effective_ratios, the values `plan` lists
+   and the layout SVG shades by) and edge-inflated minimum pressures;
 6. the verdict.
 
 Verdict rules: Fail when the net supply cannot cover the largest
@@ -27,7 +28,7 @@ ordering, and one bad row never aborts the rest.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Iterable
 
 from . import pneumatics, statics
@@ -41,7 +42,9 @@ from .model import (
     VacuumGenerator,
     ValidationError,
 )
-from .vgtc import Layout, Vgtc, adjusted_min_pressure, effective_ratio, generate_layout
+from .vgtc import Layout, Vgtc, adjusted_min_pressure, effective_ratios, generate_layout
+# not called here: bench/vgbench/trace.py patches this name to count per-position calls
+from .vgtc import effective_ratio  # noqa: F401
 
 # reference masses when a corpus row names only the application
 MASS_BY_APPLICATION = {
@@ -153,25 +156,19 @@ def evaluate(
     layout: Layout | None = None
     ratios: tuple[float, ...] = ()
     demand = req_single
-    window = None
+    p_max = None
     if scenario.vgtc is not None:
-        window = scenario.vgtc.pressure_window
+        circle, outline = scenario.vgtc, scenario.fabric.outline
+        window = circle.pressure_window
+        p_max = window.p_max
         try:
-            layout = generate_layout(
-                scenario.fabric.outline, scenario.margin, scenario.vgtc.radius
-            )
-            ratios = tuple(
-                effective_ratio(replace(scenario.vgtc, center=pos), scenario.fabric.outline)
-                for pos in layout.positions
-            )
-            inflated = [adjusted_min_pressure(window, r) for r in ratios]
+            layout = generate_layout(outline, scenario.margin, circle.radius)
+            ratios = effective_ratios(circle, outline, layout.positions)
+            demand = max([demand, *(adjusted_min_pressure(window, r) for r in ratios)])
         except ValidationError as exc:
             raise _stage("layout", exc) from exc
-        if inflated:
-            demand = max(demand, max(inflated))
 
     permeable = scenario.fabric.permeability is Permeability.AIR_PERMEABLE
-    p_max = window.p_max if window is not None else None
     if net.pressure < demand:
         verdict = Verdict.FAIL
     elif permeable:

@@ -146,7 +146,9 @@ class Polygon:
     """Simple polygon in fabric-local coordinates (meters).
 
     Vertices may be given in either winding order; signed_area exposes
-    the raw orientation, area the magnitude. Construction rejects
+    the raw orientation, area the magnitude. signed_area is computed
+    once at construction and kept outside the dataclass fields, so it
+    takes no part in ==, hash or repr. Construction rejects
     degenerate outlines: fewer than three vertices, repeated
     consecutive points, zero area, or self-intersection.
     """
@@ -161,6 +163,10 @@ class Polygon:
         for i in range(n):
             if verts[i] == verts[(i + 1) % n]:
                 raise ValidationError("polygon has a zero-length edge")
+        total = 0.0
+        for (x1, y1), (x2, y2) in self.edges():
+            total += x1 * y2 - x2 * y1
+        object.__setattr__(self, "signed_area", 0.5 * total)
         _require(abs(self.signed_area) > 0.0, "polygon area must be positive")
         if self._self_intersects():
             raise ValidationError("polygon must be simple (non-self-intersecting)")
@@ -170,15 +176,6 @@ class Polygon:
         """Axis-aligned rectangle with one corner at the origin."""
         _require(length > 0 and width > 0, "rectangle sides must be > 0")
         return cls(((0.0, 0.0), (length, 0.0), (length, width), (0.0, width)))
-
-    @property
-    def signed_area(self) -> float:
-        verts = self.vertices
-        total = 0.0
-        for i, (x1, y1) in enumerate(verts):
-            x2, y2 = verts[(i + 1) % len(verts)]
-            total += x1 * y2 - x2 * y1
-        return 0.5 * total
 
     @property
     def area(self) -> float:
@@ -206,14 +203,14 @@ class Polygon:
                     return True
         return False
 
-    def is_axis_aligned_rectangle(self, tol: float = BOUNDARY_TOL) -> bool:
+    def is_axis_aligned_rectangle(self) -> bool:
         if len(self.vertices) != 4:
             return False
         for (x1, y1), (x2, y2) in self.edges():
-            if abs(x2 - x1) > tol and abs(y2 - y1) > tol:
+            if abs(x2 - x1) > BOUNDARY_TOL and abs(y2 - y1) > BOUNDARY_TOL:
                 return False
         x0, y0, x1, y1 = self.bounds
-        return abs(self.area - (x1 - x0) * (y1 - y0)) <= tol * max(1.0, self.area)
+        return abs(self.area - (x1 - x0) * (y1 - y0)) <= BOUNDARY_TOL * max(1.0, self.area)
 
 
 def as_polygon(outline) -> Polygon:

@@ -7,7 +7,9 @@ fabric pulls; the effective ratio is that fraction of the disk area.
 The minimum grabbing pressure is inflated by 1/ratio: required force
 is fixed, effective area scales with the ratio, so pressure scales
 inversely. The inflation law is a modeling choice, not a measured
-curve; treat its outputs as conservative.
+curve; treat its outputs as conservative. effective_ratios gives the
+ratio at every layout position, and the verdict, the plan listing and
+the SVG shading all read those values.
 
 The disk/polygon intersection is exact. Each polygon edge contributes
 a Green's theorem term: straight pieces inside the disk integrate as
@@ -48,8 +50,8 @@ class Vgtc:
         object.__setattr__(
             self, "center", (float(self.center[0]), float(self.center[1]))
         )
-        if self.radius <= 0:
-            raise ValidationError(f"radius must be > 0, got {self.radius}")
+        if not 0 < self.radius < math.inf:  # also rejects nan
+            raise ValidationError(f"radius must be finite and > 0, got {self.radius}")
         if not isinstance(self.pressure_window, PressureWindow):
             raise ValidationError("pressure_window must be a PressureWindow")
 
@@ -77,9 +79,9 @@ class Layout:
             "positions",
             tuple((float(x), float(y)) for x, y in self.positions),
         )
-        if self.spacing <= 0:
-            raise ValidationError(f"spacing must be > 0, got {self.spacing}")
-        if self.margin < 0:
+        if not 0 < self.spacing < math.inf:  # also rejects nan
+            raise ValidationError(f"spacing must be finite and > 0, got {self.spacing}")
+        if not self.margin >= 0:
             raise ValidationError(f"margin must be >= 0, got {self.margin}")
         if self.rows < 0 or self.cols < 0:
             raise ValidationError("rows and cols must be >= 0")
@@ -141,19 +143,13 @@ def _edge_term(x1: float, y1: float, x2: float, y2: float, r: float) -> float:
 
 def circle_polygon_intersection_area(circle: Vgtc, outline: Polygon) -> float:
     """Exact area of the grabbing disk clipped to the fabric outline."""
-    if outline.area <= 0.0:
-        raise ValidationError("outline polygon has zero area")
     verts = outline.vertices
     if outline.signed_area < 0:
         verts = tuple(reversed(verts))
     cx, cy = circle.center
-    r = circle.radius
     total = 0.0
-    n = len(verts)
-    for i in range(n):
-        x1, y1 = verts[i]
-        x2, y2 = verts[(i + 1) % n]
-        total += _edge_term(x1 - cx, y1 - cy, x2 - cx, y2 - cy, r)
+    for (x1, y1), (x2, y2) in zip(verts, verts[1:] + verts[:1]):
+        total += _edge_term(x1 - cx, y1 - cy, x2 - cx, y2 - cy, circle.radius)
     cap = min(circle.disk_area, outline.area)
     if total < 1e-14 * cap:  # rounding residue of a disjoint pair
         return 0.0
@@ -164,6 +160,14 @@ def effective_ratio(circle: Vgtc, outline: Polygon) -> float:
     """Fraction of the grabbing disk that lies on the fabric, in [0, 1]."""
     ratio = circle_polygon_intersection_area(circle, outline) / circle.disk_area
     return min(max(ratio, 0.0), 1.0)
+
+
+def effective_ratios(circle: Vgtc, outline: Polygon, positions: tuple[Point, ...]) -> tuple[float, ...]:
+    """effective_ratio of the circle moved to each position, in order."""
+    return tuple(
+        effective_ratio(Vgtc(pos, circle.radius, circle.pressure_window), outline)
+        for pos in positions
+    )
 
 
 def adjusted_min_pressure(window: PressureWindow, ratio: float) -> float:

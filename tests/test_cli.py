@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from importlib import resources
@@ -9,14 +10,17 @@ import pytest
 
 import vacgrab
 from vacgrab import (
+    Layout,
     Permeability,
     PipeSegment,
     Polygon,
     PressureWindow,
+    ValidationError,
     Verdict,
     Vgtc,
     calibrate_spacing,
     evaluate,
+    effective_ratio,
     generate_layout,
 )
 from vacgrab.cli import (
@@ -171,6 +175,19 @@ def test_structured_round_trip_with_layout(pocket_bag):
     assert parse_report(emit_report(report, "structured")) == report
 
 
+@pytest.mark.parametrize("key", ["spacing", "margin"])
+def test_structured_report_with_nan_layout_rejected(pocket_bag, key):
+    scenario = make_scenario(
+        pocket_bag,
+        (PipeSegment(inner_diameter=2e-3),),
+        vgtc=Vgtc(center=(0, 0), radius=0.05, pressure_window=PressureWindow(p_min=30_000.0)),
+    )
+    doc = json.loads(emit_report(evaluate(scenario), "structured"))
+    doc["layout"][key] = float("nan")  # json.dumps writes NaN, json.loads reads it back
+    with pytest.raises(ValidationError, match=key):
+        parse_report(json.dumps(doc))
+
+
 def test_csv_report_reference_row(bag_scenario):
     report = evaluate(bag_scenario)
     text = emit_report(report, "csv").decode()
@@ -253,8 +270,6 @@ def test_svg_unclipped_layout_element_counts():
 def test_svg_clipped_corner_circle():
     outline = Polygon.rectangle(0.26, 0.19)
     vgtc = Vgtc(center=(0, 0), radius=0.05, pressure_window=PressureWindow(p_min=30_000.0))
-    from vacgrab.vgtc import Layout
-
     layout = Layout(positions=((0.02, 0.02),), spacing=0.05, margin=0.02, rows=1, cols=1)
     svg = emit_layout_svg(layout, outline, vgtc).decode()
     assert svg.count('class="effective-shade"') == 1
@@ -264,12 +279,39 @@ def test_svg_clipped_corner_circle():
 def test_svg_empty_layout_outline_only():
     outline = Polygon.rectangle(0.26, 0.19)
     vgtc = Vgtc(center=(0, 0), radius=0.02, pressure_window=PressureWindow(p_min=30_000.0))
-    from vacgrab.vgtc import Layout
-
     layout = Layout(positions=(), spacing=0.05, margin=0.02, rows=0, cols=0)
     svg = emit_layout_svg(layout, outline, vgtc).decode()
     assert svg.count("<circle") == 0
     assert svg.count('class="fabric"') == 1
+
+
+@pytest.mark.parametrize("x, shaded", [(0.02, False), (0.02 - 1e-6, True)], ids=["tangent", "1um-over"])
+def test_svg_shades_a_disk_that_barely_overhangs(x, shaded):
+    outline = Polygon.rectangle(0.26, 0.19)
+    vgtc = Vgtc(center=(0, 0), radius=0.02, pressure_window=PressureWindow(p_min=30_000.0))
+    layout = Layout(positions=((x, 0.095),), spacing=0.02, margin=0.0, rows=1, cols=1)
+    svg = emit_layout_svg(layout, outline, vgtc).decode()
+    assert svg.count('class="effective-shade"') == int(shaded)
+    moved = Vgtc(center=(x, 0.095), radius=0.02, pressure_window=vgtc.pressure_window)
+    lost = 1.0 - effective_ratio(moved, outline)
+    assert lost == (pytest.approx(2.1e-7, rel=0.02) if shaded else pytest.approx(0.0, abs=1e-12))
+
+
+def test_svg_shades_exactly_the_positions_below_full_ratio(tmp_path, capsys):
+    # 48 positions: the 24 on the border of the grid overhang the piece
+    config = tmp_path / "circle.conf"
+    config.write_text(shipped("pocket_bag.conf") + "\n[vgtc]\nradius = 3 cm\np_min = 30 kPa\nmargin = 2 cm\n")
+    svg_path = tmp_path / "layout.svg"
+    assert main(["plan", "--config", str(config), "--format", "structured", "--svg", str(svg_path)]) == 0
+    ratios = json.loads(capsys.readouterr().out)["effective_ratios"]
+    assert main(["check", "--config", str(config), "--format", "structured"]) == 0
+    assert json.loads(capsys.readouterr().out)["effective_ratios"] == ratios
+    svg = svg_path.read_text()
+    rings = re.findall(r'class="vgtc-ring" (cx="[^"]*" cy="[^"]*")', svg)  # in position order
+    shaded = re.findall(r'class="effective-shade" (cx="[^"]*" cy="[^"]*")', svg)
+    assert len(rings) == len(ratios) == 48
+    assert shaded == [center for center, ratio in zip(rings, ratios) if ratio < 1.0 - 1e-9]
+    assert len(shaded) == 24
 
 
 def test_svg_deterministic_bytes():
@@ -363,6 +405,15 @@ def test_check_svg_with_circle(facing_config, tmp_path, capsys):
     assert svg.count('class="effective-shade"') == 6
 
 
+@pytest.mark.parametrize("command", ["plan", "check"])
+def test_unwritable_svg_path_exit_two(facing_config, tmp_path, capsys, command):
+    svg_path = str(tmp_path / "no_such_dir" / "layout.svg")
+    assert main([command, "--config", facing_config, "--svg", svg_path]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: cannot write SVG {svg_path!r}: No such file or directory\n"
+
+
 def test_calibrate_command(facing_config, capsys):
     assert main(["calibrate", "--config", facing_config, "--target-count", "6"]) == 0
     out = capsys.readouterr().out
@@ -448,6 +499,13 @@ def test_value_object_error_names_its_section(tmp_path, capsys):
     assert Path(config).read_text().splitlines()[34] == "[line]"  # the second of two
     assert main(["line-loss", "--config", config]) == 2
     assert capsys.readouterr().err == "error: line 35: inner_diameter 1e-200 m has a bore area of 0\n"
+
+
+def test_zero_rectangle_side_names_its_section(tmp_path, capsys):
+    config = edited(tmp_path, "pocket_bag.conf", "length = 26 cm", "length = 0 cm")
+    assert Path(config).read_text().splitlines()[3] == "[fabric]"
+    assert main(["check", "--config", config]) == 2
+    assert capsys.readouterr().err == "error: line 4: rectangle sides must be > 0\n"
 
 
 def test_calibrate_structured_empty(facing_config, capsys):

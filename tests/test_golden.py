@@ -3,8 +3,8 @@
 Every command runs in every --format on both shipped configs and the
 bundled corpus, and `check` runs on one broken config per kind of
 config fault. Each case's exit code, stdout and stderr must equal the
-recording in tests/golden/cli.json, and the SVG files those runs write
-must equal tests/golden/*.svg.
+recording in tests/golden/cli.json, and the SVG files the successful
+runs write must equal tests/golden/*.svg.
 
 To re-record after an intended output change, run from the repository
 root:
@@ -88,6 +88,7 @@ def _cases() -> dict[str, list[str]]:
             "plan", "--config", CIRCLE, "--format", "structured", "--svg", "plan-pocket_bag_circle.svg",
         ],
         "check-pocket_bag_circle-svg": ["check", "--config", CIRCLE, "--svg", "check-pocket_bag_circle.svg"],
+        "fault-svg_unwritable": ["check", "--config", FACING, "--svg", "no_such_dir/layout.svg"],
     })
     for fault in FAULTS:
         cases[f"fault-{fault}"] = ["check", "--config", f"{fault}.conf"]
@@ -114,7 +115,10 @@ def _run(argv: list[str]) -> dict:
     return {"exit": code, "stdout": out.getvalue(), "stderr": err.getvalue()}
 
 
-def _svg_outputs(argv: list[str]) -> list[str]:
+def _svg_outputs(argv: list[str], result: dict) -> list[str]:
+    """The SVG paths a run wrote: those after --svg, if the run succeeded."""
+    if result["exit"] != 0:
+        return []
     return [argv[i + 1] for i, arg in enumerate(argv) if arg == "--svg"]
 
 
@@ -131,8 +135,9 @@ def test_golden_cases_match_recording(recorded):
 def test_golden_output(case, recorded, tmp_path, monkeypatch):
     _write_inputs(tmp_path)
     monkeypatch.chdir(tmp_path)
-    assert _run(CASES[case]) == recorded[case]
-    for svg in _svg_outputs(CASES[case]):
+    result = _run(CASES[case])
+    assert result == recorded[case]
+    for svg in _svg_outputs(CASES[case], result):
         assert (tmp_path / svg).read_bytes() == (GOLDEN / svg).read_bytes()
 
 
@@ -149,7 +154,7 @@ def record() -> None:
         try:
             for case, argv in CASES.items():
                 results[case] = _run(argv)
-                for svg in _svg_outputs(argv):
+                for svg in _svg_outputs(argv, results[case]):
                     (GOLDEN / svg).write_bytes((Path(work) / svg).read_bytes())
         finally:
             os.chdir(home)

@@ -443,6 +443,20 @@ def test_single_grab_radius_test_rejects_zero_radius():
         Vgtc(center=(0.0, 0.0), radius=0.0, pressure_window=WINDOW)
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=str)
+def test_non_finite_radius_and_spacing_rejected(value):
+    with pytest.raises(ValidationError, match="radius"):
+        Vgtc(center=(0.0, 0.0), radius=value, pressure_window=WINDOW)
+    with pytest.raises(ValidationError, match="spacing"):
+        Layout(positions=(), spacing=value, margin=0.0, rows=0, cols=0)
+
+
+@pytest.mark.parametrize("value", [math.nan, -math.inf], ids=str)
+def test_nan_and_negative_margin_rejected(value):
+    with pytest.raises(ValidationError, match="margin"):
+        Layout(positions=(), spacing=0.1, margin=value, rows=0, cols=0)
+
+
 def test_window_ordering_still_enforced():
     with pytest.raises(ValidationError):
         Vgtc(center=(0.0, 0.0), radius=0.05, pressure_window=PressureWindow(p_min=5.0, p_max=4.0))
