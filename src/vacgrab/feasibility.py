@@ -28,6 +28,7 @@ ordering, and one bad row never aborts the rest.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -82,12 +83,12 @@ class Scenario:
             raise ValidationError("line must have at least one segment")
         if not all(isinstance(seg, PipeSegment) for seg in self.line):
             raise ValidationError("line entries must be PipeSegment values")
-        if self.upstream_velocity < 0:
+        if not 0 <= self.upstream_velocity < math.inf:  # also rejects nan
             raise ValidationError(
-                f"upstream_velocity must be >= 0, got {self.upstream_velocity}"
+                f"upstream_velocity must be finite and >= 0, got {self.upstream_velocity}"
             )
-        if self.margin < 0:
-            raise ValidationError(f"margin must be >= 0, got {self.margin}")
+        if not 0 <= self.margin < math.inf:
+            raise ValidationError(f"margin must be finite and >= 0, got {self.margin}")
 
 
 @dataclass(frozen=True)

@@ -21,6 +21,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 
 class ValidationError(ValueError):
@@ -147,8 +148,9 @@ class Polygon:
 
     Vertices may be given in either winding order; signed_area exposes
     the raw orientation, area the magnitude. signed_area is computed
-    once at construction and kept outside the dataclass fields, so it
-    takes no part in ==, hash or repr. Construction rejects
+    once at construction; bounds, ccw_ring and box are computed on
+    first read and cached. All four live outside the dataclass fields,
+    so they take no part in ==, hash or repr. Construction rejects
     degenerate outlines: fewer than three vertices, repeated
     consecutive points, zero area, or self-intersection.
     """
@@ -181,11 +183,32 @@ class Polygon:
     def area(self) -> float:
         return abs(self.signed_area)
 
-    @property
+    @cached_property
     def bounds(self) -> tuple[float, float, float, float]:
         xs = [v[0] for v in self.vertices]
         ys = [v[1] for v in self.vertices]
         return min(xs), min(ys), max(xs), max(ys)
+
+    @cached_property
+    def ccw_ring(self) -> tuple[tuple[Point, Point], ...]:
+        """The edges as (start, end) pairs, wound counter-clockwise."""
+        verts = self.vertices if self.signed_area > 0 else self.vertices[::-1]
+        return tuple(zip(verts, verts[1:] + verts[:1]))
+
+    @cached_property
+    def box(self) -> tuple[float, float, float, float] | None:
+        """bounds if the outline is exactly an axis-aligned rectangle, else None.
+
+        Four vertices on two distinct x and two distinct y values are a
+        rectangle's corners, and the only simple polygon on them is the
+        rectangle (the bowtie order self-intersects). No tolerance: a
+        corner off by 1e-10 m is no box.
+        """
+        if len(self.vertices) != 4:
+            return None
+        if len({x for x, _ in self.vertices}) != 2 or len({y for _, y in self.vertices}) != 2:
+            return None
+        return self.bounds
 
     def edges(self):
         verts = self.vertices

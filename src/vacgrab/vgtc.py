@@ -17,6 +17,15 @@ origin triangles (shoelace), pieces outside integrate along the arc
 their chord shadows (r^2/2 * wrapped angle). Summed over a CCW
 boundary this yields the intersection area to floating-point accuracy
 for any simple polygon, convex or not.
+
+Layouts exist only for axis-aligned rectangles, and on a real layout
+almost every disk lies wholly on the piece. So when the outline is an
+exact box (Polygon.box) that contains the disk's bounding square, the
+intersection is the disk's own area, returned without integrating, and
+the ratio is exactly 1. The fast path sits inside
+circle_polygon_intersection_area, not in effective_ratio or
+effective_ratios, so every caller of the intersection gets it and each
+layout position still makes exactly one intersection call.
 """
 
 from __future__ import annotations
@@ -39,7 +48,8 @@ class Vgtc:
 
     A bench-measured circle is recorded by constructing one: the largest
     radius at which the single-gripper test still picked exactly one
-    layer, with the pressure window observed while doing it.
+    layer, with the pressure window observed while doing it. disk_area
+    is computed once at construction, outside the dataclass fields.
     """
 
     center: Point
@@ -52,15 +62,15 @@ class Vgtc:
         )
         if not 0 < self.radius < math.inf:  # also rejects nan
             raise ValidationError(f"radius must be finite and > 0, got {self.radius}")
+        try:
+            disk_area = math.pi * self.radius**2
+        except OverflowError:  # a radius whose square no float holds
+            disk_area = math.inf
+        if not disk_area > 0:
+            raise ValidationError(f"radius {self.radius} m has a disk area of 0")
+        object.__setattr__(self, "disk_area", disk_area)
         if not isinstance(self.pressure_window, PressureWindow):
             raise ValidationError("pressure_window must be a PressureWindow")
-
-    @property
-    def disk_area(self) -> float:
-        try:
-            return math.pi * self.radius**2
-        except OverflowError:  # a radius whose square no float holds
-            return math.inf
 
 
 @dataclass(frozen=True)
@@ -143,13 +153,15 @@ def _edge_term(x1: float, y1: float, x2: float, y2: float, r: float) -> float:
 
 def circle_polygon_intersection_area(circle: Vgtc, outline: Polygon) -> float:
     """Exact area of the grabbing disk clipped to the fabric outline."""
-    verts = outline.vertices
-    if outline.signed_area < 0:
-        verts = tuple(reversed(verts))
     cx, cy = circle.center
+    r = circle.radius
+    if outline.box is not None:
+        x0, y0, x1, y1 = outline.box
+        if x0 <= cx - r and cx + r <= x1 and y0 <= cy - r and cy + r <= y1:
+            return circle.disk_area
     total = 0.0
-    for (x1, y1), (x2, y2) in zip(verts, verts[1:] + verts[:1]):
-        total += _edge_term(x1 - cx, y1 - cy, x2 - cx, y2 - cy, circle.radius)
+    for (x1, y1), (x2, y2) in outline.ccw_ring:
+        total += _edge_term(x1 - cx, y1 - cy, x2 - cx, y2 - cy, r)
     cap = min(circle.disk_area, outline.area)
     if total < 1e-14 * cap:  # rounding residue of a disjoint pair
         return 0.0
@@ -250,7 +262,7 @@ def generate_layout(outline: Polygon, margin: float, spacing: float) -> Layout:
     rows = _axis_count(usable_w, spacing)
     if cols * rows > MAX_LAYOUT_POSITIONS:
         raise ValidationError(
-            f"spacing {spacing:.3g} m too small: {cols} x {rows} positions exceed "
+            f"spacing {spacing:.3g} m too small: {cols:.4g} x {rows:.4g} positions exceed "
             f"the {MAX_LAYOUT_POSITIONS} a layout may hold"
         )
     x0, y0, _, _ = outline.bounds

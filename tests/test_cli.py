@@ -554,6 +554,14 @@ def test_plan_oversized_layout_exit_two(facing_config, spacing):
     assert "positions" in result.stderr
 
 
+def test_plan_radius_whose_disk_area_underflows_exit_two(tmp_path):
+    config = edited(tmp_path, "pocket_facing.conf", "radius = 4.4", "radius = 1e-170 m")
+    result = run_cli("plan", "--config", config, "--spacing", "4 cm")
+    assert result.returncode == 2
+    assert "Traceback" not in result.stderr
+    assert result.stderr == "error: line 48: radius 1e-170 m has a disk area of 0\n"
+
+
 def test_batch_bundled_corpus(capsys):
     assert main(["batch", "--format", "csv"]) == 0
     out = capsys.readouterr().out

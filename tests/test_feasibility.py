@@ -1,4 +1,5 @@
 import dataclasses
+import math
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -96,6 +97,13 @@ def test_plate_lift_selector_respected(pocket_bag, std_line):
 def test_scenario_requires_line(pocket_bag):
     with pytest.raises(ValidationError, match="line"):
         make_scenario(pocket_bag, ())
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=str)
+@pytest.mark.parametrize("field", ["upstream_velocity", "margin"])
+def test_scenario_rejects_non_finite_values(pocket_bag, std_line, field, value):
+    with pytest.raises(ValidationError, match=field):
+        make_scenario(pocket_bag, std_line, **{field: value})
 
 
 def test_stage_labels_on_errors(pocket_bag):

@@ -1,4 +1,5 @@
 import math
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -147,6 +148,107 @@ def test_area_monotone_along_outward_ray():
 
 
 # ---------------------------------------------------------------------------
+# full-disk fast path: a disk inside an exact box reads its own area
+
+X0, Y0, X1, Y1 = 0.1, 0.2, 0.36, 0.39
+
+
+def box_and_ring(x0, y0, x1, y1):
+    """The rectangle as a box, and as 5 vertices with a collinear midpoint
+    on its bottom edge, which is no box and takes the full integration."""
+    box = Polygon(((x0, y0), (x1, y0), (x1, y1), (x0, y1)))
+    ring = Polygon(((x0, y0), (0.5 * (x0 + x1), y0), (x1, y0), (x1, y1), (x0, y1)))
+    assert box.box == (x0, y0, x1, y1) and ring.box is None
+    return box, ring
+
+
+def count_edge_terms(monkeypatch):
+    calls = []
+    edge_term = vgtc._edge_term
+    monkeypatch.setattr(vgtc, "_edge_term", lambda *a: calls.append(a) or edge_term(*a))
+    return calls
+
+
+def _edge_cases(r):
+    mx, my = 0.5 * (X0 + X1), 0.5 * (Y0 + Y1)
+    tangent = [(X0 + r, my), (X1 - r, my), (mx, Y0 + r), (mx, Y1 - r)]
+    inward = [(1, 0), (-1, 0), (0, 1), (0, -1)]
+    for (cx, cy), (ux, uy) in zip(tangent, inward):
+        yield cx, cy
+        for d in (1e-9, -1e-9):
+            yield cx + d * ux, cy + d * uy
+    for cx, cy in ((X0, Y0), (X1, Y0), (X1, Y1), (X0, Y1)):
+        yield cx, cy
+    for cx in (X0 + r, X1 - r):
+        for cy in (Y0 + r, Y1 - r):
+            yield cx, cy
+
+
+@pytest.mark.parametrize("r", [0.01, 0.03, 0.095])
+def test_fast_path_matches_full_integration_at_edges_and_corners(r):
+    box, ring = box_and_ring(X0, Y0, X1, Y1)
+    for cx, cy in _edge_cases(r):
+        fast = effective_ratio(circle(cx, cy, r), box)
+        full = effective_ratio(circle(cx, cy, r), ring)
+        assert fast == pytest.approx(full, rel=0, abs=1e-12), (cx, cy)
+
+
+def test_fast_path_matches_full_integration_on_clip_like_pieces():
+    # table1.csv pieces (cm) with a 2 cm margin, calibration-range radii
+    rng = random.Random(20240)
+    pieces = ((26, 19), (30, 36), (26, 5), (30, 5))
+    full_disks = 0
+    for _ in range(40):
+        length, width = (0.01 * v for v in rng.choice(pieces))
+        x0, y0 = rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0)
+        box, ring = box_and_ring(x0, y0, x0 + length, y0 + width)
+        r = 0.01 * rng.uniform(1.0, 15.0)
+        layout = generate_layout(box, 0.02, r)
+        scattered = [(rng.uniform(x0 - r, x0 + length + r), rng.uniform(y0 - r, y0 + width + r))
+                     for _ in range(10)]
+        for cx, cy in layout.positions + tuple(scattered):
+            fast = effective_ratio(circle(cx, cy, r), box)
+            full = effective_ratio(circle(cx, cy, r), ring)
+            assert fast == pytest.approx(full, rel=0, abs=1e-12), (length, width, r, cx, cy)
+            full_disks += fast == 1.0
+    assert full_disks > 0
+
+
+@pytest.mark.parametrize("winding", [1, -1], ids=["ccw", "cw"])
+def test_disk_inside_a_box_skips_the_integration(monkeypatch, winding):
+    calls = count_edge_terms(monkeypatch)
+    box = Polygon(((X0, Y0), (X1, Y0), (X1, Y1), (X0, Y1))[::winding])
+    assert box.signed_area * winding > 0 and box.box == (X0, Y0, X1, Y1)
+    assert effective_ratio(circle(X0 + 0.03, Y0 + 0.03, 0.03), box) == 1.0
+    assert calls == []
+
+
+@pytest.mark.parametrize(
+    "vertices",
+    [
+        ((X0, Y0), (X1, Y0), (X1 - 0.05, Y1), (X0 + 0.05, Y1)),  # trapezoid
+        ((X0, Y0), (X1, Y0), (X1 + 1e-10, Y1), (X0, Y1)),  # one corner skewed
+    ],
+    ids=["trapezoid", "skewed"],
+)
+def test_near_rectangles_take_the_full_integration(monkeypatch, vertices):
+    calls = count_edge_terms(monkeypatch)
+    outline = Polygon(vertices)
+    assert outline.box is None
+    effective_ratio(circle(0.23, 0.3, 0.02), outline)
+    assert len(calls) == 4
+
+
+def test_polygon_caches_stay_out_of_identity():
+    box = Polygon(((X0, Y0), (X1, Y0), (X1, Y1), (X0, Y1)))
+    fresh = Polygon(box.vertices)
+    before = repr(box), hash(box)
+    assert box.box and box.bounds and box.ccw_ring
+    assert (repr(box), hash(box)) == before
+    assert box == fresh and repr(fresh) == before[0]
+
+
+# ---------------------------------------------------------------------------
 # effective ratio and pressure inflation
 
 def test_ratio_symmetry_cases():
@@ -257,6 +359,13 @@ def test_layout_size_capped_before_allocation(monkeypatch):
     # a quotient that overflows to inf is rejected the same way
     with pytest.raises(ValidationError, match="positions"):
         generate_layout(Polygon.rectangle(1.0, 1.0), 0.0, 1e-320)
+
+
+def test_layout_size_cap_message_stays_short():
+    # 2.2e169 x 5e168 positions, not two 170-digit integers
+    with pytest.raises(ValidationError, match=r"2\.2e\+169 x 5e\+168 positions") as err:
+        generate_layout(Polygon.rectangle(0.22, 0.05), 0.0, 1e-170)
+    assert len(str(err.value)) < 200
 
 
 def test_layout_size_cap_is_inclusive(monkeypatch):
@@ -441,6 +550,12 @@ def test_single_grab_radius_test_builds_circle():
 def test_single_grab_radius_test_rejects_zero_radius():
     with pytest.raises(ValidationError):
         Vgtc(center=(0.0, 0.0), radius=0.0, pressure_window=WINDOW)
+
+
+def test_radius_whose_disk_area_underflows_rejected():
+    with pytest.raises(ValidationError, match="radius 1e-170 m has a disk area of 0"):
+        Vgtc(center=(0.0, 0.0), radius=1e-170, pressure_window=WINDOW)
+    assert Vgtc(center=(0.0, 0.0), radius=1e-150, pressure_window=WINDOW).disk_area > 0
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=str)
