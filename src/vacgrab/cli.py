@@ -235,7 +235,7 @@ def parse_document(text: str) -> ConfigDocument:
     return ConfigDocument(sections=singles, line_sections=lines, units=units)
 
 
-def _parse_quantity(text: str, kind, units: dict[str, str], key: str, line_no: int) -> float:
+def _parse_quantity(text: str, kind, units: dict[str, str], key: str, line_no: int | None) -> float:
     m = _NUMBER_RE.match(text.strip())
     if not m:
         raise ConfigError(f"{key}: cannot parse a number from {text!r}", line_no)
@@ -759,7 +759,7 @@ class _Parser(argparse.ArgumentParser):
 
 def _parse_cli_quantity(text: str, kind: str, flag: str) -> float:
     try:
-        return _parse_quantity(text, kind, {}, flag, 0)
+        return _parse_quantity(text, kind, {}, flag, None)
     except ConfigError as exc:
         raise UsageError(str(exc)) from exc
 
@@ -927,7 +927,7 @@ def _cmd_plan(args) -> tuple[bytes, list[str]]:
             f"grid          : {layout.cols} cols x {layout.rows} rows = {len(layout.positions)} grippers",
             f"spacing       : {layout.spacing:.6g} m",
             f"margin        : {layout.margin:.6g} m",
-            f"min ratio     : {min(ratios):.4f}" if ratios else "min ratio     : n/a",
+            f"min ratio     : {min(ratios):.4f}",
         ]
         for pos, ratio in zip(layout.positions, ratios):
             lines.append(f"  ({pos[0]:.4f}, {pos[1]:.4f}) m  effective {ratio:.4f}")

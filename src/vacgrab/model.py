@@ -105,9 +105,6 @@ def _require(condition: bool, message: str) -> None:
 
 Point = tuple[float, float]
 
-# lengths this close count as equal (rectangle detection, grid counts); meters
-BOUNDARY_TOL = 1e-9
-
 
 def _cross(o: Point, a: Point, b: Point) -> float:
     return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
@@ -225,15 +222,6 @@ class Polygon:
                 if _segments_intersect(*edges[i], *edges[j]):
                     return True
         return False
-
-    def is_axis_aligned_rectangle(self) -> bool:
-        if len(self.vertices) != 4:
-            return False
-        for (x1, y1), (x2, y2) in self.edges():
-            if abs(x2 - x1) > BOUNDARY_TOL and abs(y2 - y1) > BOUNDARY_TOL:
-                return False
-        x0, y0, x1, y1 = self.bounds
-        return abs(self.area - (x1 - x0) * (y1 - y0)) <= BOUNDARY_TOL * max(1.0, self.area)
 
 
 def as_polygon(outline) -> Polygon:

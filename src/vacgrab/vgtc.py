@@ -18,14 +18,16 @@ their chord shadows (r^2/2 * wrapped angle). Summed over a CCW
 boundary this yields the intersection area to floating-point accuracy
 for any simple polygon, convex or not.
 
-Layouts exist only for axis-aligned rectangles, and on a real layout
-almost every disk lies wholly on the piece. So when the outline is an
-exact box (Polygon.box) that contains the disk's bounding square, the
-intersection is the disk's own area, returned without integrating, and
-the ratio is exactly 1. The fast path sits inside
-circle_polygon_intersection_area, not in effective_ratio or
-effective_ratios, so every caller of the intersection gets it and each
-layout position still makes exactly one intersection call.
+Layouts exist only for outlines that are an exact box (Polygon.box,
+no tolerance): a rectangle given as vertices must repeat identical
+coordinates, or come from length and width. On a real layout almost
+every disk lies wholly on the piece. So when the outline's box
+contains the disk's bounding square, the intersection is the disk's
+own area, returned without integrating, and the ratio is exactly 1.
+The fast path sits inside circle_polygon_intersection_area, not in
+effective_ratio or effective_ratios, so every caller of the
+intersection gets it and each layout position still makes exactly one
+intersection call.
 """
 
 from __future__ import annotations
@@ -34,11 +36,11 @@ import math
 from dataclasses import dataclass
 
 from .model import (
-    BOUNDARY_TOL,
     Point,
     Polygon,
     PressureWindow,
     ValidationError,
+    circular_area,
 )
 
 
@@ -62,10 +64,7 @@ class Vgtc:
         )
         if not 0 < self.radius < math.inf:  # also rejects nan
             raise ValidationError(f"radius must be finite and > 0, got {self.radius}")
-        try:
-            disk_area = math.pi * self.radius**2
-        except OverflowError:  # a radius whose square no float holds
-            disk_area = math.inf
+        disk_area = circular_area(2.0 * self.radius)
         if not disk_area > 0:
             raise ValidationError(f"radius {self.radius} m has a disk area of 0")
         object.__setattr__(self, "disk_area", disk_area)
@@ -91,8 +90,8 @@ class Layout:
         )
         if not 0 < self.spacing < math.inf:  # also rejects nan
             raise ValidationError(f"spacing must be finite and > 0, got {self.spacing}")
-        if not self.margin >= 0:
-            raise ValidationError(f"margin must be >= 0, got {self.margin}")
+        if not 0 <= self.margin < math.inf:  # also rejects nan
+            raise ValidationError(f"margin must be finite and >= 0, got {self.margin}")
         if self.rows < 0 or self.cols < 0:
             raise ValidationError("rows and cols must be >= 0")
         if len(self.positions) != self.rows * self.cols:
@@ -194,6 +193,9 @@ def adjusted_min_pressure(window: PressureWindow, ratio: float) -> float:
 # ---------------------------------------------------------------------------
 # grid layouts
 
+# lengths this close count as equal (grid counts, usable-span slack); meters
+BOUNDARY_TOL = 1e-9
+
 # Largest grid generate_layout builds: 35x the 28,959 positions of a
 # 2 x 1.5 m piece at 1 cm, far below what a sizing run needs, and small
 # enough that a mistyped spacing fails at once instead of filling memory.
@@ -224,15 +226,15 @@ class _NoUsableArea(ValidationError):
 def _usable_span(outline: Polygon, margin: float) -> tuple[float, float]:
     """Length and width of the margin-shrunk rectangle a grid may fill.
 
-    Raises ValidationError for a negative margin or a non-rectangular
-    outline, and _NoUsableArea for a margin that leaves no usable area;
-    none of these depends on the grid spacing.
+    Raises ValidationError for a negative margin or an outline with no
+    exact box (Polygon.box), and _NoUsableArea for a margin that leaves
+    no usable area; none of these depends on the grid spacing.
     """
     if not margin >= 0:  # also rejects nan
         raise ValidationError(f"margin must be >= 0, got {margin}")
-    if not outline.is_axis_aligned_rectangle():
+    if outline.box is None:
         raise ValidationError("layout generation needs an axis-aligned rectangular outline")
-    x0, y0, x1, y1 = outline.bounds
+    x0, y0, x1, y1 = outline.box
     usable_l = (x1 - x0) - 2.0 * margin
     usable_w = (y1 - y0) - 2.0 * margin
     if usable_l < -BOUNDARY_TOL or usable_w < -BOUNDARY_TOL:
@@ -252,8 +254,9 @@ def generate_layout(outline: Polygon, margin: float, spacing: float) -> Layout:
     boundary. A dimension shorter than the spacing degenerates to a
     single centered row or column.
 
-    Only rectangular outlines are supported. A grid of more than
-    MAX_LAYOUT_POSITIONS positions is rejected before any is built.
+    Only outlines with an exact box (Polygon.box) are supported. A grid
+    of more than MAX_LAYOUT_POSITIONS positions is rejected before any
+    is built.
     """
     if not 0 < spacing < math.inf:
         raise ValidationError(f"spacing must be finite and > 0, got {spacing}")
@@ -265,7 +268,7 @@ def generate_layout(outline: Polygon, margin: float, spacing: float) -> Layout:
             f"spacing {spacing:.3g} m too small: {cols:.4g} x {rows:.4g} positions exceed "
             f"the {MAX_LAYOUT_POSITIONS} a layout may hold"
         )
-    x0, y0, _, _ = outline.bounds
+    x0, y0, _, _ = outline.box
     xs = _axis_positions(x0 + margin, usable_l, spacing, cols)
     ys = _axis_positions(y0 + margin, usable_w, spacing, rows)
     positions = tuple((x, y) for y in ys for x in xs)
@@ -309,7 +312,7 @@ def calibrate_spacing(
     usable area fits no grid at any spacing, so it also yields [].
 
     Raises ValidationError for a bad target, a negative or nan margin,
-    an outline that is not an axis-aligned rectangle, a range that is
+    an outline with no exact box (Polygon.box), a range that is
     not 0 <= low < high with a finite high, a step that is not finite
     and positive, or more than MAX_CALIBRATION_SAMPLES samples in range.
     """

@@ -188,6 +188,18 @@ def test_structured_report_with_nan_layout_rejected(pocket_bag, key):
         parse_report(json.dumps(doc))
 
 
+def test_structured_report_with_infinite_margin_rejected(pocket_bag):
+    scenario = make_scenario(
+        pocket_bag,
+        (PipeSegment(inner_diameter=2e-3),),
+        vgtc=Vgtc(center=(0, 0), radius=0.05, pressure_window=PressureWindow(p_min=30_000.0)),
+    )
+    doc = json.loads(emit_report(evaluate(scenario), "structured"))
+    doc["layout"]["margin"] = float("inf")  # json.dumps writes Infinity
+    with pytest.raises(ValidationError, match="margin must be finite and >= 0"):
+        parse_report(json.dumps(doc))
+
+
 def test_csv_report_reference_row(bag_scenario):
     report = evaluate(bag_scenario)
     text = emit_report(report, "csv").decode()
@@ -445,6 +457,45 @@ def test_calibrate_rejects_bad_margin_and_outline(tmp_path, capsys, edit, args, 
     config = edited(tmp_path, "pocket_bag.conf", *edit)
     assert main(["calibrate", "--config", config, "--target-count", "6", *args]) == 2
     assert message in capsys.readouterr().err
+
+
+# a 26 x 5 cm facing with one corner 1e-10 m off, and a 70 x 5 cm one
+# whose corner mixes 70 cm with 0.7 m, which differ by one ulp
+NEAR_BOXES = [
+    ("length = 26\nwidth = 5", "vertices = 0, 0; 26, 0; 26.00000001, 5; 0, 5"),
+    ("length = 26\nwidth = 5", "vertices = 0, 0; 70 cm, 0; 0.7 m, 5; 0, 5"),
+]
+
+
+@pytest.mark.parametrize("edit", NEAR_BOXES, ids=["skewed", "mixed-units"])
+@pytest.mark.parametrize("command", [
+    ["plan"], ["check"], ["calibrate", "--target-count", "6"],
+], ids=["plan", "check", "calibrate"])
+def test_near_box_outline_exit_two(tmp_path, capsys, edit, command):
+    config = edited(tmp_path, "pocket_facing.conf", *edit)
+    assert main([command[0], "--config", config, *command[1:]]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    # check names the stage it failed in: "error: layout stage: ..."
+    assert err.startswith("error: ")
+    assert err.endswith(" layout generation needs an axis-aligned rectangular outline\n")
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (["plan", "--spacing", "4 furlong"], "--spacing: unknown unit 'furlong'"),
+        (["plan", "--margin", "x"], "--margin: cannot parse a number from 'x'"),
+        (["calibrate", "--target-count", "6", "--range", "1 cm,abc"],
+         "--range: cannot parse a number from 'abc'"),
+        (["calibrate", "--target-count", "6", "--step", "1 kg"],
+         "--step: cannot convert 'kg' (mass) to 'm' (length)"),
+    ],
+    ids=["spacing", "margin", "range", "step"],
+)
+def test_quantity_flag_error_names_no_line(facing_config, capsys, args, message):
+    assert main([args[0], "--config", facing_config, *args[1:]]) == 1
+    assert capsys.readouterr().err == f"usage error: {message}\n"
 
 
 def test_calibrate_falls_back_to_config_margin(tmp_path, capsys):

@@ -219,9 +219,9 @@ def test_polygon_rejects_degenerate():
 
 
 def test_axis_aligned_rectangle_detection():
-    assert Polygon.rectangle(1, 2).is_axis_aligned_rectangle()
+    assert Polygon.rectangle(1, 2).box == (0.0, 0.0, 1.0, 2.0)
     tilted = Polygon(((0, 0), (1, 0.2), (0.8, 1.2), (-0.2, 1)))
-    assert not tilted.is_axis_aligned_rectangle()
+    assert tilted.box is None
 
 
 def test_as_polygon_passthrough():

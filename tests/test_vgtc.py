@@ -15,6 +15,7 @@ from vacgrab import (
     calibrate_spacing,
     circle_polygon_intersection_area,
     effective_ratio,
+    effective_ratios,
     generate_layout,
 )
 
@@ -237,6 +238,36 @@ def test_near_rectangles_take_the_full_integration(monkeypatch, vertices):
     assert outline.box is None
     effective_ratio(circle(0.23, 0.3, 0.02), outline)
     assert len(calls) == 4
+
+
+@pytest.mark.parametrize("winding", [1, -1], ids=["ccw", "cw"])
+def test_layout_inside_the_margin_skips_every_integration(monkeypatch, winding):
+    # any outline that gets a layout has a box, so a radius within the
+    # margin puts every disk on the fast path
+    calls = count_edge_terms(monkeypatch)
+    box = Polygon(((X0, Y0), (X1, Y0), (X1, Y1), (X0, Y1))[::winding])
+    layout = generate_layout(box, 0.02, 0.015)
+    ratios = effective_ratios(circle(0.0, 0.0, 0.02), box, layout.positions)
+    assert len(ratios) == 15 * 11 and set(ratios) == {1.0}
+    assert calls == []
+
+
+# one corner 1e-10 m off a box, and a 70 x 5 cm rectangle whose corner
+# mixes 70 cm with 0.7 m, which differ by one ulp
+NEAR_BOXES = [
+    ((X0, Y0), (X1, Y0), (X1 + 1e-10, Y1), (X0, Y1)),
+    ((0.0, 0.0), (70 * 0.01, 0.0), (0.7, 0.05), (0.0, 0.05)),
+]
+
+
+@pytest.mark.parametrize("vertices", NEAR_BOXES, ids=["skewed", "mixed-units"])
+def test_near_box_gets_no_layout_or_calibration(vertices):
+    outline = Polygon(vertices)
+    assert outline.box is None
+    with pytest.raises(ValidationError, match="rectangular outline"):
+        generate_layout(outline, 0.02, 0.03)
+    with pytest.raises(ValidationError, match="rectangular outline"):
+        calibrate_spacing(outline, 0.02, 4, (0.01, 0.15), 0.001)
 
 
 def test_polygon_caches_stay_out_of_identity():
@@ -566,9 +597,9 @@ def test_non_finite_radius_and_spacing_rejected(value):
         Layout(positions=(), spacing=value, margin=0.0, rows=0, cols=0)
 
 
-@pytest.mark.parametrize("value", [math.nan, -math.inf], ids=str)
+@pytest.mark.parametrize("value", [math.nan, -math.inf, math.inf], ids=str)
 def test_nan_and_negative_margin_rejected(value):
-    with pytest.raises(ValidationError, match="margin"):
+    with pytest.raises(ValidationError, match="margin must be finite and >= 0"):
         Layout(positions=(), spacing=0.1, margin=value, rows=0, cols=0)
 
 
