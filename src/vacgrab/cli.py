@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import enum
 import io
 import json
 import re
@@ -37,7 +36,6 @@ from .feasibility import (
     CorpusRow,
     GraspReport,
     Scenario,
-    Verdict,
     evaluate,
     run_corpus,
 )
@@ -118,7 +116,6 @@ _MAX_VACUUM = ConfigField("generator", "max_vacuum", "pressure", VacuumGenerator
 _UPSTREAM_VELOCITY = ConfigField("line", "upstream_velocity", float, Scenario)  # first [line] only
 _MARGIN = ConfigField("vgtc", "margin", "length", Scenario)
 
-# Every config key, in the order emit_scenario_config writes them.
 CONFIG_FIELDS = (
     ConfigField("fabric", "id", str, FabricPiece),
     _LENGTH,
@@ -424,49 +421,8 @@ def build_scenario(doc: ConfigDocument) -> Scenario:
 def parse_config(text: str | bytes) -> Scenario:
     """Parse a full scenario config; raises ConfigError or ValidationError."""
     if isinstance(text, bytes):
-        text = text.decode("utf-8")
+        text = text.decode("utf-8-sig")
     return build_scenario(parse_document(text))
-
-
-def _config_text(value) -> str:
-    if isinstance(value, Polygon):
-        return "; ".join(f"{x!r}, {y!r}" for x, y in value.vertices)
-    if isinstance(value, enum.Enum):
-        return value.value
-    return value if isinstance(value, str) else repr(value)
-
-
-def emit_scenario_config(scenario: Scenario) -> str:
-    """Echo a scenario as a config document (SI units, bare numbers).
-
-    parse_config() on the result reconstructs the scenario exactly,
-    except that a grabbing circle comes back centered at the origin. A
-    value of None or "" is left out and parses back as the default.
-    """
-    fabric, circle = scenario.fabric, scenario.vgtc
-    # (section, objects its keys read, values of keys without a target)
-    sections = [
-        ("fabric", (fabric,), {_VERTICES.key: fabric.outline}),
-        ("motion", (scenario.motion,), {}),
-        ("cup", (scenario.cup,), {}),
-        ("generator", (scenario.generator,), {}),
-    ]
-    for i, segment in enumerate(scenario.line):
-        sections.append(("line", (segment, scenario) if i == 0 else (segment,), {}))
-    if circle is not None:
-        sections.append(("vgtc", (circle, circle.pressure_window, scenario), {}))
-    out = []
-    for name, objects, values in sections:
-        out.append(f"[{name}]")
-        for f in _SECTIONS[name].values():
-            value = values.get(f.key)
-            for obj in objects:
-                if type(obj) is f.target:
-                    value = getattr(obj, f.attribute)
-            if value is not None and value != "":
-                out.append(f"{f.key} = {_config_text(value)}")
-        out.append("")
-    return "\n".join(out)
 
 
 # ---------------------------------------------------------------------------
@@ -556,19 +512,6 @@ def emit_report(report: GraspReport, format: str = "human") -> bytes:
         "human": lambda: _human_report(report),
         "csv": lambda: _csv_text([_csv_row(report)]),
         "structured": lambda: report_to_dict(report),
-    })
-
-
-def parse_report(data: bytes | str) -> GraspReport:
-    """Inverse of emit_report(..., 'structured')."""
-    report = json.loads(data)
-    layout = report.get("layout")
-    return GraspReport(**{
-        **report,
-        "layout": Layout(**layout) if layout is not None else None,
-        "effective_ratios": tuple(report["effective_ratios"]),
-        "verdict": Verdict(report["verdict"]),
-        "advisories": tuple(report["advisories"]),
     })
 
 
@@ -811,12 +754,16 @@ def build_parser() -> _Parser:
     return parser
 
 
-def _load_document(path: str) -> ConfigDocument:
+def _read_text(path: str, what: str) -> str:
+    """A config or corpus file as text; a UTF-8 BOM is dropped."""
     try:
-        with open(path, encoding="utf-8") as fh:
-            return parse_document(fh.read())
+        with open(path, encoding="utf-8-sig") as fh:
+            return fh.read()
     except OSError as exc:
-        raise ConfigError(f"cannot read config {path!r}: {exc.strerror}") from exc
+        raise ConfigError(f"cannot read {what} {path!r}: {exc.strerror}") from exc
+    except UnicodeDecodeError as exc:
+        reason = f"not UTF-8 text ({exc.reason} at byte {exc.start})"
+        raise ConfigError(f"cannot read {what} {path!r}: {reason}") from exc
 
 
 def _write_svg(path: str, svg: bytes) -> None:
@@ -828,7 +775,7 @@ def _write_svg(path: str, svg: bytes) -> None:
 
 
 def _cmd_force(args) -> tuple[bytes, list[str]]:
-    doc = _load_document(args.config)
+    doc = parse_document(_read_text(args.config, "config"))
     fabric, motion, consts = build_fabric(doc), build_motion(doc), PhysicalConstants()
     force = statics.holding_force(fabric, motion, consts)
     return _render(args.format, args.command, {
@@ -851,7 +798,7 @@ def _cmd_force(args) -> tuple[bytes, list[str]]:
 
 
 def _cmd_pressure(args) -> tuple[bytes, list[str]]:
-    doc = _load_document(args.config)
+    doc = parse_document(_read_text(args.config, "config"))
     cup = build_cup(doc)
     force = statics.holding_force(build_fabric(doc), build_motion(doc))
     single = statics.required_pressure(force, cup)
@@ -872,7 +819,7 @@ def _cmd_pressure(args) -> tuple[bytes, list[str]]:
 
 
 def _cmd_line_loss(args) -> tuple[bytes, list[str]]:
-    doc = _load_document(args.config)
+    doc = parse_document(_read_text(args.config, "config"))
     generator = build_generator(doc)
     line, upstream_velocity = build_line(doc, generator)
     total, steps = pneumatics.line_loss_total(line, upstream_velocity)
@@ -907,7 +854,7 @@ def _cmd_line_loss(args) -> tuple[bytes, list[str]]:
 
 
 def _cmd_plan(args) -> tuple[bytes, list[str]]:
-    doc = _load_document(args.config)
+    doc = parse_document(_read_text(args.config, "config"))
     fabric = build_fabric(doc)
     circle, margin = build_vgtc(doc)
     if circle is None:
@@ -944,7 +891,7 @@ def _cmd_plan(args) -> tuple[bytes, list[str]]:
 
 
 def _cmd_calibrate(args) -> tuple[bytes, list[str]]:
-    doc = _load_document(args.config)
+    doc = parse_document(_read_text(args.config, "config"))
     fabric = build_fabric(doc)
     _, margin = build_vgtc(doc)
     try:
@@ -976,7 +923,7 @@ def _cmd_calibrate(args) -> tuple[bytes, list[str]]:
 
 
 def _cmd_check(args) -> tuple[bytes, list[str]]:
-    doc = _load_document(args.config)
+    doc = parse_document(_read_text(args.config, "config"))
     scenario = build_scenario(doc)
     report = evaluate(scenario)
     if args.svg:
@@ -988,11 +935,7 @@ def _cmd_check(args) -> tuple[bytes, list[str]]:
 
 def _cmd_batch(args) -> tuple[bytes, list[str]]:
     if args.corpus:
-        try:
-            with open(args.corpus, encoding="utf-8") as fh:
-                rows = parse_corpus_csv(fh.read())
-        except OSError as exc:
-            raise ConfigError(f"cannot read corpus {args.corpus!r}: {exc.strerror}") from exc
+        rows = parse_corpus_csv(_read_text(args.corpus, "corpus"))
     else:
         rows = load_bundled_corpus()
     entries = run_corpus(rows)

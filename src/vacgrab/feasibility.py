@@ -119,17 +119,10 @@ def evaluate(
     """Run the full grasp-feasibility pipeline for one scenario."""
     advisories: list[str] = []
 
-    try:
-        force = statics.holding_force(scenario.fabric, scenario.motion, consts)
-    except ValidationError as exc:
-        raise _stage("holding-force", exc) from exc
-
-    try:
-        req_single = statics.required_pressure(force, scenario.cup)
-        shared_force = statics.per_gripper_force(force, scenario.cup)
-        req_shared = statics.required_pressure(shared_force, scenario.cup)
-    except ValidationError as exc:
-        raise _stage("required-pressure", exc) from exc
+    force = statics.holding_force(scenario.fabric, scenario.motion, consts)
+    req_single = statics.required_pressure(force, scenario.cup)
+    shared_force = statics.per_gripper_force(force, scenario.cup)
+    req_shared = statics.required_pressure(shared_force, scenario.cup)
 
     try:
         total_loss, steps = pneumatics.line_loss_total(
@@ -269,19 +262,13 @@ def scenario_from_row(row: CorpusRow) -> Scenario:
     )
 
 
-def run_corpus(rows: Iterable[CorpusRow | Scenario]) -> list[CorpusEntry]:
+def run_corpus(rows: Iterable[CorpusRow]) -> list[CorpusEntry]:
     """Evaluate rows in order; a bad row becomes an error entry, not an abort."""
     entries: list[CorpusEntry] = []
     for index, row in enumerate(rows):
-        if isinstance(row, Scenario):
-            label = row.fabric.id
-        else:
-            label = getattr(row, "lot", str(index + 1))
         try:
-            scenario = row if isinstance(row, Scenario) else scenario_from_row(row)
-            report = evaluate(scenario)
-        except (ValidationError, ValueError) as exc:
-            entries.append(CorpusEntry(index=index, label=label, report=None, error=str(exc)))
-        else:
-            entries.append(CorpusEntry(index=index, label=label, report=report, error=None))
+            report, error = evaluate(scenario_from_row(row)), None
+        except ValueError as exc:  # ValidationError and UnitError among them
+            report, error = None, str(exc)
+        entries.append(CorpusEntry(index=index, label=row.lot, report=report, error=error))
     return entries

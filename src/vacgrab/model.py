@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import enum
 import math
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -319,8 +320,10 @@ class SuctionCup:
         )
         _require(self.area > 0, f"orifice_diameter {self.orifice_diameter} m has an area of 0")
         _require(
-            isinstance(self.count, int) and not isinstance(self.count, bool) and self.count >= 1,
-            f"count must be an integer >= 1, got {self.count!r}",
+            isinstance(self.count, int)
+            and not isinstance(self.count, bool)
+            and 1 <= self.count <= sys.float_info.max,  # the statics divide by it as a float
+            f"count must be an integer from 1 to {sys.float_info.max:.6g}, got {self.count!r}",
         )
 
     @property

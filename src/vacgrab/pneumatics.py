@@ -199,7 +199,9 @@ def line_loss_total(
 
     The velocity entering the first segment is given; velocities in
     later segments follow from continuity. A single-segment line has no
-    bore change and loses nothing.
+    bore change and loses nothing. Steps whose sum is undefined (a nan
+    step, or +inf and -inf steps) are outside the model's range and
+    raise ValidationError; finite steps whose sum overflows give inf.
     """
     if not segments:
         raise ValidationError("line must have at least one segment")
@@ -209,5 +211,16 @@ def line_loss_total(
         step = constriction_pressure_drop(up, down, v, consts)
         details.append(step)
         v = step.downstream_velocity
-    total = math.fsum(d.delta_p for d in details)
+    deltas = [d.delta_p for d in details]
+    try:
+        total = math.fsum(deltas)
+    except OverflowError:  # finite steps whose exact sum no float holds
+        total = math.copysign(math.inf, sum(deltas))
+    except ValueError:  # +inf and -inf steps
+        total = math.nan
+    if math.isnan(total):
+        i, delta = next((i, x) for i, x in enumerate(deltas, start=1) if not math.isfinite(x))
+        raise ValidationError(
+            f"line step {i}: pressure change {delta} Pa is not finite, so the line loss is undefined"
+        )
     return total, details

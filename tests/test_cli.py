@@ -12,10 +12,8 @@ import vacgrab
 from vacgrab import (
     Layout,
     Permeability,
-    PipeSegment,
     Polygon,
     PressureWindow,
-    ValidationError,
     Verdict,
     Vgtc,
     calibrate_spacing,
@@ -28,14 +26,12 @@ from vacgrab.cli import (
     emit_batch,
     emit_layout_svg,
     emit_report,
-    emit_scenario_config,
     load_bundled_corpus,
     main,
     parse_config,
     parse_corpus_csv,
-    parse_report,
 )
-from vacgrab.feasibility import CorpusEntry, run_corpus
+from vacgrab.feasibility import CorpusEntry
 from conftest import make_scenario
 
 
@@ -140,6 +136,35 @@ def test_vertices_outline_parses():
 
 
 def test_scenario_echo_round_trip(pocket_bag, std_line):
+    # a literal config text parses to the Scenario built in Python; bores
+    # and radius are bare SI numbers because "5.2 mm" converts to 0.005200000000000001
+    text = """
+[fabric]
+id = pocket_bag
+length = 26 cm
+width = 19 cm
+mass = 2.5 g
+friction = 0.5
+material = 100% Polyester; Plain Weave; TEXTILE-WOVEN
+
+[cup]
+orifice_diameter = 2 mm
+
+[line]
+inner_diameter = 0.0052
+length = 1 m
+upstream_velocity = 37.14
+
+[line]
+inner_diameter = 2 mm
+length = 10 cm
+
+[vgtc]
+radius = 0.044
+p_min = 37561 Pa
+p_max = 60 kPa
+margin = 1.5 cm
+"""
     window = PressureWindow(p_min=37_561.0, p_max=60_000.0)
     scenario = make_scenario(
         pocket_bag,
@@ -147,58 +172,11 @@ def test_scenario_echo_round_trip(pocket_bag, std_line):
         vgtc=Vgtc(center=(0.0, 0.0), radius=0.044, pressure_window=window),
         margin=0.015,
     )
-    assert parse_config(emit_scenario_config(scenario)) == scenario
-
-
-def test_scenario_echo_round_trip_shipped_configs():
-    for name in ("pocket_bag.conf", "pocket_facing.conf"):
-        scenario = parse_config(shipped(name))
-        assert parse_config(emit_scenario_config(scenario)) == scenario
+    assert parse_config(text) == scenario
 
 
 # ---------------------------------------------------------------------------
 # report emission
-
-def test_structured_report_round_trip(bag_scenario):
-    report = evaluate(bag_scenario)
-    assert parse_report(emit_report(report, "structured")) == report
-
-
-def test_structured_round_trip_with_layout(pocket_bag):
-    scenario = make_scenario(
-        pocket_bag,
-        (PipeSegment(inner_diameter=5.2e-3), PipeSegment(inner_diameter=2e-3)),
-        vgtc=Vgtc(center=(0, 0), radius=0.01, pressure_window=PressureWindow(p_min=30_000.0)),
-    )
-    report = evaluate(scenario)
-    assert report.layout is not None
-    assert parse_report(emit_report(report, "structured")) == report
-
-
-@pytest.mark.parametrize("key", ["spacing", "margin"])
-def test_structured_report_with_nan_layout_rejected(pocket_bag, key):
-    scenario = make_scenario(
-        pocket_bag,
-        (PipeSegment(inner_diameter=2e-3),),
-        vgtc=Vgtc(center=(0, 0), radius=0.05, pressure_window=PressureWindow(p_min=30_000.0)),
-    )
-    doc = json.loads(emit_report(evaluate(scenario), "structured"))
-    doc["layout"][key] = float("nan")  # json.dumps writes NaN, json.loads reads it back
-    with pytest.raises(ValidationError, match=key):
-        parse_report(json.dumps(doc))
-
-
-def test_structured_report_with_infinite_margin_rejected(pocket_bag):
-    scenario = make_scenario(
-        pocket_bag,
-        (PipeSegment(inner_diameter=2e-3),),
-        vgtc=Vgtc(center=(0, 0), radius=0.05, pressure_window=PressureWindow(p_min=30_000.0)),
-    )
-    doc = json.loads(emit_report(evaluate(scenario), "structured"))
-    doc["layout"]["margin"] = float("inf")  # json.dumps writes Infinity
-    with pytest.raises(ValidationError, match="margin must be finite and >= 0"):
-        parse_report(json.dumps(doc))
-
 
 def test_csv_report_reference_row(bag_scenario):
     report = evaluate(bag_scenario)
@@ -224,8 +202,9 @@ def test_empty_batch_csv_is_header_only():
 
 
 def test_batch_error_entries_keep_slots(bag_scenario):
-    entries = run_corpus([bag_scenario]) + [
-        CorpusEntry(index=1, label="bad", report=None, error="boom")
+    entries = [
+        CorpusEntry(index=0, label="ok", report=evaluate(bag_scenario), error=None),
+        CorpusEntry(index=1, label="bad", report=None, error="boom"),
     ]
     text = emit_batch(entries, "csv").decode()
     lines = text.strip().splitlines()
@@ -611,6 +590,68 @@ def test_plan_radius_whose_disk_area_underflows_exit_two(tmp_path):
     assert result.returncode == 2
     assert "Traceback" not in result.stderr
     assert result.stderr == "error: line 48: radius 1e-170 m has a disk area of 0\n"
+
+
+@pytest.mark.parametrize("command", ["check", "batch"])
+def test_non_utf8_file_exit_two(tmp_path, command):
+    path = tmp_path / "bad"
+    path.write_bytes(b"\xff\xfe")
+    flag, what = ("--config", "config") if command == "check" else ("--corpus", "corpus")
+    result = run_cli(command, flag, str(path))
+    assert result.returncode == 2
+    assert "Traceback" not in result.stderr
+    assert result.stderr.startswith(f"error: cannot read {what} {str(path)!r}: not UTF-8 text")
+
+
+def test_bom_config_reads_like_the_file_without_it(tmp_path, bag_config):
+    path = tmp_path / "bom.conf"
+    path.write_bytes(b"\xef\xbb\xbf" + Path(bag_config).read_bytes())
+    with_bom, without = run_cli("check", "--config", str(path)), run_cli("check", "--config", bag_config)
+    assert with_bom.returncode == without.returncode == 0
+    assert (with_bom.stdout, with_bom.stderr) == (without.stdout, without.stderr)
+    assert parse_config(path.read_bytes()) == parse_config(shipped("pocket_bag.conf"))
+
+
+@pytest.mark.parametrize(
+    "command, prefix", [("check", "line-loss stage: "), ("line-loss", "")], ids=["check", "line-loss"]
+)
+@pytest.mark.parametrize(
+    "velocity, bores, delta",
+    [
+        ("37.14", ("1 m", "1e-150 m", "1 m"), "inf"),  # a +inf step, then a -inf step
+        ("0", ("1 m", "1e-150 m"), "nan"),  # no velocity times an infinite area ratio
+    ],
+    ids=["inf-minus-inf", "nan"],
+)
+def test_undefined_line_loss_exit_two(tmp_path, command, prefix, velocity, bores, delta):
+    text = shipped("pocket_bag.conf")
+    lines = [f"[line]\ninner_diameter = {bore}\n" for bore in bores]
+    lines[0] += f"upstream_velocity = {velocity}\n"
+    path = tmp_path / "line.conf"
+    path.write_text(text[: text.index("[line]")] + "\n".join(lines))
+    result = run_cli(command, "--config", str(path))
+    assert result.returncode == 2
+    assert "Traceback" not in result.stderr
+    assert result.stderr == (
+        f"error: {prefix}line step 1: pressure change {delta} Pa is not finite, "
+        "so the line loss is undefined\n"
+    )
+
+
+def test_batch_huge_gripper_count_is_a_row_error(tmp_path):
+    path = tmp_path / "corpus.csv"
+    path.write_text(
+        "h1,h2,h3,h4,h5,h6,h7,h8\n"
+        f"1,Pocket Bag,x,mat,{'9' * 401},26cm x 19cm,-55kPa,Pass\n"
+        "2,Pocket Bag,y,mat,6,26cm x 19cm,-55kPa,Pass\n"
+    )
+    result = run_cli("batch", "--corpus", str(path), "--format", "csv")
+    assert result.returncode == 0
+    assert "Traceback" not in result.stderr
+    lines = result.stdout.strip().splitlines()
+    assert len(lines) == 3
+    assert "error: count must be an integer from 1 to 1.79769e+308" in lines[1]
+    assert lines[2].startswith("lot2-y,") and lines[2].endswith(",Pass")
 
 
 def test_batch_bundled_corpus(capsys):

@@ -282,12 +282,6 @@ def test_run_corpus_isolates_bad_rows():
     assert sum(e.report is not None for e in entries) == 11
 
 
-def test_run_corpus_accepts_scenarios(bag_scenario):
-    entries = run_corpus([bag_scenario])
-    assert entries[0].report is not None
-    assert entries[0].label == "pocket_bag"
-
-
 def test_run_corpus_preserves_order():
     rows = [make_row(lot=str(i)) for i in range(5)]
     entries = run_corpus(rows)

@@ -139,6 +139,8 @@ def test_cup_count_must_be_integer():
         SuctionCup(orifice_diameter=1e-3, count=0)
     with pytest.raises(ValidationError):
         SuctionCup(orifice_diameter=1e-3, count=1.5)
+    with pytest.raises(ValidationError, match="count must be an integer from 1 to 1.79769e"):
+        SuctionCup(orifice_diameter=1e-3, count=10**400)  # the statics divide by it as a float
 
 
 def test_generator_defaults():

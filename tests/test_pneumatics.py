@@ -272,3 +272,26 @@ def test_line_loss_chains_velocity(consts):
 def test_line_loss_requires_segments():
     with pytest.raises(ValidationError):
         line_loss_total([], 1.0)
+
+
+@pytest.mark.parametrize(
+    "velocity, bores, step, delta",
+    [
+        (37.14, (1.0, 1e-150, 1.0), 1, "inf"),  # +inf then -inf: fsum has no answer
+        (0.0, (1.0, 1e-150), 1, "nan"),  # 0 * inf
+        (37.14, (5.2e-3, 2e-3, 1e-150, 1.0), 2, "inf"),  # a finite step, then +inf and -inf
+    ],
+    ids=["inf-minus-inf", "nan", "second-step"],
+)
+def test_line_loss_undefined_sum_names_its_step(velocity, bores, step, delta):
+    segments = [PipeSegment(inner_diameter=d) for d in bores]
+    with pytest.raises(ValidationError, match=f"^line step {step}: pressure change {delta} Pa "):
+        line_loss_total(segments, velocity)
+
+
+def test_line_loss_finite_steps_whose_sum_overflows_give_inf():
+    # 1.74e308 + 8.56e307: each step finite, their exact sum beyond a float
+    segments = [PipeSegment(inner_diameter=d) for d in (1.0, 7.67e-3, 6.94e-3)]
+    total, steps = line_loss_total(segments, 1e150)
+    assert all(math.isfinite(s.delta_p) for s in steps)
+    assert total == math.inf
