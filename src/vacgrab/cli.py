@@ -420,8 +420,7 @@ def build_scenario(doc: ConfigDocument) -> Scenario:
 
 def parse_config(text: str | bytes) -> Scenario:
     """Parse a full scenario config; raises ConfigError or ValidationError."""
-    if isinstance(text, bytes):
-        text = text.decode("utf-8-sig")
+    text = text.decode("utf-8-sig") if isinstance(text, bytes) else text.removeprefix("\ufeff")
     return build_scenario(parse_document(text))
 
 

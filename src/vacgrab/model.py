@@ -151,6 +151,10 @@ class Polygon:
     so they take no part in ==, hash or repr. Construction rejects
     degenerate outlines: fewer than three vertices, repeated
     consecutive points, zero area, or self-intersection.
+
+    Simplicity: edges sorted by smaller x are swept (Shamos & Hoey 1976);
+    only non-adjacent pairs overlapping in x and y reach the segment test,
+    near linear on star-like outlines and O(n²) in the worst case.
     """
 
     vertices: tuple[Point, ...]
@@ -160,16 +164,29 @@ class Polygon:
         object.__setattr__(self, "vertices", verts)
         _require(len(verts) >= 3, "polygon needs at least 3 vertices")
         n = len(verts)
-        for i in range(n):
-            if verts[i] == verts[(i + 1) % n]:
-                raise ValidationError("polygon has a zero-length edge")
+        ends = verts[1:] + verts[:1]  # edge i runs from verts[i] to ends[i]
         total = 0.0
-        for (x1, y1), (x2, y2) in self.edges():
-            total += x1 * y2 - x2 * y1
+        for p, q in zip(verts, ends):
+            _require(p != q, "polygon has a zero-length edge")
+            total += p[0] * q[1] - q[0] * p[1]
         object.__setattr__(self, "signed_area", 0.5 * total)
         _require(abs(self.signed_area) > 0.0, "polygon area must be positive")
-        if self._self_intersects():
-            raise ValidationError("polygon must be simple (non-self-intersecting)")
+        lo = [min(p[0], q[0]) for p, q in zip(verts, ends)]
+        active: list[int] = []
+        for i in sorted(range(n), key=lo.__getitem__):
+            p, q, x_lo = verts[i], ends[i], lo[i]
+            y_lo, y_hi = (p[1], q[1]) if p[1] <= q[1] else (q[1], p[1])
+            kept = [i]
+            for j in active:
+                r, s = verts[j], ends[j]
+                if r[0] < x_lo and s[0] < x_lo:
+                    continue  # ends left of this edge and of every later one
+                kept.append(j)
+                if (r[1] < y_lo and s[1] < y_lo) or (r[1] > y_hi and s[1] > y_hi):
+                    continue
+                if abs(i - j) not in (1, n - 1) and _segments_intersect(p, q, r, s):
+                    raise ValidationError("polygon must be simple (non-self-intersecting)")
+            active = kept
 
     @classmethod
     def rectangle(cls, length: float, width: float) -> "Polygon":
@@ -207,22 +224,6 @@ class Polygon:
         if len({x for x, _ in self.vertices}) != 2 or len({y for _, y in self.vertices}) != 2:
             return None
         return self.bounds
-
-    def edges(self):
-        verts = self.vertices
-        for i in range(len(verts)):
-            yield verts[i], verts[(i + 1) % len(verts)]
-
-    def _self_intersects(self) -> bool:
-        edges = list(self.edges())
-        n = len(edges)
-        for i in range(n):
-            for j in range(i + 1, n):
-                if j == i + 1 or (i == 0 and j == n - 1):
-                    continue  # adjacent edges share a vertex by design
-                if _segments_intersect(*edges[i], *edges[j]):
-                    return True
-        return False
 
 
 def as_polygon(outline) -> Polygon:

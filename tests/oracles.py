@@ -3,11 +3,14 @@
 These deliberately avoid the library's own algorithms: the area oracle
 is Monte Carlo point sampling, the spacing oracle is a brute scan that
 re-counts layouts sample by sample through a count function the caller
-supplies, and the grid oracle counts the single-pitch grid in closed
-form from the piece's sides alone. Nothing here imports vacgrab.
+supplies, the grid oracle counts the single-pitch grid in closed
+form from the piece's sides alone, and the simplicity oracle tests
+every edge pair in exact rational arithmetic. Nothing here imports
+vacgrab.
 """
 
 import math
+from fractions import Fraction
 
 import numpy as np
 
@@ -83,3 +86,43 @@ def grid_spacing_runs(length, width, margin, target, low, high, step):
     if run:
         runs.append(run)
     return runs
+
+
+def _orientation(o, a, b):
+    """Sign of the cross product (a - o) x (b - o): -1, 0 or 1."""
+    v = (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
+    return (v > 0) - (v < 0)
+
+
+def _in_box(p, q, r):
+    return min(p[0], q[0]) <= r[0] <= max(p[0], q[0]) and min(p[1], q[1]) <= r[1] <= max(p[1], q[1])
+
+
+def _closed_segments_meet(p1, p2, q1, q2):
+    d1, d2 = _orientation(q1, q2, p1), _orientation(q1, q2, p2)
+    d3, d4 = _orientation(p1, p2, q1), _orientation(p1, p2, q2)
+    if d1 * d2 < 0 and d3 * d4 < 0:
+        return True
+    return (
+        (d1 == 0 and _in_box(q1, q2, p1))
+        or (d2 == 0 and _in_box(q1, q2, p2))
+        or (d3 == 0 and _in_box(p1, p2, q1))
+        or (d4 == 0 and _in_box(p1, p2, q2))
+    )
+
+
+def brute_self_intersects(vertices):
+    """Whether any two non-adjacent edges of the closed ring share a
+    point, testing all n(n-3)/2 such pairs. Coordinates become exact
+    fractions, so collinear, touching and shared-vertex cases are
+    decided without rounding."""
+    pts = [(Fraction(x), Fraction(y)) for x, y in vertices]
+    n = len(pts)
+    edges = [(pts[i], pts[(i + 1) % n]) for i in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            if j == i + 1 or (i == 0 and j == n - 1):
+                continue  # adjacent edges share a vertex by design
+            if _closed_segments_meet(*edges[i], *edges[j]):
+                return True
+    return False

@@ -609,7 +609,9 @@ def test_bom_config_reads_like_the_file_without_it(tmp_path, bag_config):
     with_bom, without = run_cli("check", "--config", str(path)), run_cli("check", "--config", bag_config)
     assert with_bom.returncode == without.returncode == 0
     assert (with_bom.stdout, with_bom.stderr) == (without.stdout, without.stderr)
-    assert parse_config(path.read_bytes()) == parse_config(shipped("pocket_bag.conf"))
+    text = path.read_text("utf-8")  # str form: the BOM stays in the text
+    assert text.startswith("\ufeff")
+    assert parse_config(text) == parse_config(path.read_bytes()) == parse_config(shipped("pocket_bag.conf"))
 
 
 @pytest.mark.parametrize(

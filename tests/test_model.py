@@ -1,8 +1,10 @@
 import math
+import random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
+import vacgrab.model
 from vacgrab import (
     EnergyHeads,
     FabricPiece,
@@ -19,6 +21,7 @@ from vacgrab import (
     convert_units,
 )
 from vacgrab.model import as_polygon, circular_area, supported_units
+from oracles import brute_self_intersects
 
 
 # ---------------------------------------------------------------------------
@@ -218,6 +221,102 @@ def test_polygon_rejects_degenerate():
         Polygon(((0, 0), (1, 0), (2, 0)))  # zero area
     with pytest.raises(ValidationError):
         Polygon(((0, 0), (1, 0)))
+
+
+NOT_SIMPLE = "polygon must be simple (non-self-intersecting)"
+
+
+def _star(rng, n):
+    """A star outline by the benchmark generator's recipe, in meters:
+    angles increase strictly and radii are positive, so it is simple."""
+    big = rng.uniform(8.0, 25.0)  # cm
+    verts = []
+    for k in range(n):
+        theta = 2.0 * math.pi * (k + 0.2 + 0.6 * rng.random()) / n
+        rho = big * rng.uniform(0.55, 1.0)
+        x, y = big + rho * math.cos(theta), big + rho * math.sin(theta)
+        verts.append((float(f"{x:.4f}") * 0.01, float(f"{y:.4f}") * 0.01))
+    return verts
+
+
+def _swap_opposite(verts):
+    """verts with vertex 0 and its opposite swapped: their edges cross the middle."""
+    half = len(verts) // 2
+    return [verts[half], *verts[1:half], verts[0], *verts[half + 1:]]
+
+
+def _assert_simplicity_matches_oracle(vertices):
+    if brute_self_intersects(vertices):
+        with pytest.raises(ValidationError) as err:
+            Polygon(vertices)
+        assert str(err.value) == NOT_SIMPLE
+    else:
+        Polygon(vertices)
+
+
+@settings(max_examples=400)
+@given(st.lists(st.tuples(st.integers(0, 4), st.integers(0, 4)), min_size=3, max_size=9))
+def test_simplicity_check_matches_brute_oracle_on_a_small_grid(vertices):
+    # a 5x5 grid makes ties, collinear overlaps, T-junctions and repeated
+    # non-consecutive vertices common; integer coordinates keep the float
+    # predicate exact, so it must agree with the rational oracle
+    ring = list(zip(vertices, vertices[1:] + vertices[:1]))
+    assume(all(p != q for p, q in ring))
+    assume(sum(x1 * y2 - x2 * y1 for (x1, y1), (x2, y2) in ring) != 0)
+    _assert_simplicity_matches_oracle(vertices)
+
+
+# near-collinear edges P1-P2 and Q1-Q2 with disjoint bounding boxes: in
+# floating point the orientation signs alone report a crossing
+_P1, _P2 = (1.7468803619296989, 2.238049366978647), (4.249493869846977, 5.57531116785127)
+_Q1, _Q2 = (4.490159433385054, 5.896241263305568), (6.201190552115094, 8.177919506700894)
+
+
+@pytest.mark.parametrize(
+    "vertices, self_intersects",
+    [
+        pytest.param(((0, 0), (2, 2), (2, 0), (0, 1)), True, id="bowtie"),
+        pytest.param(((0, 0), (4, 0), (0, 3)), False, id="triangle"),
+        pytest.param(((0, 0), (4, 0), (4, 4), (3, 4), (2, 0), (1, 4), (0, 4)), True,
+                     id="vertex-touches-edge"),
+        pytest.param(((0, 0), (4, 0), (4, 2), (3, 2), (3, 0), (1, 0), (1, 2), (0, 2)), True,
+                     id="collinear-overlap"),
+        pytest.param(((0, 0), (2, 0), (2, 2), (4, 2), (4, 4), (2, 4), (2, 2), (0, 2)), True,
+                     id="pinched-figure-8"),
+        pytest.param(((0, 0), (4, 0), (4, 1), (1, 1), (1, 4), (0, 4)), False,
+                     id="vertical-and-horizontal-edges"),
+        pytest.param(((0, 0), (5, 0), (5, 3), (4, 3), (4, 1), (3, 1), (3, 3), (2, 3), (2, 1),
+                      (1, 1), (1, 3), (0, 3)), False, id="comb"),
+        pytest.param((_P1, _P2, (4.0698, 6.2358), _Q1, _Q2, (6.974, 2.208)), False,
+                     id="near-collinear-disjoint-boxes"),
+        *(pytest.param(_star(random.Random(seed), n), False, id=f"star-{n}-{seed}")
+          for n, seed in [(5, 1), (12, 2), (50, 3), (80, 4)]),
+        *(pytest.param(_swap_opposite(_star(random.Random(seed), n)), True, id=f"swapped-star-{n}-{seed}")
+          for n, seed in [(8, 5), (40, 6)]),
+    ],
+)
+def test_simplicity_check_matches_brute_oracle(vertices, self_intersects):
+    assert brute_self_intersects(vertices) is self_intersects
+    _assert_simplicity_matches_oracle(vertices)
+
+
+def test_simplicity_check_work_is_near_linear(monkeypatch):
+    calls = 0
+    segments_intersect = vacgrab.model._segments_intersect
+
+    def counting(*args):
+        nonlocal calls
+        calls += 1
+        return segments_intersect(*args)
+
+    monkeypatch.setattr(vacgrab.model, "_segments_intersect", counting)
+    regular = [(math.cos(2 * math.pi * k / 2000), math.sin(2 * math.pi * k / 2000)) for k in range(2000)]
+    Polygon(regular)  # testing every non-adjacent pair would take 1,997,000 calls
+    assert calls <= 4 * len(regular)
+    calls = 0
+    star = _star(random.Random(11), 400)
+    Polygon(star)
+    assert 0 < calls <= 4 * len(star)
 
 
 def test_axis_aligned_rectangle_detection():
