@@ -21,13 +21,14 @@ from __future__ import annotations
 import argparse
 import csv
 import io
-import json
 import re
 import sys
 from dataclasses import MISSING, dataclass, field, fields
 from functools import cache
 from importlib import resources
-from typing import Callable, Iterable, NamedTuple, Sequence
+from itertools import product
+from json.encoder import encode_basestring_ascii
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from . import pneumatics, statics
 from .feasibility import (
@@ -430,12 +431,31 @@ def parse_config(text: str | bytes) -> Scenario:
 CSV_COLUMNS = ("id", "force_N", "req_pressure_Pa", "loss_Pa", "net_Pa", "gripper_count", "verdict")
 
 
-# vars() of a report, layout or line step maps its fields to their values
-# in declaration order, without the deep copy dataclasses.asdict() makes.
+@dataclass(frozen=True)
+class _Grid:
+    """A layout's positions for the JSON writer: [x, y] pairs, row by row."""
+
+    xs: tuple[float, ...]
+    ys: tuple[float, ...]
+
+
+def _layout_dict(layout: Layout) -> dict:
+    return {
+        "positions": _Grid(layout.xs, layout.ys),
+        "spacing": layout.spacing,
+        "margin": layout.margin,
+        "rows": layout.rows,
+        "cols": layout.cols,
+    }
+
+
+# vars() of a report or line step maps its fields to their values in
+# declaration order, without the deep copy dataclasses.asdict() makes.
 def report_to_dict(report: GraspReport) -> dict:
+    """A report as data for the structured writer (_json_text)."""
     return {
         **vars(report),
-        "layout": vars(report.layout) if report.layout is not None else None,
+        "layout": _layout_dict(report.layout) if report.layout is not None else None,
         "verdict": report.verdict.value,
     }
 
@@ -481,19 +501,103 @@ def _human_report(report: GraspReport) -> str:
     return "\n".join(lines) + "\n"
 
 
+_JSON_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _json_float(value: float) -> str:
+    text = float.__repr__(value)
+    return _JSON_NON_FINITE.get(text, text)
+
+
+def _write_json(value, pad: str, out: list[str]) -> None:
+    """Append `value` to out as json.dumps(value, indent=2) writes it.
+
+    pad is a newline followed by the indentation of the line the value
+    starts on. Dict keys must be str. A list of finite floats is joined
+    in one step, and a _Grid formats each column's x and each row's y
+    once.
+    """
+    if isinstance(value, str):
+        out.append(encode_basestring_ascii(value))
+    elif value is None:
+        out.append("null")
+    elif value is True:
+        out.append("true")
+    elif value is False:
+        out.append("false")
+    elif isinstance(value, int):
+        out.append(int.__repr__(value))
+    elif isinstance(value, float):
+        out.append(_json_float(value))
+    elif isinstance(value, (list, tuple)):
+        inner = pad + "  "
+        if not value:
+            out.append("[]")
+            return
+        if all(type(item) is float for item in value):
+            text = ("," + inner).join(map(float.__repr__, value))
+            if "n" not in text:  # no nan or inf, which json spells NaN and Infinity
+                out.append("[" + inner + text + pad + "]")
+                return
+        sep = "[" + inner
+        for item in value:
+            out.append(sep)
+            _write_json(item, inner, out)
+            sep = "," + inner
+        out.append(pad + "]")
+    elif isinstance(value, dict):
+        inner = pad + "  "
+        if not value:
+            out.append("{}")
+            return
+        sep = "{" + inner
+        for key, item in value.items():
+            if not isinstance(key, str):
+                raise TypeError(f"keys must be str, not {type(key).__name__}")
+            out.append(sep + encode_basestring_ascii(key) + ": ")
+            _write_json(item, inner, out)
+            sep = "," + inner
+        out.append(pad + "}")
+    elif isinstance(value, _Grid):
+        if not value.xs or not value.ys:
+            out.append("[]")
+            return
+        inner = pad + "  "
+        cell = inner + "  "
+        heads = ["[" + cell + _json_float(x) + "," + cell for x in value.xs]
+        tails = [_json_float(y) + inner + "]" for y in value.ys]
+        out.append("[" + inner + ("," + inner).join(h + t for t in tails for h in heads) + pad + "]")
+    else:
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
+def _json_text(value) -> str:
+    """The text json.dumps(value, indent=2) + "\n" gives, built faster.
+
+    json.dumps runs its pure-Python encoder whenever indent is set.
+    This writer gives every scalar the encoding json gives it
+    (float.__repr__ and NaN/Infinity, int.__repr__, the C string
+    escaper) and lays out the indentation itself.
+    """
+    out: list[str] = []
+    _write_json(value, "\n", out)
+    out.append("\n")
+    return "".join(out)
+
+
 def _render(format: str, command: str, renderers: dict[str, Callable[[], object]]) -> bytes:
     """A command's output in `format`, which must be one of its formats.
 
     renderers maps each format the command supports to a function that
     builds the output: text for human and csv, JSON-ready data for
-    structured.
+    structured, which _json_text writes as json.dumps(indent=2) would.
     """
     if format not in renderers:
         *others, last = renderers
         raise UsageError(f"{command} supports --format {', '.join(others)} or {last}")
     output = renderers[format]()
     if format == "structured":
-        output = json.dumps(output, indent=2) + "\n"
+        output = _json_text(output)
     return output.encode("utf-8")
 
 
@@ -565,8 +669,9 @@ def emit_layout_svg(layout: Layout, outline: Polygon, vgtc: Vgtc) -> bytes:
 
     A position whose effective ratio (vgtc.effective_ratios, the ratios
     check and plan report) is below 1 - 1e-9 additionally gets its
-    effective (clipped) area shaded. Output is deterministic byte for
-    byte for identical inputs.
+    effective (clipped) area shaded. Each column's x and each row's y
+    are formatted once. Output is deterministic byte for byte for
+    identical inputs.
     """
     bx0, by0, bx1, by1 = outline.bounds
     ext = vgtc.radius
@@ -608,22 +713,25 @@ def emit_layout_svg(layout: Layout, outline: Polygon, vgtc: Vgtc) -> bytes:
         )
 
     r_px = _fmt(vgtc.radius * _SVG_SCALE)
-    for pos, ratio in zip(layout.positions, effective_ratios(vgtc, outline, layout.positions)):
+    cxs = [_fmt(tx(x)) for x in layout.xs]
+    cys = [_fmt(ty(y)) for y in layout.ys]
+
+    def circles(head: str, tail: str) -> Iterator[str]:
+        """One element per position, row by row: head, cx, cy, tail."""
+        heads = [f'{head} cx="{cx}" cy="' for cx in cxs]
+        tails = [f'{cy}" {tail}' for cy in cys]
+        return (h + t for t in tails for h in heads)
+
+    for i, ratio in enumerate(effective_ratios(vgtc, outline, layout.positions)):
         if ratio < 1.0 - 1e-9:
             parts.append(
-                f'<circle class="effective-shade" cx="{_fmt(tx(pos[0]))}" cy="{_fmt(ty(pos[1]))}" '
+                f'<circle class="effective-shade" cx="{cxs[i % layout.cols]}" cy="{cys[i // layout.cols]}" '
                 f'r="{r_px}" fill="#7fb3d5" fill-opacity="0.35" clip-path="url(#fabric-clip)"/>'
             )
-    for pos in layout.positions:
-        parts.append(
-            f'<circle class="vgtc-ring" cx="{_fmt(tx(pos[0]))}" cy="{_fmt(ty(pos[1]))}" '
-            f'r="{r_px}" fill="none" stroke="#2e6da4" stroke-width="1.2"/>'
-        )
-    for pos in layout.positions:
-        parts.append(
-            f'<circle class="grip-dot" cx="{_fmt(tx(pos[0]))}" cy="{_fmt(ty(pos[1]))}" '
-            f'r="3" fill="#c0392b"/>'
-        )
+    parts.extend(circles(
+        '<circle class="vgtc-ring"', f'r="{r_px}" fill="none" stroke="#2e6da4" stroke-width="1.2"/>'
+    ))
+    parts.extend(circles('<circle class="grip-dot"', 'r="3" fill="#c0392b"/>'))
     parts.append("</svg>")
     return ("\n".join(parts) + "\n").encode("utf-8")
 
@@ -636,6 +744,8 @@ _OUTLINE_RE = re.compile(
     r"^\s*(\d+(?:\.\d+)?)\s*cm\s*[x×]\s*(\d+(?:\.\d+)?)\s*cm\s*$", re.IGNORECASE
 )
 _SUPPLY_RE = re.compile(r"^\s*([-+]?\d+(?:\.\d+)?)\s*(kPa|Pa)\s*$")
+_INTEGER_RE = re.compile(r"([-+]?)0*(\d+)")
+_FLOAT_DIGITS = sys.float_info.max_10_exp + 1  # digits of the largest float
 
 
 def parse_corpus_csv(text: str) -> list[CorpusRow]:
@@ -666,10 +776,19 @@ def parse_corpus_csv(text: str) -> list[CorpusRow]:
         s = _SUPPLY_RE.match(supply)
         if not s:
             raise ConfigError(f"cannot parse supply pressure {supply!r}", line_no)
-        try:
-            count = int(grippers)
-        except ValueError:
-            raise ConfigError(f"gripper count {grippers!r} is not an integer", line_no) from None
+        whole = _INTEGER_RE.fullmatch(grippers)
+        if whole is not None:
+            # A count with more digits than any float is out of range, and past
+            # 4,300 digits int() refuses it. As +-inf SuctionCup rejects it, so
+            # the row becomes one error entry.
+            sign, digits = whole.groups()
+            count = int(sign + digits) if len(digits) <= _FLOAT_DIGITS else float(sign + "inf")
+        else:
+            try:
+                count = int(grippers)  # the other forms int() reads, such as 1_000
+            except ValueError:
+                shown = grippers if len(grippers) <= 40 else grippers[:40] + "..."
+                raise ConfigError(f"gripper count {shown!r} is not an integer", line_no) from None
         rows.append(
             CorpusRow(
                 lot=lot,
@@ -875,14 +994,16 @@ def _cmd_plan(args) -> tuple[bytes, list[str]]:
             f"margin        : {layout.margin:.6g} m",
             f"min ratio     : {min(ratios):.4f}",
         ]
-        for pos, ratio in zip(layout.positions, ratios):
-            lines.append(f"  ({pos[0]:.4f}, {pos[1]:.4f}) m  effective {ratio:.4f}")
+        xs = [f"{x:.4f}" for x in layout.xs]
+        ys = [f"{y:.4f}" for y in layout.ys]
+        for (y, x), ratio in zip(product(ys, xs), ratios):
+            lines.append(f"  ({x}, {y}) m  effective {ratio:.4f}")
         return "\n".join(lines) + "\n"
 
     return _render(args.format, args.command, {
         "human": human,
         "structured": lambda: {
-            "layout": vars(layout),
+            "layout": _layout_dict(layout),
             "effective_ratios": ratios,
             "radius": circle.radius,
         },

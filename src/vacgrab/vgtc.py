@@ -9,7 +9,9 @@ is fixed, effective area scales with the ratio, so pressure scales
 inversely. The inflation law is a modeling choice, not a measured
 curve; treat its outputs as conservative. effective_ratios gives the
 ratio at every layout position, and the verdict, the plan listing and
-the SVG shading all read those values.
+the SVG shading all read those values. It moves the one validated
+circle to each position (Vgtc.moved) instead of building and checking
+a new one.
 
 The disk/polygon intersection is exact. Each polygon edge contributes
 a Green's theorem term: straight pieces inside the disk integrate as
@@ -18,22 +20,27 @@ their chord shadows (r^2/2 * wrapped angle). Summed over a CCW
 boundary this yields the intersection area to floating-point accuracy
 for any simple polygon, convex or not.
 
-Layouts exist only for outlines that are an exact box (Polygon.box,
-no tolerance): a rectangle given as vertices must repeat identical
-coordinates, or come from length and width. On a real layout almost
-every disk lies wholly on the piece. So when the outline's box
-contains the disk's bounding square, the intersection is the disk's
-own area, returned without integrating, and the ratio is exactly 1.
-The fast path sits inside circle_polygon_intersection_area, not in
-effective_ratio or effective_ratios, so every caller of the
-intersection gets it and each layout position still makes exactly one
-intersection call.
+A layout is its columns and rows: the x of each column and the y of
+each row. Its positions are derived from them, row by row, and built
+only when asked for; the emitters format each column and each row
+once. Layouts exist only for outlines that are an exact box
+(Polygon.box, no tolerance): a rectangle given as vertices must
+repeat identical coordinates, or come from length and width. On a
+real layout almost every disk lies wholly on the piece. So when the
+outline's box contains the disk's bounding square, the intersection
+is the disk's own area, returned without integrating, and the ratio
+is exactly 1. The fast path sits inside
+circle_polygon_intersection_area, not in effective_ratio or
+effective_ratios, so every caller of the intersection gets it and
+each layout position still makes exactly one intersection call.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import repeat
 
 from .model import (
     Point,
@@ -71,34 +78,53 @@ class Vgtc:
         if not isinstance(self.pressure_window, PressureWindow):
             raise ValidationError("pressure_window must be a PressureWindow")
 
+    def moved(self, center: Point) -> Vgtc:
+        """This circle with its center at `center`, a pair of floats.
+
+        The radius, window and disk_area were validated when this circle
+        was built and do not depend on the center, so the copy skips
+        __post_init__.
+        """
+        circle = object.__new__(Vgtc)
+        attrs = circle.__dict__
+        attrs.update(self.__dict__)
+        attrs["center"] = center
+        return circle
+
 
 @dataclass(frozen=True)
 class Layout:
-    """A rectangular grid of gripper positions inside a margin inset."""
+    """A rectangular grid of gripper positions inside a margin inset.
 
-    positions: tuple[Point, ...]
+    xs holds the x of each column and ys the y of each row. cols and
+    rows are their lengths, and positions is every (x, y), row by row
+    (all of the first row, then the next), built once on first use.
+    """
+
+    xs: tuple[float, ...]
+    ys: tuple[float, ...]
     spacing: float
     margin: float
-    rows: int
-    cols: int
 
     def __post_init__(self):
-        object.__setattr__(
-            self,
-            "positions",
-            tuple((float(x), float(y)) for x, y in self.positions),
-        )
+        object.__setattr__(self, "xs", tuple(map(float, self.xs)))
+        object.__setattr__(self, "ys", tuple(map(float, self.ys)))
         if not 0 < self.spacing < math.inf:  # also rejects nan
             raise ValidationError(f"spacing must be finite and > 0, got {self.spacing}")
         if not 0 <= self.margin < math.inf:  # also rejects nan
             raise ValidationError(f"margin must be finite and >= 0, got {self.margin}")
-        if self.rows < 0 or self.cols < 0:
-            raise ValidationError("rows and cols must be >= 0")
-        if len(self.positions) != self.rows * self.cols:
-            raise ValidationError(
-                f"{len(self.positions)} positions inconsistent with "
-                f"{self.rows} rows x {self.cols} cols"
-            )
+
+    @property
+    def cols(self) -> int:
+        return len(self.xs)
+
+    @property
+    def rows(self) -> int:
+        return len(self.ys)
+
+    @cached_property
+    def positions(self) -> tuple[Point, ...]:
+        return tuple((x, y) for y in self.ys for x in self.xs)
 
 
 # ---------------------------------------------------------------------------
@@ -170,15 +196,15 @@ def circle_polygon_intersection_area(circle: Vgtc, outline: Polygon) -> float:
 def effective_ratio(circle: Vgtc, outline: Polygon) -> float:
     """Fraction of the grabbing disk that lies on the fabric, in [0, 1]."""
     ratio = circle_polygon_intersection_area(circle, outline) / circle.disk_area
-    return min(max(ratio, 0.0), 1.0)
+    return 0.0 if ratio < 0.0 else 1.0 if ratio > 1.0 else ratio
 
 
 def effective_ratios(circle: Vgtc, outline: Polygon, positions: tuple[Point, ...]) -> tuple[float, ...]:
-    """effective_ratio of the circle moved to each position, in order."""
-    return tuple(
-        effective_ratio(Vgtc(pos, circle.radius, circle.pressure_window), outline)
-        for pos in positions
-    )
+    """effective_ratio of the circle moved to each position, in order.
+
+    positions are pairs of floats, as Layout.positions holds them.
+    """
+    return tuple(map(effective_ratio, map(circle.moved, positions), repeat(outline)))
 
 
 def adjusted_min_pressure(window: PressureWindow, ratio: float) -> float:
@@ -271,8 +297,7 @@ def generate_layout(outline: Polygon, margin: float, spacing: float) -> Layout:
     x0, y0, _, _ = outline.box
     xs = _axis_positions(x0 + margin, usable_l, spacing, cols)
     ys = _axis_positions(y0 + margin, usable_w, spacing, rows)
-    positions = tuple((x, y) for y in ys for x in xs)
-    return Layout(positions=positions, spacing=spacing, margin=margin, rows=rows, cols=cols)
+    return Layout(xs=xs, ys=ys, spacing=spacing, margin=margin)
 
 
 def _first(pred, lo: int, hi: int) -> int:

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import re
 import subprocess
@@ -7,6 +8,7 @@ from importlib import resources
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import vacgrab
 from vacgrab import (
@@ -31,6 +33,8 @@ from vacgrab.cli import (
     parse_config,
     parse_corpus_csv,
 )
+from vacgrab import vgtc as vgtc_module
+from vacgrab.cli import _Grid, _json_text
 from vacgrab.feasibility import CorpusEntry
 from conftest import make_scenario
 
@@ -214,6 +218,44 @@ def test_batch_error_entries_keep_slots(bag_scenario):
     assert structured[1]["error"] == "boom"
 
 
+_JSON_LEAVES = st.none() | st.booleans() | st.integers() | st.floats() | st.text()
+_JSON_TREES = st.recursive(
+    _JSON_LEAVES,
+    lambda children: (
+        st.lists(children)
+        | st.lists(children).map(tuple)
+        | st.lists(st.floats())  # all floats: the joined path, or its fallback on nan/inf
+        | st.dictionaries(st.text(), children)
+    ),
+    max_leaves=40,
+)
+
+
+@settings(max_examples=150)
+@given(_JSON_TREES)
+@example([-0.0, 1e-7, 1e22, 0.1])
+@example([1.0, math.nan, math.inf, -math.inf])
+@example({"": {}, "k": [], "\u00e9\u4e2d\U0001f600": ["\n\"\\", True, 1, 1.0, False, 0, None]})
+@example([(), [], {}, [[]], (1,)])
+def test_json_writer_matches_json_dumps(tree):
+    assert _json_text(tree) == json.dumps(tree, indent=2) + "\n"
+
+
+_AXIS = st.lists(st.floats(), max_size=6)
+
+
+@settings(max_examples=200)
+@given(xs=_AXIS, ys=_AXIS, depth=st.integers(0, 2))
+@example(xs=[], ys=[0.5], depth=0)
+@example(xs=[0.25], ys=[], depth=0)
+@example(xs=[0.1], ys=[-0.0], depth=1)
+def test_json_writer_grid_matches_json_dumps(xs, ys, depth):
+    grid, pairs = _Grid(tuple(xs), tuple(ys)), [[x, y] for y in ys for x in xs]
+    for _ in range(depth):
+        grid, pairs = {"positions": grid, "rows": len(ys)}, {"positions": pairs, "rows": len(ys)}
+    assert _json_text(grid) == json.dumps(pairs, indent=2) + "\n"
+
+
 # ---------------------------------------------------------------------------
 # corpus file handling
 
@@ -261,7 +303,7 @@ def test_svg_unclipped_layout_element_counts():
 def test_svg_clipped_corner_circle():
     outline = Polygon.rectangle(0.26, 0.19)
     vgtc = Vgtc(center=(0, 0), radius=0.05, pressure_window=PressureWindow(p_min=30_000.0))
-    layout = Layout(positions=((0.02, 0.02),), spacing=0.05, margin=0.02, rows=1, cols=1)
+    layout = Layout(xs=(0.02,), ys=(0.02,), spacing=0.05, margin=0.02)
     svg = emit_layout_svg(layout, outline, vgtc).decode()
     assert svg.count('class="effective-shade"') == 1
     assert 'clip-path="url(#fabric-clip)"' in svg
@@ -270,7 +312,7 @@ def test_svg_clipped_corner_circle():
 def test_svg_empty_layout_outline_only():
     outline = Polygon.rectangle(0.26, 0.19)
     vgtc = Vgtc(center=(0, 0), radius=0.02, pressure_window=PressureWindow(p_min=30_000.0))
-    layout = Layout(positions=(), spacing=0.05, margin=0.02, rows=0, cols=0)
+    layout = Layout(xs=(), ys=(), spacing=0.05, margin=0.02)
     svg = emit_layout_svg(layout, outline, vgtc).decode()
     assert svg.count("<circle") == 0
     assert svg.count('class="fabric"') == 1
@@ -280,7 +322,7 @@ def test_svg_empty_layout_outline_only():
 def test_svg_shades_a_disk_that_barely_overhangs(x, shaded):
     outline = Polygon.rectangle(0.26, 0.19)
     vgtc = Vgtc(center=(0, 0), radius=0.02, pressure_window=PressureWindow(p_min=30_000.0))
-    layout = Layout(positions=((x, 0.095),), spacing=0.02, margin=0.0, rows=1, cols=1)
+    layout = Layout(xs=(x,), ys=(0.095,), spacing=0.02, margin=0.0)
     svg = emit_layout_svg(layout, outline, vgtc).decode()
     assert svg.count('class="effective-shade"') == int(shaded)
     moved = Vgtc(center=(x, 0.095), radius=0.02, pressure_window=vgtc.pressure_window)
@@ -303,6 +345,25 @@ def test_svg_shades_exactly_the_positions_below_full_ratio(tmp_path, capsys):
     assert len(rings) == len(ratios) == 48
     assert shaded == [center for center, ratio in zip(rings, ratios) if ratio < 1.0 - 1e-9]
     assert len(shaded) == 24
+
+
+def test_one_intersection_per_position_in_evaluate_and_svg(tmp_path, monkeypatch):
+    # 48 positions, 24 of them full disks: each takes exactly one call
+    config = shipped("pocket_bag.conf") + "\n[vgtc]\nradius = 3 cm\np_min = 30 kPa\nmargin = 2 cm\n"
+    scenario = parse_config(config)
+    calls = []
+    original = vgtc_module.circle_polygon_intersection_area
+
+    def counted(circle, outline):
+        calls.append(circle.center)
+        return original(circle, outline)
+
+    monkeypatch.setattr(vgtc_module, "circle_polygon_intersection_area", counted)
+    report = evaluate(scenario)
+    assert calls == list(report.layout.positions) and len(calls) == 48
+    calls.clear()
+    emit_layout_svg(report.layout, scenario.fabric.outline, scenario.vgtc)
+    assert calls == list(report.layout.positions)
 
 
 def test_svg_deterministic_bytes():
@@ -641,19 +702,33 @@ def test_undefined_line_loss_exit_two(tmp_path, command, prefix, velocity, bores
 
 
 def test_batch_huge_gripper_count_is_a_row_error(tmp_path):
-    path = tmp_path / "corpus.csv"
-    path.write_text(
-        "h1,h2,h3,h4,h5,h6,h7,h8\n"
-        f"1,Pocket Bag,x,mat,{'9' * 401},26cm x 19cm,-55kPa,Pass\n"
-        "2,Pocket Bag,y,mat,6,26cm x 19cm,-55kPa,Pass\n"
-    )
-    result = run_cli("batch", "--corpus", str(path), "--format", "csv")
-    assert result.returncode == 0
-    assert "Traceback" not in result.stderr
-    lines = result.stdout.strip().splitlines()
-    assert len(lines) == 3
-    assert "error: count must be an integer from 1 to 1.79769e+308" in lines[1]
-    assert lines[2].startswith("lot2-y,") and lines[2].endswith(",Pass")
+    # 5,000 digits is past the 4,300 that int() converts
+    for digits in (401, 5000):
+        path = tmp_path / "corpus.csv"
+        path.write_text(
+            "h1,h2,h3,h4,h5,h6,h7,h8\n"
+            f"1,Pocket Bag,x,mat,{'9' * digits},26cm x 19cm,-55kPa,Pass\n"
+            "2,Pocket Bag,y,mat,6,26cm x 19cm,-55kPa,Pass\n"
+        )
+        result = run_cli("batch", "--corpus", str(path), "--format", "csv")
+        assert result.returncode == 0
+        assert "Traceback" not in result.stderr
+        lines = result.stdout.strip().splitlines()
+        assert len(lines) == 3
+        assert "error: count must be an integer from 1 to 1.79769e+308" in lines[1]
+        assert "9" * 20 not in result.stdout + result.stderr
+        assert lines[2].startswith("lot2-y,") and lines[2].endswith(",Pass")
+
+
+def test_corpus_count_with_leading_zeros_past_the_int_digit_limit():
+    text = "h1,h2,h3,h4,h5,h6,h7,h8\n" f"1,Pocket Bag,x,mat,{'0' * 5000}7,26cm x 19cm,-55kPa,Pass\n"
+    assert parse_corpus_csv(text)[0].gripper_count == 7
+
+
+def test_corpus_count_that_is_no_integer_is_echoed_cut_short():
+    text = "h1,h2,h3,h4,h5,h6,h7,h8\n" f"1,Pocket Bag,x,mat,{'9' * 5000}x,26cm x 19cm,-55kPa,Pass\n"
+    with pytest.raises(ConfigError, match=r"^line 2: gripper count '9{40}\.\.\.' is not an integer$"):
+        parse_corpus_csv(text)
 
 
 def test_batch_bundled_corpus(capsys):

@@ -88,6 +88,7 @@ def _cases() -> dict[str, list[str]]:
             "plan", "--config", CIRCLE, "--format", "structured", "--svg", "plan-pocket_bag_circle.svg",
         ],
         "check-pocket_bag_circle-svg": ["check", "--config", CIRCLE, "--svg", "check-pocket_bag_circle.svg"],
+        "check-pocket_bag_circle-structured": ["check", "--config", CIRCLE, "--format", "structured"],
         "fault-svg_unwritable": ["check", "--config", FACING, "--svg", "no_such_dir/layout.svg"],
     })
     for fault in FAULTS:

@@ -594,13 +594,13 @@ def test_non_finite_radius_and_spacing_rejected(value):
     with pytest.raises(ValidationError, match="radius"):
         Vgtc(center=(0.0, 0.0), radius=value, pressure_window=WINDOW)
     with pytest.raises(ValidationError, match="spacing"):
-        Layout(positions=(), spacing=value, margin=0.0, rows=0, cols=0)
+        Layout(xs=(), ys=(), spacing=value, margin=0.0)
 
 
 @pytest.mark.parametrize("value", [math.nan, -math.inf, math.inf], ids=str)
 def test_nan_and_negative_margin_rejected(value):
     with pytest.raises(ValidationError, match="margin must be finite and >= 0"):
-        Layout(positions=(), spacing=0.1, margin=value, rows=0, cols=0)
+        Layout(xs=(), ys=(), spacing=0.1, margin=value)
 
 
 def test_window_ordering_still_enforced():
@@ -608,8 +608,23 @@ def test_window_ordering_still_enforced():
         Vgtc(center=(0.0, 0.0), radius=0.05, pressure_window=PressureWindow(p_min=5.0, p_max=4.0))
 
 
-def test_layout_type_checks_consistency():
-    with pytest.raises(ValidationError):
-        Layout(positions=((0, 0),), spacing=0.1, margin=0.0, rows=2, cols=1)
-    empty = Layout(positions=(), spacing=0.1, margin=0.01, rows=0, cols=0)
-    assert empty.positions == ()
+@settings(max_examples=80, deadline=None)
+@given(
+    x0=st.floats(-1.0, 1.0),
+    y0=st.floats(-1.0, 1.0),
+    length=st.floats(0.05, 1.0),
+    width=st.floats(0.05, 1.0),
+    margin=st.floats(0.0, 0.02),
+    radius=st.floats(0.002, 0.1),
+    spacing=st.floats(0.05, 0.5),
+)
+def test_layout_positions_and_ratios_follow_its_axes(x0, y0, length, width, margin, radius, spacing):
+    # radius up to 5x the margin, so many disks overhang the piece
+    x1, y1 = x0 + length, y0 + width
+    outline = Polygon(((x0, y0), (x1, y0), (x1, y1), (x0, y1)))
+    layout = generate_layout(outline, margin, spacing)
+    assert (layout.cols, layout.rows) == (len(layout.xs), len(layout.ys))
+    assert layout.positions == tuple((x, y) for y in layout.ys for x in layout.xs)
+    ratios = effective_ratios(circle(0.0, 0.0, radius), outline, layout.positions)
+    assert ratios == tuple(effective_ratio(circle(x, y, radius), outline) for x, y in layout.positions)
+    assert Layout(xs=(), ys=layout.ys, spacing=spacing, margin=margin).positions == ()
