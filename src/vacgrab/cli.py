@@ -55,6 +55,7 @@ from .model import (
     VacuumGenerator,
     ValidationError,
     convert_units,
+    require_range,
 )
 from .vgtc import Layout, Vgtc, calibrate_spacing, effective_ratios, generate_layout
 # not called here: bench/vgbench/trace.py patches these names to count per-position calls
@@ -143,18 +144,30 @@ CONFIG_FIELDS = (
     *(ConfigField("units", dim, str) for dim in SI_UNIT),  # default unit for bare numbers
 )
 
-# section -> key -> field
+# section -> key -> field, and (section, the attribute a ValidationError names) -> key
 _SECTIONS = {
     section: {f.key: f for f in CONFIG_FIELDS if f.section == section}
     for section in dict.fromkeys(f.section for f in CONFIG_FIELDS)
 }
+_KEY_OF_FIELD = {(f.section, f.attribute): f.key for f in CONFIG_FIELDS}
 
 
 @dataclass
 class _RawSection:
+    """A section's header line and entries, key -> (text, line). Inside `with section:`
+    a ValidationError becomes a ConfigError at its field's key line, else the header's."""
+
     name: str
     line: int
     entries: dict[str, tuple[str, int]] = field(default_factory=dict)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, kind, exc, traceback):
+        if isinstance(exc, ValidationError):
+            entry = self.entries.get(_KEY_OF_FIELD.get((self.name, exc.field)))
+            raise ConfigError(str(exc), entry[1] if entry else self.line) from exc
 
 
 @dataclass
@@ -316,10 +329,8 @@ def _build(target: type, sec: _RawSection, values: dict[str, object], **given):
                 given[attr] = values[key]
             elif required:
                 raise ConfigError(f"missing key {key!r} in [{sec.name}]", sec.line)
-    try:
+    with sec:
         return target(**given)
-    except ValidationError as exc:
-        raise ConfigError(str(exc), sec.line) from exc
 
 
 def build_fabric(doc: ConfigDocument) -> FabricPiece:
@@ -332,10 +343,8 @@ def build_fabric(doc: ConfigDocument) -> FabricPiece:
     if outline is None:
         if len(sides) != 2:
             raise ConfigError("fabric needs length and width, or vertices", sec.line)
-        try:
+        with sec:
             outline = Polygon.rectangle(*sides)
-        except ValidationError as exc:
-            raise ConfigError(str(exc), sec.line) from exc
     return _build(FabricPiece, sec, values, outline=outline)
 
 
@@ -381,7 +390,8 @@ def build_line(
         segments.append(_build(PipeSegment, sec, values))
     if upstream_velocity is None:
         upstream_velocity = generator.supply_flow_rate / segments[0].area
-    return tuple(segments), upstream_velocity
+    with doc.line_sections[0]:  # Scenario's rule, checked here to name the line
+        return tuple(segments), require_range(_UPSTREAM_VELOCITY.attribute, upstream_velocity, 0)
 
 
 def build_vgtc(doc: ConfigDocument) -> tuple[Vgtc | None, float]:
@@ -397,7 +407,8 @@ def build_vgtc(doc: ConfigDocument) -> tuple[Vgtc | None, float]:
         pressure_window=_build(PressureWindow, sec, values),
         center=(0.0, 0.0),  # evaluate and plan move the circle to each grid position
     )
-    return circle, values.get(_MARGIN.key, DEFAULT_EDGE_MARGIN)
+    with sec:  # Scenario's rule, checked here to name the line
+        return circle, require_range(_MARGIN.attribute, values.get(_MARGIN.key, DEFAULT_EDGE_MARGIN), 0)
 
 
 def build_scenario(doc: ConfigDocument) -> Scenario:
@@ -407,16 +418,7 @@ def build_scenario(doc: ConfigDocument) -> Scenario:
     generator = build_generator(doc)
     line, upstream_velocity = build_line(doc, generator)
     vgtc, margin = build_vgtc(doc)
-    return Scenario(
-        fabric=fabric,
-        motion=motion,
-        cup=cup,
-        generator=generator,
-        line=line,
-        upstream_velocity=upstream_velocity,
-        vgtc=vgtc,
-        margin=margin,
-    )
+    return Scenario(fabric, motion, cup, generator, line, upstream_velocity, vgtc, margin)
 
 
 def parse_config(text: str | bytes) -> Scenario:

@@ -28,7 +28,6 @@ ordering, and one bad row never aborts the rest.
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -42,6 +41,7 @@ from .model import (
     SuctionCup,
     VacuumGenerator,
     ValidationError,
+    require_range,
 )
 from .vgtc import Layout, Vgtc, adjusted_min_pressure, effective_ratios, generate_layout
 # not called here: bench/vgbench/trace.py patches this name to count per-position calls
@@ -83,12 +83,8 @@ class Scenario:
             raise ValidationError("line must have at least one segment")
         if not all(isinstance(seg, PipeSegment) for seg in self.line):
             raise ValidationError("line entries must be PipeSegment values")
-        if not 0 <= self.upstream_velocity < math.inf:  # also rejects nan
-            raise ValidationError(
-                f"upstream_velocity must be finite and >= 0, got {self.upstream_velocity}"
-            )
-        if not 0 <= self.margin < math.inf:
-            raise ValidationError(f"margin must be finite and >= 0, got {self.margin}")
+        require_range("upstream_velocity", self.upstream_velocity, 0)
+        require_range("margin", self.margin, 0)
 
 
 @dataclass(frozen=True)
@@ -158,7 +154,8 @@ def evaluate(
         try:
             layout = generate_layout(outline, scenario.margin, circle.radius)
             ratios = effective_ratios(circle, outline, layout.positions)
-            demand = max([demand, *(adjusted_min_pressure(window, r) for r in ratios)])
+            # p_min / r is correctly rounded and falls as r rises: min(ratios) sets the demand
+            demand = max(demand, adjusted_min_pressure(window, min(ratios)))
         except ValidationError as exc:
             raise _stage("layout", exc) from exc
 

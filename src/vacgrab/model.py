@@ -12,8 +12,8 @@ keeps comparisons like "is 55 kPa of vacuum enough for a 47.1 kPa
 demand" free of sign-convention bugs.
 
 Every type validates its invariants in __post_init__ and is immutable
-afterwards, so an instance that exists is valid and safe to share
-across threads.
+afterwards, so an instance that exists is valid and finite, and safe
+to share across threads.
 """
 
 from __future__ import annotations
@@ -26,7 +26,11 @@ from functools import cached_property
 
 
 class ValidationError(ValueError):
-    """A value violated a domain invariant at construction time."""
+    """A value violated a domain invariant at construction time; field names its attribute."""
+
+    def __init__(self, message: str, field: str | None = None):
+        super().__init__(message)
+        self.field = field
 
 
 class UnitError(ValueError):
@@ -54,6 +58,8 @@ _UNIT_ALIASES = {"m³/s": "m3/s"}
 
 # canonical SI unit name per dimension
 SI_UNIT = {"mass": "kg", "length": "m", "pressure": "Pa", "flow": "m3/s"}
+
+_FLOAT_MAX = sys.float_info.max
 
 
 def _lookup_unit(name: str) -> tuple[str, float]:
@@ -96,9 +102,30 @@ def circular_area(diameter: float) -> float:
         return math.inf
 
 
-def _require(condition: bool, message: str) -> None:
+def _require(condition: bool, message: str, field: str | None = None) -> None:
     if not condition:
-        raise ValidationError(message)
+        raise ValidationError(message, field)
+
+
+def _echo(value) -> str:
+    """repr(value) in at most 40 characters; an int too big for a float as its bit length."""
+    if isinstance(value, int) and value.bit_length() > 1024:
+        return f"an integer of {value.bit_length()} bits"
+    text = repr(value)
+    return text if len(text) <= 40 else text[:37] + "..."
+
+
+def require_range(name: str, value, low=-_FLOAT_MAX, high=_FLOAT_MAX, *, above=False):
+    """Return value if it is finite and in [low, high], or in (low, high] if above.
+
+    Else raise ValidationError for field `name`. The default bounds, the
+    largest floats, refuse ±inf and ints no float holds; nan fails them all.
+    """
+    if (low < value if above else low <= value) and value <= high:
+        return value
+    lo = "" if low == -_FLOAT_MAX else f" and {'>' if above else '>='} {low}"
+    hi = "" if high == _FLOAT_MAX else f" and <= {high}"
+    raise ValidationError(f"{name} must be finite{lo}{hi}, got {_echo(value)}", name)
 
 
 # ---------------------------------------------------------------------------
@@ -191,7 +218,8 @@ class Polygon:
     @classmethod
     def rectangle(cls, length: float, width: float) -> "Polygon":
         """Axis-aligned rectangle with one corner at the origin."""
-        _require(length > 0 and width > 0, "rectangle sides must be > 0")
+        require_range("length", length, 0, above=True)
+        require_range("width", width, 0, above=True)
         return cls(((0.0, 0.0), (length, 0.0), (length, width), (0.0, width)))
 
     @property
@@ -265,8 +293,8 @@ class PhysicalConstants:
     air_density: float = 1.204  # kg/m^3 at 101.325 kPa, 20 C
 
     def __post_init__(self):
-        _require(self.gravity > 0, f"gravity must be > 0, got {self.gravity}")
-        _require(self.air_density > 0, f"air_density must be > 0, got {self.air_density}")
+        require_range("gravity", self.gravity, 0, above=True)
+        require_range("air_density", self.air_density, 0, above=True)
 
 
 @dataclass(frozen=True)
@@ -282,15 +310,9 @@ class FabricPiece:
 
     def __post_init__(self):
         object.__setattr__(self, "outline", as_polygon(self.outline))
-        _require(self.mass > 0, f"mass must be > 0, got {self.mass}")
-        _require(
-            0 < self.friction_coefficient <= 2,
-            f"friction_coefficient must be in (0, 2], got {self.friction_coefficient}",
-        )
-        _require(
-            isinstance(self.permeability, Permeability),
-            "permeability must be a Permeability value",
-        )
+        require_range("mass", self.mass, 0, above=True)
+        require_range("friction_coefficient", self.friction_coefficient, 0, 2, above=True)
+        _require(isinstance(self.permeability, Permeability), "permeability must be a Permeability value")
 
 
 @dataclass(frozen=True)
@@ -302,8 +324,8 @@ class MotionProfile:
     load_case: LoadCase = LoadCase.FRICTION_LIFT
 
     def __post_init__(self):
-        _require(self.acceleration >= 0, f"acceleration must be >= 0, got {self.acceleration}")
-        _require(self.safety_factor >= 1, f"safety_factor must be >= 1, got {self.safety_factor}")
+        require_range("acceleration", self.acceleration, 0)
+        require_range("safety_factor", self.safety_factor, 1)
         _require(isinstance(self.load_case, LoadCase), "load_case must be a LoadCase value")
 
 
@@ -315,17 +337,12 @@ class SuctionCup:
     count: int = 1
 
     def __post_init__(self):
-        _require(
-            self.orifice_diameter > 0,
-            f"orifice_diameter must be > 0, got {self.orifice_diameter}",
-        )
-        _require(self.area > 0, f"orifice_diameter {self.orifice_diameter} m has an area of 0")
-        _require(
-            isinstance(self.count, int)
-            and not isinstance(self.count, bool)
-            and 1 <= self.count <= sys.float_info.max,  # the statics divide by it as a float
-            f"count must be an integer from 1 to {sys.float_info.max:.6g}, got {self.count!r}",
-        )
+        d = require_range("orifice_diameter", self.orifice_diameter, 0, above=True)
+        _require(self.area > 0, f"orifice_diameter {d} m has an area of 0", "orifice_diameter")
+        count = self.count  # the statics divide by it as a float
+        if not (isinstance(count, int) and not isinstance(count, bool) and 1 <= count <= _FLOAT_MAX):
+            message = f"count must be an integer from 1 to {_FLOAT_MAX:.6g}, got {_echo(count)}"
+            raise ValidationError(message, "count")
 
     @property
     def area(self) -> float:
@@ -344,14 +361,8 @@ class VacuumGenerator:
     supply_flow_rate: float = 63.0 / 60_000.0  # m^3/s (63 L/min)
 
     def __post_init__(self):
-        _require(
-            0 < self.max_vacuum <= 101_325,
-            f"max_vacuum must be in (0, 101325] Pa, got {self.max_vacuum}",
-        )
-        _require(
-            self.supply_flow_rate > 0,
-            f"supply_flow_rate must be > 0, got {self.supply_flow_rate}",
-        )
+        require_range("max_vacuum", self.max_vacuum, 0, 101_325, above=True)
+        require_range("supply_flow_rate", self.supply_flow_rate, 0, above=True)
 
 
 @dataclass(frozen=True)
@@ -362,9 +373,9 @@ class PipeSegment:
     length: float = 0.0  # m, recorded; the bore-step loss model does not read it
 
     def __post_init__(self):
-        _require(self.inner_diameter > 0, f"inner_diameter must be > 0, got {self.inner_diameter}")
-        _require(self.area > 0, f"inner_diameter {self.inner_diameter} m has a bore area of 0")
-        _require(self.length >= 0, f"length must be >= 0, got {self.length}")
+        d = require_range("inner_diameter", self.inner_diameter, 0, above=True)
+        _require(self.area > 0, f"inner_diameter {d} m has a bore area of 0", "inner_diameter")
+        require_range("length", self.length, 0)
 
     @property
     def area(self) -> float:
@@ -380,9 +391,9 @@ class EnergyHeads:
     turbine_head: float = 0.0
 
     def __post_init__(self):
-        _require(self.pump_head >= 0, f"pump_head must be >= 0, got {self.pump_head}")
-        _require(self.loss_head >= 0, f"loss_head must be >= 0, got {self.loss_head}")
-        _require(self.turbine_head >= 0, f"turbine_head must be >= 0, got {self.turbine_head}")
+        require_range("pump_head", self.pump_head, 0)
+        require_range("loss_head", self.loss_head, 0)
+        require_range("turbine_head", self.turbine_head, 0)
 
 
 @dataclass(frozen=True)
@@ -395,11 +406,10 @@ class FlowState:
     volumetric_flow: float = 0.0  # m^3/s
 
     def __post_init__(self):
-        _require(self.velocity >= 0, f"velocity must be >= 0, got {self.velocity}")
-        _require(
-            self.volumetric_flow >= 0,
-            f"volumetric_flow must be >= 0, got {self.volumetric_flow}",
-        )
+        require_range("pressure", self.pressure)
+        require_range("velocity", self.velocity, 0)
+        require_range("elevation", self.elevation)
+        require_range("volumetric_flow", self.volumetric_flow, 0)
 
 
 @dataclass(frozen=True)
@@ -415,9 +425,6 @@ class PressureWindow:
     p_max: float | None = None
 
     def __post_init__(self):
-        _require(self.p_min > 0, f"p_min must be > 0, got {self.p_min}")
+        require_range("p_min", self.p_min, 0, above=True)
         if self.p_max is not None:
-            _require(
-                self.p_max >= self.p_min,
-                f"p_max ({self.p_max}) must be >= p_min ({self.p_min})",
-            )
+            require_range("p_max", self.p_max, self.p_min)

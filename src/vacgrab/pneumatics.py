@@ -86,8 +86,6 @@ def constriction_pressure_drop(
     A height difference between stations goes through
     solve_pressure_from_balance instead.
     """
-    if v1 < 0:
-        raise ValidationError(f"upstream velocity must be >= 0, got {v1}")
     a1 = upstream.area
     a2 = downstream.area
     ratio = a1 / a2

@@ -48,6 +48,7 @@ from .model import (
     PressureWindow,
     ValidationError,
     circular_area,
+    require_range,
 )
 
 
@@ -66,20 +67,20 @@ class Vgtc:
     pressure_window: PressureWindow
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "center", (float(self.center[0]), float(self.center[1]))
-        )
-        if not 0 < self.radius < math.inf:  # also rejects nan
-            raise ValidationError(f"radius must be finite and > 0, got {self.radius}")
+        x, y = self.center
+        require_range("center", x)
+        require_range("center", y)
+        object.__setattr__(self, "center", (float(x), float(y)))
+        require_range("radius", self.radius, 0, above=True)
         disk_area = circular_area(2.0 * self.radius)
         if not disk_area > 0:
-            raise ValidationError(f"radius {self.radius} m has a disk area of 0")
+            raise ValidationError(f"radius {self.radius} m has a disk area of 0", "radius")
         object.__setattr__(self, "disk_area", disk_area)
         if not isinstance(self.pressure_window, PressureWindow):
             raise ValidationError("pressure_window must be a PressureWindow")
 
     def moved(self, center: Point) -> Vgtc:
-        """This circle with its center at `center`, a pair of floats.
+        """This circle with its center at `center`, a pair of finite floats.
 
         The radius, window and disk_area were validated when this circle
         was built and do not depend on the center, so the copy skips
@@ -109,10 +110,8 @@ class Layout:
     def __post_init__(self):
         object.__setattr__(self, "xs", tuple(map(float, self.xs)))
         object.__setattr__(self, "ys", tuple(map(float, self.ys)))
-        if not 0 < self.spacing < math.inf:  # also rejects nan
-            raise ValidationError(f"spacing must be finite and > 0, got {self.spacing}")
-        if not 0 <= self.margin < math.inf:  # also rejects nan
-            raise ValidationError(f"margin must be finite and >= 0, got {self.margin}")
+        require_range("spacing", self.spacing, 0, above=True)
+        require_range("margin", self.margin, 0)
 
     @property
     def cols(self) -> int:
@@ -252,12 +251,11 @@ class _NoUsableArea(ValidationError):
 def _usable_span(outline: Polygon, margin: float) -> tuple[float, float]:
     """Length and width of the margin-shrunk rectangle a grid may fill.
 
-    Raises ValidationError for a negative margin or an outline with no
-    exact box (Polygon.box), and _NoUsableArea for a margin that leaves
-    no usable area; none of these depends on the grid spacing.
+    Raises ValidationError for a margin not finite and >= 0 or an outline
+    with no exact box (Polygon.box), and _NoUsableArea for a margin that
+    leaves no usable area; none of these depends on the grid spacing.
     """
-    if not margin >= 0:  # also rejects nan
-        raise ValidationError(f"margin must be >= 0, got {margin}")
+    require_range("margin", margin, 0)
     if outline.box is None:
         raise ValidationError("layout generation needs an axis-aligned rectangular outline")
     x0, y0, x1, y1 = outline.box
@@ -284,8 +282,7 @@ def generate_layout(outline: Polygon, margin: float, spacing: float) -> Layout:
     of more than MAX_LAYOUT_POSITIONS positions is rejected before any
     is built.
     """
-    if not 0 < spacing < math.inf:
-        raise ValidationError(f"spacing must be finite and > 0, got {spacing}")
+    require_range("spacing", spacing, 0, above=True)
     usable_l, usable_w = _usable_span(outline, margin)
     cols = _axis_count(usable_l, spacing)
     rows = _axis_count(usable_w, spacing)
@@ -336,7 +333,7 @@ def calibrate_spacing(
     spacing in range reproduces the target. A margin that leaves no
     usable area fits no grid at any spacing, so it also yields [].
 
-    Raises ValidationError for a bad target, a negative or nan margin,
+    Raises ValidationError for a bad target, a negative or non-finite margin,
     an outline with no exact box (Polygon.box), a range that is
     not 0 <= low < high with a finite high, a step that is not finite
     and positive, or more than MAX_CALIBRATION_SAMPLES samples in range.
@@ -348,8 +345,7 @@ def calibrate_spacing(
         raise ValidationError(
             f"search_range must satisfy 0 <= low < high < inf, got {search_range}"
         )
-    if not 0 < step < math.inf:
-        raise ValidationError(f"step must be finite and > 0, got {step}")
+    require_range("step", step, 0, above=True)
     samples = (high - low) / step
     if samples > MAX_CALIBRATION_SAMPLES:
         raise ValidationError(

@@ -24,6 +24,7 @@ from vacgrab import (
     generate_layout,
 )
 from vacgrab.cli import (
+    CONFIG_FIELDS,
     ConfigError,
     emit_batch,
     emit_layout_svg,
@@ -36,6 +37,7 @@ from vacgrab.cli import (
 from vacgrab import vgtc as vgtc_module
 from vacgrab.cli import _Grid, _json_text
 from vacgrab.feasibility import CorpusEntry
+from vacgrab.model import SI_UNIT
 from conftest import make_scenario
 
 
@@ -89,7 +91,7 @@ def test_empty_config_missing_fabric():
 
 def test_negative_mass_names_invariant():
     text = shipped("pocket_bag.conf").replace("mass = 2.5 g", "mass = -1 g")
-    with pytest.raises(Exception, match="mass must be > 0"):
+    with pytest.raises(ConfigError, match="^line 8: mass must be finite and > 0, got -0.001$"):
         parse_config(text)
 
 
@@ -487,7 +489,7 @@ TRIANGLE = ("length = 26 cm\nwidth = 19 cm", "vertices = 0 cm, 0 cm; 26 cm, 0 cm
 @pytest.mark.parametrize(
     "edit, args, message",
     [
-        ((), ["--margin=-1 cm"], "margin must be >= 0"),
+        ((), ["--margin=-1 cm"], "margin must be finite and >= 0"),
         (TRIANGLE, [], "rectangular"),
     ],
     ids=["negative-margin", "triangle"],
@@ -587,16 +589,43 @@ def test_zero_bore_area_exit_two(tmp_path, capsys, command, old, new):
 
 def test_value_object_error_names_its_section(tmp_path, capsys):
     config = edited(tmp_path, "pocket_bag.conf", "inner_diameter = 2 mm", "inner_diameter = 1e-200 m")
-    assert Path(config).read_text().splitlines()[34] == "[line]"  # the second of two
+    lines = Path(config).read_text().splitlines()
+    assert lines[34:36] == ["[line]", "inner_diameter = 1e-200 m"]  # the second of two
     assert main(["line-loss", "--config", config]) == 2
-    assert capsys.readouterr().err == "error: line 35: inner_diameter 1e-200 m has a bore area of 0\n"
+    assert capsys.readouterr().err == "error: line 36: inner_diameter 1e-200 m has a bore area of 0\n"
+
+
+# every numeric key of the schema, with a value outside its domain; max_vacuum's
+# sign is dropped, so it needs one above an atmosphere
+NUMERIC_KEYS = [
+    (f.section, f.key) for f in CONFIG_FIELDS if f.kind in (float, int) or f.kind in SI_UNIT
+]
+OUT_OF_DOMAIN = {"max_vacuum": "2 bar"}
+
+
+@pytest.mark.parametrize("section, key", NUMERIC_KEYS, ids=[f"{s}.{k}" for s, k in NUMERIC_KEYS])
+def test_out_of_domain_value_names_its_keys_line(tmp_path, capsys, section, key):
+    # pocket_facing.conf sets every numeric key once p_max is added; a [line] key
+    # is edited in the second [line] section, except upstream_velocity
+    lines = (shipped("pocket_facing.conf") + "p_max = 60 kPa\n").splitlines()
+    headers = [i for i, line in enumerate(lines) if line == f"[{section}]"]
+    start = headers[-1] if key != "upstream_velocity" else headers[0]
+    row = next(i for i in range(start + 1, len(lines)) if lines[i].startswith(f"{key} = "))
+    path = tmp_path / "edited.conf"
+    path.write_text("\n".join(lines) + "\n")
+    assert main(["check", "--config", str(path)]) == 0
+    capsys.readouterr()
+    lines[row] = f"{key} = {OUT_OF_DOMAIN.get(key, '-1')}"
+    path.write_text("\n".join(lines) + "\n")
+    assert main(["check", "--config", str(path)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: line {row + 1}: ")
 
 
 def test_zero_rectangle_side_names_its_section(tmp_path, capsys):
     config = edited(tmp_path, "pocket_bag.conf", "length = 26 cm", "length = 0 cm")
-    assert Path(config).read_text().splitlines()[3] == "[fabric]"
+    assert Path(config).read_text().splitlines()[3:6:2] == ["[fabric]", "length = 0 cm"]
     assert main(["check", "--config", config]) == 2
-    assert capsys.readouterr().err == "error: line 4: rectangle sides must be > 0\n"
+    assert capsys.readouterr().err == "error: line 6: length must be finite and > 0, got 0.0\n"
 
 
 def test_calibrate_structured_empty(facing_config, capsys):
@@ -650,7 +679,7 @@ def test_plan_radius_whose_disk_area_underflows_exit_two(tmp_path):
     result = run_cli("plan", "--config", config, "--spacing", "4 cm")
     assert result.returncode == 2
     assert "Traceback" not in result.stderr
-    assert result.stderr == "error: line 48: radius 1e-170 m has a disk area of 0\n"
+    assert result.stderr == "error: line 49: radius 1e-170 m has a disk area of 0\n"
 
 
 @pytest.mark.parametrize("command", ["check", "batch"])

@@ -1,5 +1,6 @@
 import math
 import random
+from dataclasses import fields
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -9,15 +10,18 @@ from vacgrab import (
     EnergyHeads,
     FabricPiece,
     FlowState,
+    Layout,
     MotionProfile,
     PhysicalConstants,
     PipeSegment,
     Polygon,
     PressureWindow,
+    Scenario,
     SuctionCup,
     UnitError,
     VacuumGenerator,
     ValidationError,
+    Vgtc,
     convert_units,
 )
 from vacgrab.model import as_polygon, circular_area, supported_units
@@ -204,6 +208,68 @@ def test_pressure_window_ordering():
         PressureWindow(p_min=40_000, p_max=30_000)
     with pytest.raises(ValidationError, match="p_min"):
         PressureWindow(p_min=0)
+
+
+def test_cup_count_too_long_for_text_names_its_field():
+    # str() of an int over 4,300 digits raises, so the message must not convert it
+    with pytest.raises(ValidationError) as err:
+        SuctionCup(orifice_diameter=1e-3, count=10**5000)
+    assert err.value.field == "count"
+    assert str(err.value).endswith("got an integer of 16610 bits")
+    with pytest.raises(ValidationError) as err:
+        SuctionCup(orifice_diameter=1e-3, count=-(10**300))
+    assert err.value.field == "count"
+    assert len(str(err.value).split(", got ")[1]) == 40
+
+
+# valid keyword arguments for every value object whose fields are range checked
+VALID = {
+    PhysicalConstants: {},
+    FabricPiece: dict(id="x", outline=(0.1, 0.1), mass=1e-3, friction_coefficient=0.5),
+    MotionProfile: {},
+    SuctionCup: dict(orifice_diameter=2e-3),
+    VacuumGenerator: {},
+    PipeSegment: dict(inner_diameter=2e-3),
+    EnergyHeads: {},
+    FlowState: dict(pressure=0.0),
+    PressureWindow: dict(p_min=30_000.0),
+    Vgtc: dict(center=(0.0, 0.0), radius=0.02, pressure_window=PressureWindow(p_min=30_000.0)),
+    Layout: dict(xs=(0.0,), ys=(0.0,), spacing=0.1, margin=0.0),
+    Scenario: dict(
+        fabric=FabricPiece(id="x", outline=(0.1, 0.1), mass=1e-3, friction_coefficient=0.5),
+        motion=MotionProfile(),
+        cup=SuctionCup(orifice_diameter=2e-3),
+        generator=VacuumGenerator(),
+        line=(PipeSegment(inner_diameter=2e-3),),
+        upstream_velocity=1.0,
+    ),
+}
+FLOAT_FIELDS = [
+    (cls, f.name) for cls in VALID for f in fields(cls) if f.type in ("float", "float | None")
+]
+
+
+def test_float_fields_cover_every_range_checked_quantity():
+    assert len(FLOAT_FIELDS) == 25  # a type filter that matched nothing would pass vacuously
+    for cls, kwargs in VALID.items():
+        cls(**kwargs)
+
+
+@pytest.mark.parametrize("cls, name", FLOAT_FIELDS, ids=[f"{c.__name__}.{n}" for c, n in FLOAT_FIELDS])
+@given(bad=st.sampled_from([math.nan, math.inf, -math.inf]))
+def test_every_float_field_refuses_nan_and_inf(cls, name, bad):
+    with pytest.raises(ValidationError) as err:
+        cls(**{**VALID[cls], name: bad})
+    assert err.value.field == name
+    assert str(err.value).startswith(f"{name} must be finite")
+
+
+@given(bad=st.sampled_from([math.nan, math.inf, -math.inf]), axis=st.integers(0, 1))
+def test_circle_center_refuses_nan_and_inf(bad, axis):
+    center = (bad, 0.0) if axis == 0 else (0.0, bad)
+    with pytest.raises(ValidationError) as err:
+        Vgtc(**{**VALID[Vgtc], "center": center})
+    assert err.value.field == "center"
 
 
 # ---------------------------------------------------------------------------
