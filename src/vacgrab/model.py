@@ -13,7 +13,9 @@ demand" free of sign-convention bugs.
 
 Every type validates its invariants in __post_init__ and is immutable
 afterwards, so an instance that exists is valid and finite, and safe
-to share across threads.
+to share across threads. Quantities are checked by one rule,
+require_range, which refuses nan; the statics, pneumatics and vgtc
+functions check their numeric arguments with it too.
 """
 
 from __future__ import annotations
@@ -116,16 +118,18 @@ def _echo(value) -> str:
 
 
 def require_range(name: str, value, low=-_FLOAT_MAX, high=_FLOAT_MAX, *, above=False):
-    """Return value if it is finite and in [low, high], or in (low, high] if above.
+    """Return value if it is in [low, high], or in (low, high] if above.
 
     Else raise ValidationError for field `name`. The default bounds, the
-    largest floats, refuse ±inf and ints no float holds; nan fails them all.
+    largest floats, refuse ±inf and ints no float holds, so the value must
+    be finite; high=math.inf lets +inf through. nan fails every bound.
     """
     if (low < value if above else low <= value) and value <= high:
         return value
     lo = "" if low == -_FLOAT_MAX else f" and {'>' if above else '>='} {low}"
-    hi = "" if high == _FLOAT_MAX else f" and <= {high}"
-    raise ValidationError(f"{name} must be finite{lo}{hi}, got {_echo(value)}", name)
+    hi = "" if high >= _FLOAT_MAX else f" and <= {high}"
+    rule = ("" if high == math.inf else "finite") + lo + hi
+    raise ValidationError(f"{name} must be {rule.removeprefix(' and ')}, got {_echo(value)}", name)
 
 
 # ---------------------------------------------------------------------------
@@ -177,7 +181,8 @@ class Polygon:
     first read and cached. All four live outside the dataclass fields,
     so they take no part in ==, hash or repr. Construction rejects
     degenerate outlines: fewer than three vertices, repeated
-    consecutive points, zero area, or self-intersection.
+    consecutive points, an area that is zero or not finite (as any inf
+    or nan vertex makes it), or self-intersection.
 
     Simplicity: edges sorted by smaller x are swept (Shamos & Hoey 1976);
     only non-adjacent pairs overlapping in x and y reach the segment test,
@@ -197,7 +202,7 @@ class Polygon:
             _require(p != q, "polygon has a zero-length edge")
             total += p[0] * q[1] - q[0] * p[1]
         object.__setattr__(self, "signed_area", 0.5 * total)
-        _require(abs(self.signed_area) > 0.0, "polygon area must be positive")
+        require_range("area", abs(self.signed_area), 0, above=True)  # an inf or nan vertex fails
         lo = [min(p[0], q[0]) for p, q in zip(verts, ends)]
         active: list[int] = []
         for i in sorted(range(n), key=lo.__getitem__):
@@ -338,7 +343,8 @@ class SuctionCup:
 
     def __post_init__(self):
         d = require_range("orifice_diameter", self.orifice_diameter, 0, above=True)
-        _require(self.area > 0, f"orifice_diameter {d} m has an area of 0", "orifice_diameter")
+        area = self.area  # 0 or inf where the square underflows or overflows
+        _require(0 < area < math.inf, f"orifice_diameter {d} m has an area of {area:g}", "orifice_diameter")
         count = self.count  # the statics divide by it as a float
         if not (isinstance(count, int) and not isinstance(count, bool) and 1 <= count <= _FLOAT_MAX):
             message = f"count must be an integer from 1 to {_FLOAT_MAX:.6g}, got {_echo(count)}"
@@ -374,7 +380,8 @@ class PipeSegment:
 
     def __post_init__(self):
         d = require_range("inner_diameter", self.inner_diameter, 0, above=True)
-        _require(self.area > 0, f"inner_diameter {d} m has a bore area of 0", "inner_diameter")
+        area = self.area  # 0 or inf where the square underflows or overflows
+        _require(0 < area < math.inf, f"inner_diameter {d} m has a bore area of {area:g}", "inner_diameter")
         require_range("length", self.length, 0)
 
     @property

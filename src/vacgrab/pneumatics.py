@@ -20,6 +20,11 @@ honest warning instead of silently trusting the arithmetic.
 
 Head terms are meters of fluid column; conversion to Pa uses rho*g of
 the working air from PhysicalConstants.
+
+Numeric arguments are checked with model.require_range: finite, in
+their domain, never nan. continuity_velocity's v1 and net_supply_vacuum's
+loss may also be +inf, since a line whose arithmetic overflows is a
+valid run with an infinite loss.
 """
 
 from __future__ import annotations
@@ -35,6 +40,7 @@ from .model import (
     PipeSegment,
     VacuumGenerator,
     ValidationError,
+    require_range,
 )
 
 # above this speed the incompressible assumption is not trustworthy
@@ -68,11 +74,9 @@ class NetSupplyResult:
 
 def continuity_velocity(a1: float, v1: float, a2: float) -> float:
     """Downstream velocity from volumetric continuity: v2 = v1 * A1/A2."""
-    if a1 <= 0 or a2 <= 0:
-        raise ValidationError(f"areas must be > 0, got a1={a1}, a2={a2}")
-    if v1 < 0:
-        raise ValidationError(f"velocity must be >= 0, got {v1}")
-    return v1 * (a1 / a2)
+    require_range("a1", a1, 0, above=True)
+    require_range("a2", a2, 0, above=True)
+    return require_range("v1", v1, 0, math.inf) * (a1 / a2)
 
 
 def constriction_pressure_drop(
@@ -137,8 +141,8 @@ def solve_pressure_from_balance(
     consts: PhysicalConstants = PhysicalConstants(),
 ) -> float:
     """Station-2 pressure that balances the energy equation exactly."""
-    if unknown_velocity < 0:
-        raise ValidationError(f"velocity must be >= 0, got {unknown_velocity}")
+    require_range("unknown_velocity", unknown_velocity, 0)
+    require_range("unknown_elevation", unknown_elevation)
     rho = consts.air_density
     g = consts.gravity
     return (
@@ -151,9 +155,7 @@ def solve_pressure_from_balance(
 
 def net_supply_vacuum(generator: VacuumGenerator, loss: float) -> NetSupplyResult:
     """Vacuum magnitude reaching the cup: max(0, max_vacuum - loss)."""
-    if loss < 0:
-        raise ValidationError(f"loss must be >= 0, got {loss}")
-    remaining = generator.max_vacuum - loss
+    remaining = generator.max_vacuum - require_range("loss", loss, 0, math.inf)
     return NetSupplyResult(pressure=max(0.0, remaining), clamped=remaining < 0.0)
 
 
@@ -170,18 +172,15 @@ def parallel_flow_split(
     """
     if not isinstance(branch_count, int) or isinstance(branch_count, bool) or branch_count < 1:
         raise ValidationError(f"branch_count must be an integer >= 1, got {branch_count!r}")
-    if total_flow < 0:
-        raise ValidationError(f"total_flow must be >= 0, got {total_flow}")
+    require_range("total_flow", total_flow, 0)
     if weights is None:
         w = [1.0] * branch_count
     else:
-        w = [float(x) for x in weights]
+        w = [require_range("weights", float(x), 0, above=True) for x in weights]
         if len(w) != branch_count:
             raise ValidationError(
                 f"weights length {len(w)} does not match branch_count {branch_count}"
             )
-        if any(x <= 0 for x in w):
-            raise ValidationError("weights must all be > 0")
     wsum = math.fsum(w)
     flows = [total_flow * (x / wsum) for x in w]
     flows[-1] = total_flow - math.fsum(flows[:-1])

@@ -9,18 +9,15 @@ conservative number use the friction case (never smaller for mu <= 1).
 
 required_pressure() inverts force = pressure * orifice_area for one
 cup; per_gripper_force() splits a whole-piece force across a cup bank.
+Both take a force >= 0 and refuse nan; +inf passes, since a force
+that overflows is still a valid (failing) sizing.
 """
 
 from __future__ import annotations
 
-from .model import (
-    FabricPiece,
-    LoadCase,
-    MotionProfile,
-    PhysicalConstants,
-    SuctionCup,
-    ValidationError,
-)
+import math
+
+from .model import FabricPiece, LoadCase, MotionProfile, PhysicalConstants, SuctionCup, require_range
 
 
 def holding_force(
@@ -41,13 +38,9 @@ def holding_force(
 
 def required_pressure(force: float, cup: SuctionCup) -> float:
     """Vacuum magnitude one cup needs to produce `force`: P = F / A."""
-    if force < 0:
-        raise ValidationError(f"force must be >= 0, got {force}")
-    return force / cup.area
+    return require_range("force", force, 0, math.inf) / cup.area
 
 
 def per_gripper_force(total_force: float, cup: SuctionCup) -> float:
     """Share of the whole-piece force carried by each cup in the bank."""
-    if total_force < 0:
-        raise ValidationError(f"total_force must be >= 0, got {total_force}")
-    return total_force / cup.count
+    return require_range("total_force", total_force, 0, math.inf) / cup.count

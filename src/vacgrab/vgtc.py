@@ -73,8 +73,8 @@ class Vgtc:
         object.__setattr__(self, "center", (float(x), float(y)))
         require_range("radius", self.radius, 0, above=True)
         disk_area = circular_area(2.0 * self.radius)
-        if not disk_area > 0:
-            raise ValidationError(f"radius {self.radius} m has a disk area of 0", "radius")
+        if not 0 < disk_area < math.inf:
+            raise ValidationError(f"radius {self.radius} m has a disk area of {disk_area:g}", "radius")
         object.__setattr__(self, "disk_area", disk_area)
         if not isinstance(self.pressure_window, PressureWindow):
             raise ValidationError("pressure_window must be a PressureWindow")
@@ -193,9 +193,8 @@ def circle_polygon_intersection_area(circle: Vgtc, outline: Polygon) -> float:
 
 
 def effective_ratio(circle: Vgtc, outline: Polygon) -> float:
-    """Fraction of the grabbing disk that lies on the fabric, in [0, 1]."""
-    ratio = circle_polygon_intersection_area(circle, outline) / circle.disk_area
-    return 0.0 if ratio < 0.0 else 1.0 if ratio > 1.0 else ratio
+    """Fraction of the grabbing disk on the fabric, in [0, 1]: the intersection is at most disk_area."""
+    return circle_polygon_intersection_area(circle, outline) / circle.disk_area
 
 
 def effective_ratios(circle: Vgtc, outline: Polygon, positions: tuple[Point, ...]) -> tuple[float, ...]:
@@ -208,11 +207,7 @@ def effective_ratios(circle: Vgtc, outline: Polygon, positions: tuple[Point, ...
 
 def adjusted_min_pressure(window: PressureWindow, ratio: float) -> float:
     """Minimum grabbing pressure inflated for a partially overhanging disk."""
-    if not 0.0 < ratio <= 1.0:
-        raise ValidationError(
-            f"effective ratio must be in (0, 1], got {ratio} (no effective contact)"
-        )
-    return window.p_min / ratio
+    return window.p_min / require_range("ratio", ratio, 0, 1, above=True)
 
 
 # ---------------------------------------------------------------------------
@@ -340,11 +335,8 @@ def calibrate_spacing(
     """
     if not isinstance(target_count, int) or isinstance(target_count, bool) or target_count < 1:
         raise ValidationError(f"target_count must be an integer >= 1, got {target_count!r}")
-    low, high = float(search_range[0]), float(search_range[1])
-    if not (0 <= low < high < math.inf):
-        raise ValidationError(
-            f"search_range must satisfy 0 <= low < high < inf, got {search_range}"
-        )
+    low = require_range("search_range", float(search_range[0]), 0)
+    high = require_range("search_range", float(search_range[1]), low, above=True)
     require_range("step", step, 0, above=True)
     samples = (high - low) / step
     if samples > MAX_CALIBRATION_SAMPLES:

@@ -1,14 +1,17 @@
+import csv
+import io
 import json
 import math
 import os
 import re
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from importlib import resources
 from pathlib import Path
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 import vacgrab
 from vacgrab import (
@@ -578,13 +581,15 @@ def test_config_value_out_of_range_exit_two(tmp_path, capsys, old, new):
         ("line-loss", "inner_diameter = 2 mm", "inner_diameter = 1e-200 m"),
         ("check", "orifice_diameter = 2 mm", "orifice_diameter = 1e-200 m"),
         ("pressure", "orifice_diameter = 2 mm", "orifice_diameter = 1e-200 m"),
+        # an area that overflows is refused like one that underflows
+        ("check", "orifice_diameter = 2 mm", "orifice_diameter = 1e200 m"),
     ],
-    ids=["check-line", "line-loss", "check-cup", "pressure"],
+    ids=["check-line", "line-loss", "check-cup", "pressure", "check-cup-overflow"],
 )
 def test_zero_bore_area_exit_two(tmp_path, capsys, command, old, new):
     config = edited(tmp_path, "pocket_bag.conf", old, new)
     assert main([command, "--config", config]) == 2
-    assert "area of 0" in capsys.readouterr().err
+    assert capsys.readouterr().err.endswith(("area of 0\n", "area of inf\n"))
 
 
 def test_value_object_error_names_its_section(tmp_path, capsys):
@@ -758,6 +763,64 @@ def test_corpus_count_that_is_no_integer_is_echoed_cut_short():
     text = "h1,h2,h3,h4,h5,h6,h7,h8\n" f"1,Pocket Bag,x,mat,{'9' * 5000}x,26cm x 19cm,-55kPa,Pass\n"
     with pytest.raises(ConfigError, match=r"^line 2: gripper count '9{40}\.\.\.' is not an integer$"):
         parse_corpus_csv(text)
+
+
+_CORPUS_HEADER = ["lot", "application", "code", "material", "grippers", "outline", "supply", "result"]
+_JUNK = st.text(max_size=12)
+# a readable row: count, outline and supply cells the parser reads, though the
+# model may refuse the values (a count of 0, an outline of 0 cm, 0 kPa)
+_READABLE_ROW = st.tuples(
+    _JUNK, _JUNK, _JUNK, _JUNK,
+    st.sampled_from(["6", "12", "0", "-3", " 06 ", "1_000", "9" * 400, "9" * 5000]),
+    st.sampled_from(["26cm x 19cm", "30 CM × 36 cm", "0cm x 19cm", "2.5cm x 4cm", "9" * 400 + "cm x 1cm"]),
+    st.sampled_from(["-55kPa", "55 kPa", "-92000 Pa", "0kPa", "-" + "9" * 400 + "kPa"]),
+    _JUNK,
+).map(list)
+
+
+def _mangled(row: list[str], column: int, junk: str) -> list[str]:
+    return [junk if i == column else cell for i, cell in enumerate(row)]
+
+
+# (cells, readable): readable rows must parse; the others may stop the batch
+_CORPUS_ROWS = st.one_of(
+    _READABLE_ROW.map(lambda row: (row, True)),
+    _READABLE_ROW.map(lambda row: (row, True)),
+    st.builds(_mangled, _READABLE_ROW, st.integers(4, 6), _JUNK).map(lambda row: (row, False)),
+    st.sampled_from([[], [" "] * 8, ["", "\t"]]).map(lambda row: (row, True)),  # blank rows
+    st.lists(_JUNK, min_size=1, max_size=11)  # wrong width
+    .filter(lambda cells: len(cells) != 8)
+    .map(lambda row: (row, False)),
+)
+
+
+@pytest.fixture(scope="module")
+def corpus_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("corpus_fuzz") / "corpus.csv"
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    rows=st.lists(_CORPUS_ROWS, max_size=5),
+    bom=st.booleans(),
+    strict=st.booleans(),
+)
+def test_any_corpus_exits_with_a_code_and_keeps_every_row(corpus_path, rows, bom, strict):
+    buffer = io.StringIO()
+    csv.writer(buffer).writerows([_CORPUS_HEADER, *(cells for cells, _ in rows)])
+    corpus_path.write_bytes((b"\xef\xbb\xbf" if bom else b"") + buffer.getvalue().encode("utf-8"))
+    argv = ["batch", "--corpus", str(corpus_path), "--format", "structured", *(["--strict"] if strict else [])]
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)  # an exception escaping main would be a traceback
+    assert code in (0, 1, 2, 3)
+    if code == 2:
+        assert err.getvalue().startswith("error: ")
+        assert not all(readable for _, readable in rows), err.getvalue()
+    else:
+        entries = json.loads(out.getvalue())
+        assert len(entries) == sum(any(cell.strip() for cell in cells) for cells, _ in rows)
+        assert [e["index"] for e in entries] == list(range(len(entries)))
 
 
 def test_batch_bundled_corpus(capsys):

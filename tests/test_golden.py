@@ -58,6 +58,16 @@ FAULTS = {
     "bad_units_section": "[units]\nlength = furlong\n\n" + shipped(BAG),
     "missing_section": _edit("[cup]\norifice_diameter = 2 mm\ncount = 6\n", ""),
     "malformed_line": _edit("count = 6", "count 6"),
+    "malformed_header": _edit("[motion]", "[motion"),
+    "unknown_section": _edit("[motion]", "[kinematics]"),
+    "key_outside_section": "id = pocket_bag\n" + shipped(BAG),
+    "malformed_key": _edit("friction = 0.5", "Friction = 0.5"),
+    "empty_value": _edit("friction = 0.5", "friction ="),
+    "self_intersecting_outline": _edit(
+        "length = 26 cm\nwidth = 19 cm", "vertices = 0, 0; 0.26, 0.19; 0.26, 0; 0, 0.1"
+    ),
+    "missing_side": _edit("width = 19 cm\n", ""),
+    "missing_line_section": shipped(BAG).split("[line]", 1)[0],
 }
 
 
@@ -90,6 +100,7 @@ def _cases() -> dict[str, list[str]]:
         "check-pocket_bag_circle-svg": ["check", "--config", CIRCLE, "--svg", "check-pocket_bag_circle.svg"],
         "check-pocket_bag_circle-structured": ["check", "--config", CIRCLE, "--format", "structured"],
         "fault-svg_unwritable": ["check", "--config", FACING, "--svg", "no_such_dir/layout.svg"],
+        "fault-range_without_comma": ["calibrate", "--config", BAG, "--target-count", "6", "--range", "1 cm"],
     })
     for fault in FAULTS:
         cases[f"fault-{fault}"] = ["check", "--config", f"{fault}.conf"]

@@ -22,7 +22,15 @@ from vacgrab import (
     VacuumGenerator,
     ValidationError,
     Vgtc,
+    adjusted_min_pressure,
+    calibrate_spacing,
+    continuity_velocity,
     convert_units,
+    net_supply_vacuum,
+    parallel_flow_split,
+    per_gripper_force,
+    required_pressure,
+    solve_pressure_from_balance,
 )
 from vacgrab.model import as_polygon, circular_area, supported_units
 from oracles import brute_self_intersects
@@ -176,9 +184,13 @@ def test_extreme_bore_areas():
         SuctionCup(orifice_diameter=1e-200)
     with pytest.raises(ValidationError, match="area of 0"):
         PipeSegment(inner_diameter=1e-200)
-    # float ** raises OverflowError where the area is simply too large
+    # float ** raises OverflowError where the area is simply too large; a cup,
+    # bore or disk refuses that inf area as it refuses 0
     assert circular_area(1e308) == math.inf
-    assert SuctionCup(orifice_diameter=1e308).area == math.inf
+    with pytest.raises(ValidationError, match="area of inf"):
+        SuctionCup(orifice_diameter=1e308)
+    with pytest.raises(ValidationError, match="area of inf"):
+        PipeSegment(inner_diameter=1e200)
 
 
 @given(d=st.floats(min_value=1e-5, max_value=1.0, allow_nan=False))
@@ -270,6 +282,58 @@ def test_circle_center_refuses_nan_and_inf(bad, axis):
     with pytest.raises(ValidationError) as err:
         Vgtc(**{**VALID[Vgtc], "center": center})
     assert err.value.field == "center"
+
+
+_CUP = SuctionCup(orifice_diameter=2e-3)
+_SQUARE = Polygon.rectangle(0.2, 0.2)
+# each range-checked argument of the library functions: (field, call with it set to x)
+GUARDED_ARGUMENTS = [
+    ("force", lambda x: required_pressure(x, _CUP)),
+    ("total_force", lambda x: per_gripper_force(x, _CUP)),
+    ("a1", lambda x: continuity_velocity(x, 1.0, 1.0)),
+    ("v1", lambda x: continuity_velocity(1.0, x, 1.0)),
+    ("a2", lambda x: continuity_velocity(1.0, 1.0, x)),
+    ("unknown_velocity", lambda x: solve_pressure_from_balance(FlowState(pressure=0.0), x, 0.0)),
+    ("unknown_elevation", lambda x: solve_pressure_from_balance(FlowState(pressure=0.0), 0.0, x)),
+    ("loss", lambda x: net_supply_vacuum(VacuumGenerator(), x)),
+    ("total_flow", lambda x: parallel_flow_split(x, 2)),
+    ("weights", lambda x: parallel_flow_split(1.0, 2, (1.0, x))),
+    ("ratio", lambda x: adjusted_min_pressure(PressureWindow(p_min=30_000.0), x)),
+    ("search_range", lambda x: calibrate_spacing(_SQUARE, 0.02, 4, (x, 1.0), 0.001)),
+    ("search_range", lambda x: calibrate_spacing(_SQUARE, 0.02, 4, (0.01, x), 0.001)),
+]
+# a valid run can overflow into these, so +inf passes them
+INF_ALLOWED = {"force", "total_force", "v1", "loss"}
+
+
+@pytest.mark.parametrize(
+    "name, call",
+    GUARDED_ARGUMENTS,
+    ids=[*(name for name, _ in GUARDED_ARGUMENTS[:-2]), "search_range-low", "search_range-high"],
+)
+def test_guarded_argument_refuses_nan(name, call):
+    call(0.5)  # in range for every argument
+    for bad in (math.nan, -math.inf) if name in INF_ALLOWED else (math.nan, -math.inf, math.inf):
+        with pytest.raises(ValidationError) as err:
+            call(bad)
+        assert err.value.field == name
+    if name in INF_ALLOWED:
+        call(math.inf)
+
+
+@pytest.mark.parametrize(
+    "vertices",
+    [
+        ((0.0, -1.0), (math.inf, 0.0), (0.0, 1.0)),
+        ((0.0, -1.0), (math.nan, 0.0), (0.0, 1.0)),
+        ((0.0, 0.0), (1e200, 0.0), (1e200, 1e200), (0.0, 1e200)),
+    ],
+    ids=["inf-vertex", "nan-vertex", "1e200-square"],
+)
+def test_polygon_refuses_a_non_finite_area(vertices):
+    with pytest.raises(ValidationError, match="area must be finite") as err:
+        Polygon(vertices)
+    assert err.value.field == "area"
 
 
 # ---------------------------------------------------------------------------

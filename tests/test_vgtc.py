@@ -55,9 +55,11 @@ def test_corner_centered_quarter_disk():
     assert area == pytest.approx(math.pi * 0.01 / 4, rel=1e-9)
 
 
-def test_disk_area_of_a_huge_radius_is_inf():
-    # float ** raises OverflowError where the square is simply too large
-    assert circle(0.0, 0.0, 1e300).disk_area == math.inf
+def test_huge_radius_with_an_inf_disk_area_is_refused():
+    # float ** raises OverflowError where the square is simply too large; the
+    # inf area it stands for is refused, as an area of 0 is
+    with pytest.raises(ValidationError, match="radius 1e\\+300 m has a disk area of inf"):
+        circle(0.0, 0.0, 1e300)
 
 
 def test_disjoint_is_zero():
