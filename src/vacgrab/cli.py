@@ -23,12 +23,10 @@ import csv
 import io
 import re
 import sys
-from dataclasses import MISSING, dataclass, field, fields
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from functools import cache
-from importlib import resources
 from itertools import product
 from json.encoder import encode_basestring_ascii
-from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from . import pneumatics, statics
 from .feasibility import (
@@ -49,6 +47,7 @@ from .model import (
     PipeSegment,
     Polygon,
     PressureWindow,
+    Record,
     SI_UNIT,
     SuctionCup,
     UnitError,
@@ -82,7 +81,7 @@ _SECTION_RE = re.compile(r"\[([a-z_]+)\]")
 _KEY_RE = re.compile(r"[a-z_][a-z0-9_]*")
 
 
-class ConfigField(NamedTuple):
+class ConfigField(Record):
     """One config key: its section, how its text parses, what it sets.
 
     kind: a dimension of SI_UNIT (number with optional unit), float (bare
@@ -104,10 +103,7 @@ class ConfigField(NamedTuple):
     @property
     def required(self) -> bool:
         """Whether the key must be given: its target attribute has no default."""
-        return self.target is not None and any(
-            f.name == self.attribute and f.default is MISSING and f.default_factory is MISSING
-            for f in fields(self.target)
-        )
+        return self.target is not None and self.attribute in self.target._required
 
 
 # Keys with a rule the table cannot state, applied by name below.
@@ -152,14 +148,13 @@ _SECTIONS = {
 _KEY_OF_FIELD = {(f.section, f.attribute): f.key for f in CONFIG_FIELDS}
 
 
-@dataclass
 class _RawSection:
     """A section's header line and entries, key -> (text, line). Inside `with section:`
     a ValidationError becomes a ConfigError at its field's key line, else the header's."""
 
-    name: str
-    line: int
-    entries: dict[str, tuple[str, int]] = field(default_factory=dict)
+    def __init__(self, name: str, line: int):
+        self.name, self.line = name, line
+        self.entries: dict[str, tuple[str, int]] = {}
 
     def __enter__(self):
         return self
@@ -170,13 +165,11 @@ class _RawSection:
             raise ConfigError(str(exc), entry[1] if entry else self.line) from exc
 
 
-@dataclass
 class ConfigDocument:
     """Parsed config: singleton sections plus the ordered [line] list."""
 
-    sections: dict[str, _RawSection]
-    line_sections: list[_RawSection]
-    units: dict[str, str]
+    def __init__(self, sections: dict[str, _RawSection], lines: list[_RawSection], units: dict[str, str]):
+        self.sections, self.line_sections, self.units = sections, lines, units
 
     def require(self, name: str) -> _RawSection:
         try:
@@ -243,7 +236,7 @@ def parse_document(text: str) -> ConfigDocument:
             except UnitError as exc:
                 raise ConfigError(str(exc), line_no) from exc
             units[dim] = value
-    return ConfigDocument(sections=singles, line_sections=lines, units=units)
+    return ConfigDocument(singles, lines, units)
 
 
 def _parse_quantity(text: str, kind, units: dict[str, str], key: str, line_no: int | None) -> float:
@@ -433,8 +426,7 @@ def parse_config(text: str | bytes) -> Scenario:
 CSV_COLUMNS = ("id", "force_N", "req_pressure_Pa", "loss_Pa", "net_Pa", "gripper_count", "verdict")
 
 
-@dataclass(frozen=True)
-class _Grid:
+class _Grid(Record):
     """A layout's positions for the JSON writer: [x, y] pairs, row by row."""
 
     xs: tuple[float, ...]
@@ -808,6 +800,7 @@ def parse_corpus_csv(text: str) -> list[CorpusRow]:
 
 
 def load_bundled_corpus() -> list[CorpusRow]:
+    from importlib import resources  # here, not at start-up: only batch reads the bundled table
     text = resources.files("vacgrab").joinpath("data/table1.csv").read_text("utf-8")
     return parse_corpus_csv(text)
 

@@ -28,8 +28,8 @@ ordering, and one bad row never aborts the rest.
 from __future__ import annotations
 
 import enum
+from collections.abc import Iterable
 from dataclasses import dataclass
-from typing import Iterable
 
 from . import pneumatics, statics
 from .model import (
@@ -38,6 +38,7 @@ from .model import (
     Permeability,
     PhysicalConstants,
     PipeSegment,
+    Record,
     SuctionCup,
     VacuumGenerator,
     ValidationError,
@@ -64,8 +65,7 @@ class Verdict(enum.Enum):
     UNCALIBRATED = "Uncalibrated"
 
 
-@dataclass(frozen=True)
-class Scenario:
+class Scenario(Record):
     """Everything needed to judge one pick: piece, rig, motion, line."""
 
     fabric: FabricPiece
@@ -87,6 +87,7 @@ class Scenario:
         require_range("margin", self.margin, 0)
 
 
+# a dataclass, not a Record: bench/tests copy it with dataclasses.replace
 @dataclass(frozen=True)
 class GraspReport:
     """Audit trail for one evaluated scenario."""
@@ -203,8 +204,7 @@ def evaluate(
 # ---------------------------------------------------------------------------
 # corpus batches
 
-@dataclass(frozen=True)
-class CorpusRow:
+class CorpusRow(Record):
     """One line of a grabbing-test table, SI-converted."""
 
     lot: str
@@ -218,6 +218,7 @@ class CorpusRow:
     expected: str  # recorded bench result, e.g. "Pass"
 
 
+# a dataclass, not a Record: bench/tests copy it with dataclasses.replace
 @dataclass(frozen=True)
 class CorpusEntry:
     """run_corpus output slot: a report, or an error that replaced it."""

@@ -11,11 +11,11 @@ pressure; signed gauge values exist only in input/output text. This
 keeps comparisons like "is 55 kPa of vacuum enough for a 47.1 kPa
 demand" free of sign-convention bugs.
 
-Every type validates its invariants in __post_init__ and is immutable
-afterwards, so an instance that exists is valid and finite, and safe
-to share across threads. Quantities are checked by one rule,
-require_range, which refuses nan; the statics, pneumatics and vgtc
-functions check their numeric arguments with it too.
+Every value type is a frozen Record that validates its invariants in
+__post_init__, so an instance that exists is valid and finite, and safe
+to share across threads; .replace(...) copies and validates again.
+Quantities are checked by one rule, require_range, which refuses nan;
+the statics, pneumatics and vgtc functions check their arguments with it.
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ from __future__ import annotations
 import enum
 import math
 import sys
-from dataclasses import dataclass
 from functools import cached_property
 
 
@@ -132,6 +131,50 @@ def require_range(name: str, value, low=-_FLOAT_MAX, high=_FLOAT_MAX, *, above=F
     raise ValidationError(f"{name} must be {rule.removeprefix(' and ')}, got {_echo(value)}", name)
 
 
+class Record:
+    """Base of the frozen value types: a subclass's fields are its own annotations, in order.
+
+    A subclass gets a generated __init__: it stores the fields through
+    object.__setattr__ (reading self.__dict__ there would stop Python 3.11
+    specializing later attribute reads), class-level values as defaults,
+    then calls self.__post_init__(), if any, looked up per call. _required
+    names the fields without a default. Setting or deleting an attribute
+    raises AttributeError; ==, hash and repr read the fields only.
+    """
+
+    def __init_subclass__(cls):
+        own = vars(cls)
+        cls._fields = names = tuple(own.get("__annotations__", {}))
+        cls._required = tuple(name for name in names if name not in own)
+        params = "".join(f", {name}" + (f"=_cls.{name}" if name in own else "") for name in names)
+        body = "".join(f"\n    _set(self, {name!r}, {name})" for name in names)
+        post = "\n    self.__post_init__()" if hasattr(cls, "__post_init__") else ""
+        scope = {"_cls": cls, "_set": object.__setattr__}
+        exec(f"def __init__(self{params}):{body}{post}", scope)
+        cls.__init__ = scope["__init__"]
+
+    def _frozen(self, name, *value):
+        raise AttributeError(f"{type(self).__name__} is frozen: cannot set or delete {name!r}")
+
+    __setattr__ = __delattr__ = _frozen
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __eq__(self, other):
+        return self._values() == other._values() if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        return f"{type(self).__qualname__}({', '.join(f'{n}={getattr(self, n)!r}' for n in self._fields)})"
+
+    def replace(self, **changes):
+        """A copy with `changes` applied, validated like a new instance."""
+        return type(self)(**{**dict(zip(self._fields, self._values())), **changes})
+
+
 # ---------------------------------------------------------------------------
 # geometry
 
@@ -171,14 +214,13 @@ def _segments_intersect(p1: Point, p2: Point, q1: Point, q2: Point) -> bool:
     return False
 
 
-@dataclass(frozen=True)
-class Polygon:
+class Polygon(Record):
     """Simple polygon in fabric-local coordinates (meters).
 
     Vertices may be given in either winding order; signed_area exposes
     the raw orientation, area the magnitude. signed_area is computed
     once at construction; bounds, ccw_ring and box are computed on
-    first read and cached. All four live outside the dataclass fields,
+    first read and cached. All four live outside the fields,
     so they take no part in ==, hash or repr. Construction rejects
     degenerate outlines: fewer than three vertices, repeated
     consecutive points, an area that is zero or not finite (as any inf
@@ -290,8 +332,7 @@ class LoadCase(enum.Enum):
 # ---------------------------------------------------------------------------
 # value types
 
-@dataclass(frozen=True)
-class PhysicalConstants:
+class PhysicalConstants(Record):
     """Ambient air and gravity constants used throughout."""
 
     gravity: float = 9.81  # m/s^2
@@ -302,8 +343,7 @@ class PhysicalConstants:
         require_range("air_density", self.air_density, 0, above=True)
 
 
-@dataclass(frozen=True)
-class FabricPiece:
+class FabricPiece(Record):
     """One cut fabric piece to be grasped."""
 
     id: str
@@ -320,8 +360,7 @@ class FabricPiece:
         _require(isinstance(self.permeability, Permeability), "permeability must be a Permeability value")
 
 
-@dataclass(frozen=True)
-class MotionProfile:
+class MotionProfile(Record):
     """Pick-path kinematics and the safety margin applied to forces."""
 
     acceleration: float = 5.0  # m/s^2
@@ -334,8 +373,7 @@ class MotionProfile:
         _require(isinstance(self.load_case, LoadCase), "load_case must be a LoadCase value")
 
 
-@dataclass(frozen=True)
-class SuctionCup:
+class SuctionCup(Record):
     """A suction cup orifice and how many identical cups share the load."""
 
     orifice_diameter: float  # m
@@ -355,8 +393,7 @@ class SuctionCup:
         return circular_area(self.orifice_diameter)
 
 
-@dataclass(frozen=True)
-class VacuumGenerator:
+class VacuumGenerator(Record):
     """Compressed-air ejector spec feeding the suction line.
 
     max_vacuum is the magnitude of the deepest negative gauge pressure
@@ -371,8 +408,7 @@ class VacuumGenerator:
         require_range("supply_flow_rate", self.supply_flow_rate, 0, above=True)
 
 
-@dataclass(frozen=True)
-class PipeSegment:
+class PipeSegment(Record):
     """One hose segment of the suction line."""
 
     inner_diameter: float  # m
@@ -389,8 +425,7 @@ class PipeSegment:
         return circular_area(self.inner_diameter)
 
 
-@dataclass(frozen=True)
-class EnergyHeads:
+class EnergyHeads(Record):
     """Pump, loss, and turbine heads in meters of fluid column."""
 
     pump_head: float = 0.0
@@ -403,8 +438,7 @@ class EnergyHeads:
         require_range("turbine_head", self.turbine_head, 0)
 
 
-@dataclass(frozen=True)
-class FlowState:
+class FlowState(Record):
     """Pressure, speed, height, and volumetric flow at one line station."""
 
     pressure: float  # Pa, signed gauge
@@ -419,8 +453,7 @@ class FlowState:
         require_range("volumetric_flow", self.volumetric_flow, 0)
 
 
-@dataclass(frozen=True)
-class PressureWindow:
+class PressureWindow(Record):
     """Calibrated grabbing window for a single fabric layer.
 
     p_min is the smallest vacuum magnitude that lifts one layer; p_max

@@ -30,14 +30,14 @@ valid run with an infinite loss.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Sequence
+from collections.abc import Sequence
 
 from .model import (
     EnergyHeads,
     FlowState,
     PhysicalConstants,
     PipeSegment,
+    Record,
     VacuumGenerator,
     ValidationError,
     require_range,
@@ -47,8 +47,7 @@ from .model import (
 MACH_ADVISORY_VELOCITY = 100.0  # m/s
 
 
-@dataclass(frozen=True)
-class LineLossResult:
+class LineLossResult(Record):
     """Pressure change across one bore step.
 
     delta_p is signed: positive for a contraction (a loss), negative
@@ -64,8 +63,7 @@ class LineLossResult:
     mach_advisory: bool
 
 
-@dataclass(frozen=True)
-class NetSupplyResult:
+class NetSupplyResult(Record):
     """Vacuum magnitude left at the cup after line losses."""
 
     pressure: float  # Pa magnitude; 0 means no usable vacuum reaches the cup
@@ -76,7 +74,8 @@ def continuity_velocity(a1: float, v1: float, a2: float) -> float:
     """Downstream velocity from volumetric continuity: v2 = v1 * A1/A2."""
     require_range("a1", a1, 0, above=True)
     require_range("a2", a2, 0, above=True)
-    return require_range("v1", v1, 0, math.inf) * (a1 / a2)
+    v1 = require_range("v1", v1, 0, math.inf)
+    return v1 * (a1 / a2) if v1 else 0.0  # no flow stays none where A1/A2 overflows
 
 
 def constriction_pressure_drop(
@@ -94,7 +93,7 @@ def constriction_pressure_drop(
     a2 = downstream.area
     ratio = a1 / a2
     v2 = continuity_velocity(a1, v1, a2)
-    delta_p = 0.5 * consts.air_density * v1 * v1 * (ratio * ratio - 1.0)
+    delta_p = 0.5 * consts.air_density * v1 * v1 * (ratio * ratio - 1.0) if v1 else 0.0  # no flow, no loss
     return LineLossResult(
         delta_p=delta_p,
         upstream_velocity=v1,
@@ -181,7 +180,10 @@ def parallel_flow_split(
             raise ValidationError(
                 f"weights length {len(w)} does not match branch_count {branch_count}"
             )
-    wsum = math.fsum(w)
+    try:
+        wsum = math.fsum(w)
+    except OverflowError:
+        raise ValidationError("weights must have a finite sum", "weights") from None
     flows = [total_flow * (x / wsum) for x in w]
     flows[-1] = total_flow - math.fsum(flows[:-1])
     return flows
@@ -203,7 +205,7 @@ def line_loss_total(
     if not segments:
         raise ValidationError("line must have at least one segment")
     details: list[LineLossResult] = []
-    v = upstream_velocity
+    v = require_range("upstream_velocity", upstream_velocity, 0, math.inf)
     for up, down in zip(segments, segments[1:]):
         step = constriction_pressure_drop(up, down, v, consts)
         details.append(step)

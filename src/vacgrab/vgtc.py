@@ -38,7 +38,6 @@ each layout position still makes exactly one intersection call.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import repeat
 
@@ -46,20 +45,20 @@ from .model import (
     Point,
     Polygon,
     PressureWindow,
+    Record,
     ValidationError,
     circular_area,
     require_range,
 )
 
 
-@dataclass(frozen=True)
-class Vgtc:
+class Vgtc(Record):
     """A grabbing circle: center and radius in fabric-local meters.
 
     A bench-measured circle is recorded by constructing one: the largest
     radius at which the single-gripper test still picked exactly one
     layer, with the pressure window observed while doing it. disk_area
-    is computed once at construction, outside the dataclass fields.
+    is computed once at construction, outside the fields.
     """
 
     center: Point
@@ -93,8 +92,7 @@ class Vgtc:
         return circle
 
 
-@dataclass(frozen=True)
-class Layout:
+class Layout(Record):
     """A rectangular grid of gripper positions inside a margin inset.
 
     xs holds the x of each column and ys the y of each row. cols and

@@ -652,6 +652,14 @@ def run_cli(*argv):
     )
 
 
+def test_start_up_imports_neither_typing_nor_importlib_resources():
+    # -S: no site hooks, which may load either module before vacgrab does
+    env = dict(os.environ, PYTHONPATH=str(Path(vacgrab.__file__).parents[1]))
+    code = "import sys, vacgrab.cli; print(sorted({'typing', 'importlib.resources'} & set(sys.modules)))"
+    run = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True, timeout=30, env=env)
+    assert (run.returncode, run.stdout, run.stderr) == (0, "[]\n", "")
+
+
 @pytest.mark.parametrize(
     "extra, code",
     [
@@ -716,7 +724,7 @@ def test_bom_config_reads_like_the_file_without_it(tmp_path, bag_config):
     "velocity, bores, delta",
     [
         ("37.14", ("1 m", "1e-150 m", "1 m"), "inf"),  # a +inf step, then a -inf step
-        ("0", ("1 m", "1e-150 m"), "nan"),  # no velocity times an infinite area ratio
+        ("1e200", ("1 m", "1 m"), "nan"),  # a speed whose square overflows, times no bore change
     ],
     ids=["inf-minus-inf", "nan"],
 )

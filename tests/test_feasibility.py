@@ -1,4 +1,3 @@
-import dataclasses
 import math
 
 import pytest
@@ -161,20 +160,20 @@ def test_vgtc_edge_overhang_inflates_demand(pocket_bag):
 
 
 def test_permeable_without_window_max_is_uncalibrated(pocket_bag):
-    fabric = dataclasses.replace(pocket_bag, permeability=Permeability.AIR_PERMEABLE)
+    fabric = pocket_bag.replace(permeability=Permeability.AIR_PERMEABLE)
     report = evaluate(interior_circle_scenario(fabric, p_max=None))
     assert report.verdict is Verdict.UNCALIBRATED
 
 
 def test_permeable_above_window_max_is_multi_layer_risk(pocket_bag):
-    fabric = dataclasses.replace(pocket_bag, permeability=Permeability.AIR_PERMEABLE)
+    fabric = pocket_bag.replace(permeability=Permeability.AIR_PERMEABLE)
     report = evaluate(interior_circle_scenario(fabric, p_max=50_000.0))
     assert report.net_supply > 50_000.0
     assert report.verdict is Verdict.PASS_WITH_MULTI_LAYER_RISK
 
 
 def test_permeable_inside_window_passes(pocket_bag):
-    fabric = dataclasses.replace(pocket_bag, permeability=Permeability.AIR_PERMEABLE)
+    fabric = pocket_bag.replace(permeability=Permeability.AIR_PERMEABLE)
     report = evaluate(interior_circle_scenario(fabric, p_max=60_000.0))
     assert report.net_supply <= 60_000.0
     assert report.verdict is Verdict.PASS
@@ -187,7 +186,7 @@ def test_impermeable_never_flags_multi_layer(pocket_bag):
 
 
 def test_permeable_no_circle_is_uncalibrated(pocket_bag, std_line):
-    fabric = dataclasses.replace(pocket_bag, permeability=Permeability.AIR_PERMEABLE)
+    fabric = pocket_bag.replace(permeability=Permeability.AIR_PERMEABLE)
     report = evaluate(make_scenario(fabric, std_line))
     assert report.verdict is Verdict.UNCALIBRATED
 

@@ -30,6 +30,9 @@ FACING = "pocket_facing.conf"
 # border overhang the piece and the 24 inside do not, so one SVG holds
 # shaded and unshaded disks
 CIRCLE = "pocket_bag_circle.conf"
+# pocket_bag.conf with no flow through bores 1e150 m, 1e-150 m and 1 mm:
+# the first area ratio overflows to inf, and 0 * inf must not become nan
+ZERO_FLOW = "zero_flow_overflowing_ratio.conf"
 COMMANDS = ("force", "pressure", "line-loss", "plan", "calibrate", "check")
 FORMATS = ("human", "csv", "structured")
 
@@ -75,6 +78,13 @@ def _circle_config() -> str:
     return shipped(BAG) + "\n[vgtc]\nradius = 3 cm\np_min = 30 kPa\nmargin = 2 cm\n"
 
 
+def _zero_flow_config() -> str:
+    return _edit("[line]\ninner_diameter = 5.2 mm", "[line]\ninner_diameter = 1e150 m").replace(
+        "upstream_velocity = 37.14\n\n[line]\ninner_diameter = 2 mm",
+        "upstream_velocity = 0\n\n[line]\ninner_diameter = 1e-150 m",
+    ) + "\n[line]\ninner_diameter = 1 mm\n"
+
+
 def _cases() -> dict[str, list[str]]:
     cases = {}
     for config in (BAG, FACING):
@@ -99,6 +109,7 @@ def _cases() -> dict[str, list[str]]:
         ],
         "check-pocket_bag_circle-svg": ["check", "--config", CIRCLE, "--svg", "check-pocket_bag_circle.svg"],
         "check-pocket_bag_circle-structured": ["check", "--config", CIRCLE, "--format", "structured"],
+        "check-zero_flow_overflowing_ratio": ["check", "--config", ZERO_FLOW],
         "fault-svg_unwritable": ["check", "--config", FACING, "--svg", "no_such_dir/layout.svg"],
         "fault-range_without_comma": ["calibrate", "--config", BAG, "--target-count", "6", "--range", "1 cm"],
     })
@@ -114,6 +125,7 @@ def _write_inputs(directory: Path) -> None:
     for name in (BAG, FACING):
         (directory / name).write_text(shipped(name), encoding="utf-8")
     (directory / CIRCLE).write_text(_circle_config(), encoding="utf-8")
+    (directory / ZERO_FLOW).write_text(_zero_flow_config(), encoding="utf-8")
     for fault, text in FAULTS.items():
         (directory / f"{fault}.conf").write_text(text, encoding="utf-8")
 

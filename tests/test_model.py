@@ -1,6 +1,6 @@
+import dataclasses
 import math
 import random
-from dataclasses import fields
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -32,7 +32,9 @@ from vacgrab import (
     required_pressure,
     solve_pressure_from_balance,
 )
+from vacgrab.cli import CONFIG_FIELDS
 from vacgrab.model import as_polygon, circular_area, supported_units
+from vacgrab.pneumatics import LineLossResult, NetSupplyResult
 from oracles import brute_self_intersects
 
 
@@ -257,7 +259,10 @@ VALID = {
     ),
 }
 FLOAT_FIELDS = [
-    (cls, f.name) for cls in VALID for f in fields(cls) if f.type in ("float", "float | None")
+    (cls, name)
+    for cls in VALID
+    for name in cls._fields
+    if cls.__annotations__[name] in ("float", "float | None")
 ]
 
 
@@ -458,3 +463,111 @@ def test_axis_aligned_rectangle_detection():
 def test_as_polygon_passthrough():
     rect = Polygon.rectangle(1, 1)
     assert as_polygon(rect) is rect
+
+
+# ---------------------------------------------------------------------------
+# value-type behaviour: immutable, compared and shown by their fields only
+
+RECORDS = {
+    **{cls: cls(**kwargs) for cls, kwargs in VALID.items()},
+    Polygon: Polygon.rectangle(0.2, 0.1),
+    LineLossResult: LineLossResult(1.5, 2.0, 8.0, 4.0, False, True),
+    NetSupplyResult: NetSupplyResult(0.0, True),
+}
+_BAG_PIECE = (
+    "FabricPiece(id='x', outline=Polygon(vertices=((0.0, 0.0), (0.1, 0.0), (0.1, 0.1), (0.0, 0.1))), "
+    "mass=0.001, friction_coefficient=0.5, permeability=<Permeability.AIR_IMPERMEABLE: 'impermeable'>, "
+    "material='')"
+)
+_MOTION = "MotionProfile(acceleration=5.0, safety_factor=2.0, load_case=<LoadCase.FRICTION_LIFT: 'friction_lift'>)"
+_WINDOW = "PressureWindow(p_min=30000.0, p_max=None)"
+REPRS = {
+    PhysicalConstants: "PhysicalConstants(gravity=9.81, air_density=1.204)",
+    FabricPiece: _BAG_PIECE,
+    MotionProfile: _MOTION,
+    SuctionCup: "SuctionCup(orifice_diameter=0.002, count=1)",
+    VacuumGenerator: "VacuumGenerator(max_vacuum=92000.0, supply_flow_rate=0.00105)",
+    PipeSegment: "PipeSegment(inner_diameter=0.002, length=0.0)",
+    EnergyHeads: "EnergyHeads(pump_head=0.0, loss_head=0.0, turbine_head=0.0)",
+    FlowState: "FlowState(pressure=0.0, velocity=0.0, elevation=0.0, volumetric_flow=0.0)",
+    PressureWindow: _WINDOW,
+    Vgtc: f"Vgtc(center=(0.0, 0.0), radius=0.02, pressure_window={_WINDOW})",
+    Layout: "Layout(xs=(0.0,), ys=(0.0,), spacing=0.1, margin=0.0)",
+    Scenario: (
+        f"Scenario(fabric={_BAG_PIECE}, motion={_MOTION}, cup=SuctionCup(orifice_diameter=0.002, count=1), "
+        "generator=VacuumGenerator(max_vacuum=92000.0, supply_flow_rate=0.00105), "
+        "line=(PipeSegment(inner_diameter=0.002, length=0.0),), upstream_velocity=1.0, vgtc=None, margin=0.02)"
+    ),
+    Polygon: "Polygon(vertices=((0.0, 0.0), (0.2, 0.0), (0.2, 0.1), (0.0, 0.1)))",
+    LineLossResult: (
+        "LineLossResult(delta_p=1.5, upstream_velocity=2.0, downstream_velocity=8.0, area_ratio=4.0, "
+        "pressure_recovery=False, mach_advisory=True)"
+    ),
+    NetSupplyResult: "NetSupplyResult(pressure=0.0, clamped=True)",
+}
+
+
+@pytest.mark.parametrize("cls", RECORDS, ids=lambda cls: cls.__name__)
+def test_value_type_is_frozen_and_shows_its_fields(cls):
+    value = RECORDS[cls]
+    name = next(iter(vars(value)))  # its first field
+    with pytest.raises(AttributeError):
+        setattr(value, name, getattr(value, name))
+    with pytest.raises(AttributeError):
+        delattr(value, name)
+    with pytest.raises(AttributeError):
+        value.not_a_field = 1
+    assert repr(value) == REPRS[cls]
+
+
+def test_equality_and_hash_ignore_cached_extras():
+    piece, fresh = Polygon.rectangle(0.2, 0.1), Polygon.rectangle(0.2, 0.1)
+    assert piece.bounds and piece.box and piece.ccw_ring
+    assert piece == fresh and hash(piece) == hash(fresh)
+    layout = Layout(xs=(0.0, 1.0), ys=(0.0,), spacing=1.0, margin=0.0)
+    assert layout.positions == ((0.0, 0.0), (1.0, 0.0))
+    assert layout == Layout(xs=(0.0, 1.0), ys=(0.0,), spacing=1.0, margin=0.0)
+    circle = RECORDS[Vgtc].moved((0.5, 0.25))
+    assert circle == Vgtc(**{**VALID[Vgtc], "center": (0.5, 0.25)})
+    assert hash(circle) == hash(Vgtc(**{**VALID[Vgtc], "center": (0.5, 0.25)}))
+    assert circle != RECORDS[Vgtc]
+    assert RECORDS[PipeSegment] != PipeSegment(inner_diameter=3e-3)
+    assert RECORDS[PipeSegment] != (2e-3, 0.0)
+
+
+def test_required_config_keys():
+    # a key is required when its target attribute has no default
+    assert sorted((f.section, f.key) for f in CONFIG_FIELDS if f.required) == [
+        ("cup", "orifice_diameter"),
+        ("fabric", "friction"),
+        ("fabric", "id"),
+        ("fabric", "mass"),
+        ("line", "inner_diameter"),
+        ("line", "upstream_velocity"),
+        ("vgtc", "p_min"),
+        ("vgtc", "radius"),
+    ]
+
+
+def test_only_the_reports_the_benchmark_copies_are_dataclasses():
+    # GraspReport and CorpusEntry stay dataclasses because the benchmark's
+    # tests copy them with dataclasses.replace; every other value type is a
+    # Record, whose class creation costs no dataclass decoration at start-up
+    from vacgrab import cli, feasibility, model, pneumatics, statics, vgtc
+
+    found = {
+        name
+        for module in (cli, feasibility, model, pneumatics, statics, vgtc)
+        for name, obj in vars(module).items()
+        if isinstance(obj, type) and obj.__module__ == module.__name__ and dataclasses.is_dataclass(obj)
+    }
+    assert found == {"GraspReport", "CorpusEntry"}
+
+
+def test_replace_validates_the_copy():
+    piece = RECORDS[PipeSegment]
+    assert piece.replace(length=2.0) == PipeSegment(inner_diameter=2e-3, length=2.0)
+    assert piece.length == 0.0
+    with pytest.raises(ValidationError) as err:
+        piece.replace(inner_diameter=math.nan)
+    assert err.value.field == "inner_diameter"

@@ -82,6 +82,14 @@ def test_constriction_no_flow():
     assert not res.mach_advisory
 
 
+def test_constriction_no_flow_through_an_area_ratio_that_overflows():
+    # A1/A2 is inf; no flow must still mean no speed and no loss, not 0 * inf = nan
+    res = constriction_pressure_drop(PipeSegment(1e150), PipeSegment(1e-150), 0.0)
+    assert (res.delta_p, res.downstream_velocity, res.area_ratio) == (0.0, 0.0, math.inf)
+    assert not res.pressure_recovery and not res.mach_advisory
+    assert continuity_velocity(1e300, 0.0, 1e-300) == 0.0
+
+
 def test_expansion_flags_pressure_recovery():
     res = constriction_pressure_drop(CUP_PIPE, SUPPLY_PIPE, 10.0)
     assert res.delta_p < 0
@@ -233,6 +241,12 @@ def test_parallel_split_weighted():
     assert flows[2] == pytest.approx(2e-4, rel=1e-12)
 
 
+def test_parallel_split_refuses_weights_whose_sum_overflows():
+    with pytest.raises(ValidationError, match="finite sum") as err:
+        parallel_flow_split(1.0, 2, (1e308, 1e308))
+    assert err.value.field == "weights"
+
+
 def test_parallel_split_weight_mismatch():
     with pytest.raises(ValidationError, match="length"):
         parallel_flow_split(1e-3, 3, weights=(1, 2))
@@ -269,6 +283,15 @@ def test_line_loss_chains_velocity(consts):
     assert total == pytest.approx(math.fsum(s.delta_p for s in steps), rel=1e-15)
 
 
+@pytest.mark.parametrize("velocity", [math.nan, -1.0, -math.inf])
+def test_line_loss_checks_upstream_velocity_on_entry(velocity):
+    # a one-segment line has no step whose continuity check would see it
+    with pytest.raises(ValidationError) as err:
+        line_loss_total((PipeSegment(inner_diameter=2e-3),), velocity)
+    assert err.value.field == "upstream_velocity"
+    assert line_loss_total((PipeSegment(inner_diameter=2e-3),), math.inf) == (0.0, [])
+
+
 def test_line_loss_requires_segments():
     with pytest.raises(ValidationError):
         line_loss_total([], 1.0)
@@ -278,7 +301,7 @@ def test_line_loss_requires_segments():
     "velocity, bores, step, delta",
     [
         (37.14, (1.0, 1e-150, 1.0), 1, "inf"),  # +inf then -inf: fsum has no answer
-        (0.0, (1.0, 1e-150), 1, "nan"),  # 0 * inf
+        (1e200, (1.0, 1.0), 1, "nan"),  # inf * 0: a speed whose square overflows, through no bore change
         (37.14, (5.2e-3, 2e-3, 1e-150, 1.0), 2, "inf"),  # a finite step, then +inf and -inf
     ],
     ids=["inf-minus-inf", "nan", "second-step"],
