@@ -10,11 +10,11 @@ Modules:
 
 Typical library use:
 
-    from vacgrab import FabricPiece, MotionProfile, SuctionCup
+    from vacgrab import FabricPiece, MotionProfile, Polygon, SuctionCup
     from vacgrab import VacuumGenerator, PipeSegment, Scenario, evaluate
 
     scenario = Scenario(
-        fabric=FabricPiece(id="bag", outline=(0.26, 0.19), mass=2.5e-3,
+        fabric=FabricPiece(id="bag", outline=Polygon.rectangle(0.26, 0.19), mass=2.5e-3,
                            friction_coefficient=0.5),
         motion=MotionProfile(),
         cup=SuctionCup(orifice_diameter=2e-3),

@@ -9,8 +9,9 @@ Quantities take an optional unit suffix (g, kg, mm, cm, m, kPa, Pa,
 bar, L/min); bare numbers are SI unless a [units] section overrides
 the default unit for that dimension. Unknown sections or keys are
 fatal so unit-suffix typos surface instead of silently parsing as
-something else. The [line] section may repeat; each occurrence is one
-hose segment, ordered from generator to cup.
+something else, and every value is parsed when the file is read,
+whichever sections a command uses. The [line] section may repeat; each
+occurrence is one hose segment, ordered from generator to cup.
 
 Exit codes: 0 success, 1 usage error, 2 validation/config error,
 3 advisory escalated by --strict.
@@ -24,7 +25,6 @@ import io
 import re
 import sys
 from collections.abc import Callable, Iterable, Iterator, Sequence
-from functools import cache
 from itertools import product
 from json.encoder import encode_basestring_ascii
 
@@ -53,6 +53,8 @@ from .model import (
     UnitError,
     VacuumGenerator,
     ValidationError,
+    _clip,
+    _echo,
     convert_units,
     require_range,
 )
@@ -79,6 +81,8 @@ class UsageError(Exception):
 _NUMBER_RE = re.compile(r"^([-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?)\s*(.*)$")
 _SECTION_RE = re.compile(r"\[([a-z_]+)\]")
 _KEY_RE = re.compile(r"[a-z_][a-z0-9_]*")
+_INTEGER_RE = re.compile(r"([-+]?)0*(\d+)")
+_FLOAT_DIGITS = sys.float_info.max_10_exp + 1  # digits of the largest float
 
 
 class ConfigField(Record):
@@ -148,13 +152,15 @@ _SECTIONS = {
 _KEY_OF_FIELD = {(f.section, f.attribute): f.key for f in CONFIG_FIELDS}
 
 
-class _RawSection:
-    """A section's header line and entries, key -> (text, line). Inside `with section:`
-    a ValidationError becomes a ConfigError at its field's key line, else the header's."""
+class _Section:
+    """A section's header line, its entries key -> (text, line) and their parsed
+    values. Inside `with section:` a ValidationError becomes a ConfigError at its
+    field's key line, else the header's."""
 
     def __init__(self, name: str, line: int):
         self.name, self.line = name, line
         self.entries: dict[str, tuple[str, int]] = {}
+        self.values: dict[str, object] = {}
 
     def __enter__(self):
         return self
@@ -168,23 +174,28 @@ class _RawSection:
 class ConfigDocument:
     """Parsed config: singleton sections plus the ordered [line] list."""
 
-    def __init__(self, sections: dict[str, _RawSection], lines: list[_RawSection], units: dict[str, str]):
-        self.sections, self.line_sections, self.units = sections, lines, units
+    def __init__(self, sections: dict[str, _Section], lines: list[_Section]):
+        self.sections, self.line_sections = sections, lines
 
-    def require(self, name: str) -> _RawSection:
+    def require(self, name: str) -> _Section:
         try:
             return self.sections[name]
         except KeyError:
             raise ConfigError(f"missing section: {name}") from None
 
-    def get(self, name: str) -> _RawSection:
+    def get(self, name: str) -> _Section:
         """A section, or an empty one when the config leaves it out."""
-        return self.sections.get(name) or _RawSection(name=name, line=0)
+        return self.sections.get(name) or _Section(name=name, line=0)
 
 
-def _tokenize(text: str) -> list[_RawSection]:
-    sections: list[_RawSection] = []
-    current: _RawSection | None = None
+def parse_document(text: str) -> ConfigDocument:
+    """Split a config into sections, then parse every value by its key's kind.
+
+    Strict about sections and keys. [units] is checked first: it sets the
+    unit of every bare number.
+    """
+    doc, sections = ConfigDocument({}, []), []
+    current: _Section | None = None
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -192,62 +203,59 @@ def _tokenize(text: str) -> list[_RawSection]:
         if line.startswith("["):
             m = _SECTION_RE.fullmatch(line)
             if not m:
-                raise ConfigError(f"malformed section header {line!r}", line_no)
+                raise ConfigError(f"malformed section header {_echo(line)}", line_no)
             name = m.group(1)
             if name not in _SECTIONS:
-                raise ConfigError(f"unknown section [{name}]", line_no)
-            current = _RawSection(name=name, line=line_no)
+                raise ConfigError(f"unknown section [{_clip(name)}]", line_no)
+            current = _Section(name=name, line=line_no)
             sections.append(current)
+            if name == "line":
+                doc.line_sections.append(current)
+            elif name in doc.sections:
+                raise ConfigError(f"duplicate section [{name}]", line_no)
+            else:
+                doc.sections[name] = current
             continue
         if current is None:
-            raise ConfigError(f"key outside any section: {line!r}", line_no)
+            raise ConfigError(f"key outside any section: {_echo(line)}", line_no)
         if "=" not in line:
-            raise ConfigError(f"expected 'key = value', got {line!r}", line_no)
+            raise ConfigError(f"expected 'key = value', got {_echo(line)}", line_no)
         key, value = (part.strip() for part in line.split("=", 1))
         if not _KEY_RE.fullmatch(key):
-            raise ConfigError(f"malformed key {key!r}", line_no)
+            raise ConfigError(f"malformed key {_echo(key)}", line_no)
         if key not in _SECTIONS[current.name]:
-            raise ConfigError(f"unknown key {key!r} in [{current.name}]", line_no)
+            raise ConfigError(f"unknown key {_echo(key)} in [{current.name}]", line_no)
         if key in current.entries:
             raise ConfigError(f"duplicate key {key!r} in [{current.name}]", line_no)
         if not value:
             raise ConfigError(f"empty value for {key!r}", line_no)
         current.entries[key] = (value, line_no)
-    return sections
-
-
-def parse_document(text: str) -> ConfigDocument:
-    """Tokenize and structure a config; strict about sections and keys."""
-    singles: dict[str, _RawSection] = {}
-    lines: list[_RawSection] = []
-    for section in _tokenize(text):
-        if section.name == "line":
-            lines.append(section)
-        elif section.name in singles:
-            raise ConfigError(f"duplicate section [{section.name}]", section.line)
-        else:
-            singles[section.name] = section
 
     units: dict[str, str] = {}
-    if "units" in singles:
-        for dim, (value, line_no) in singles["units"].entries.items():
-            try:
-                convert_units(1.0, value, SI_UNIT[dim])
-            except UnitError as exc:
-                raise ConfigError(str(exc), line_no) from exc
-            units[dim] = value
-    return ConfigDocument(singles, lines, units)
+    for dim, (value, line_no) in doc.get("units").entries.items():
+        try:
+            convert_units(1.0, value, SI_UNIT[dim])
+        except UnitError as exc:
+            raise ConfigError(str(exc), line_no) from exc
+        units[dim] = value
+    for section in sections:  # in file order, so the first bad value is reported
+        declared = _SECTIONS[section.name]
+        section.values = {
+            key: _parse_value(declared[key].kind, key, value, units, line_no)
+            for key, (value, line_no) in section.entries.items()
+        }
+    return doc
 
 
 def _parse_quantity(text: str, kind, units: dict[str, str], key: str, line_no: int | None) -> float:
     m = _NUMBER_RE.match(text.strip())
     if not m:
-        raise ConfigError(f"{key}: cannot parse a number from {text!r}", line_no)
+        raise ConfigError(f"{key}: cannot parse a number from {_echo(text)}", line_no)
     value = float(m.group(1))
     suffix = m.group(2).strip()
     if kind is float:
         if suffix:
-            raise ConfigError(f"{key}: unexpected unit {suffix!r} on a bare number", line_no)
+            raise ConfigError(f"{key}: unexpected unit {_echo(suffix)} on a bare number", line_no)
         return value
     if suffix == "":
         suffix = units.get(kind, SI_UNIT[kind])
@@ -257,15 +265,29 @@ def _parse_quantity(text: str, kind, units: dict[str, str], key: str, line_no: i
         raise ConfigError(f"{key}: {exc}", line_no) from exc
 
 
+def _parse_count(text: str) -> int | float:
+    """An integer: plain digits, or another form int() reads, such as 1_000.
+
+    More digits than the largest float has are read as +-inf, which every
+    caller refuses as out of range (int() itself refuses past 4,300
+    digits). Raises ValueError for text that is no integer.
+    """
+    whole = _INTEGER_RE.fullmatch(text)
+    if whole is None:
+        return int(text)
+    sign, digits = whole.groups()
+    return int(sign + digits) if len(digits) <= _FLOAT_DIGITS else float(sign + "inf")
+
+
 def _parse_value(kind, key: str, text: str, units: dict[str, str], line_no: int):
     """One config value parsed by its field's kind."""
     if kind is float or kind in SI_UNIT:
         value = _parse_quantity(text, kind, units, key, line_no)
     elif kind is int:
         try:
-            value = int(text)
+            value = _parse_count(text)
         except ValueError:
-            raise ConfigError(f"{key}: expected an integer, got {text!r}", line_no) from None
+            raise ConfigError(f"{key}: expected an integer, got {_echo(text)}", line_no) from None
     elif kind is str:
         return text
     elif kind is Polygon:
@@ -275,9 +297,9 @@ def _parse_value(kind, key: str, text: str, units: dict[str, str], line_no: int)
             return kind(text)
         except ValueError:
             choices = ", ".join(m.value for m in kind)
-            raise ConfigError(f"{key}: expected one of {choices}, got {text!r}", line_no) from None
+            raise ConfigError(f"{key}: expected one of {choices}, got {_echo(text)}", line_no) from None
     if not abs(value) <= sys.float_info.max:  # overflowed to inf, or an int no float can hold
-        raise ConfigError(f"{key}: {text.strip()!r} is out of range", line_no)
+        raise ConfigError(f"{key}: {_echo(text.strip())} is out of range", line_no)
     return value
 
 
@@ -289,7 +311,7 @@ def _parse_vertices(text: str, units: dict[str, str], key: str, line_no: int) ->
             continue
         coords = pair.split(",")
         if len(coords) != 2:
-            raise ConfigError(f"{key}: expected 'x, y' pairs, got {pair!r}", line_no)
+            raise ConfigError(f"{key}: expected 'x, y' pairs, got {_echo(pair)}", line_no)
         points.append(tuple(_parse_value("length", key, c, units, line_no) for c in coords))
     try:
         return Polygon(tuple(points))
@@ -297,40 +319,22 @@ def _parse_vertices(text: str, units: dict[str, str], key: str, line_no: int) ->
         raise ConfigError(f"{key}: {exc}", line_no) from exc
 
 
-def _values(sec: _RawSection, units: dict[str, str]) -> dict[str, object]:
-    """Each key given in one section, parsed by its declared kind."""
-    declared = _SECTIONS[sec.name]
-    return {
-        key: _parse_value(declared[key].kind, key, text, units, line_no)
-        for key, (text, line_no) in sec.entries.items()
-    }
-
-
-@cache
-def _keys_for(section: str, target: type) -> tuple[tuple[str, str, bool], ...]:
-    """(key, attribute, required) of each key in a section that sets `target`."""
-    return tuple(
-        (f.key, f.attribute, f.required) for f in _SECTIONS[section].values() if f.target is target
-    )
-
-
-def _build(target: type, sec: _RawSection, values: dict[str, object], **given):
-    """`target` from one section's values; keys left out keep its defaults."""
-    for key, attr, required in _keys_for(sec.name, target):
-        if attr not in given:
-            if key in values:
-                given[attr] = values[key]
-            elif required:
-                raise ConfigError(f"missing key {key!r} in [{sec.name}]", sec.line)
+def _build(target: type, sec: _Section, **given):
+    """`target` from one section's parsed values; keys left out keep its defaults."""
+    for field in _SECTIONS[sec.name].values():
+        if field.target is target and field.attribute not in given:
+            if field.key in sec.values:
+                given[field.attribute] = sec.values[field.key]
+            elif field.required:
+                raise ConfigError(f"missing key {field.key!r} in [{sec.name}]", sec.line)
     with sec:
         return target(**given)
 
 
 def build_fabric(doc: ConfigDocument) -> FabricPiece:
     sec = doc.require("fabric")
-    values = _values(sec, doc.units)
-    outline = values.get(_VERTICES.key)
-    sides = [values[f.key] for f in (_LENGTH, _WIDTH) if f.key in values]
+    outline = sec.values.get(_VERTICES.key)
+    sides = [sec.values[f.key] for f in (_LENGTH, _WIDTH) if f.key in sec.values]
     if outline is not None and sides:
         raise ConfigError("give either length/width or vertices, not both", sec.line)
     if outline is None:
@@ -338,25 +342,22 @@ def build_fabric(doc: ConfigDocument) -> FabricPiece:
             raise ConfigError("fabric needs length and width, or vertices", sec.line)
         with sec:
             outline = Polygon.rectangle(*sides)
-    return _build(FabricPiece, sec, values, outline=outline)
+    return _build(FabricPiece, sec, outline=outline)
 
 
 def build_motion(doc: ConfigDocument) -> MotionProfile:
-    sec = doc.get("motion")
-    return _build(MotionProfile, sec, _values(sec, doc.units))
+    return _build(MotionProfile, doc.get("motion"))
 
 
 def build_cup(doc: ConfigDocument) -> SuctionCup:
-    sec = doc.require("cup")
-    return _build(SuctionCup, sec, _values(sec, doc.units))
+    return _build(SuctionCup, doc.require("cup"))
 
 
 def build_generator(doc: ConfigDocument) -> VacuumGenerator:
     sec = doc.get("generator")
-    values = _values(sec, doc.units)
-    if _MAX_VACUUM.key in values:  # signed gauge accepted at the boundary
-        values[_MAX_VACUUM.key] = abs(values[_MAX_VACUUM.key])
-    return _build(VacuumGenerator, sec, values)
+    if _MAX_VACUUM.key in sec.values:  # signed gauge accepted at the boundary
+        return _build(VacuumGenerator, sec, max_vacuum=abs(sec.values[_MAX_VACUUM.key]))
+    return _build(VacuumGenerator, sec)
 
 
 def build_line(
@@ -370,20 +371,18 @@ def build_line(
     if not doc.line_sections:
         raise ConfigError("missing section: line")
     segments = []
-    upstream_velocity = None
     for i, sec in enumerate(doc.line_sections):
-        values = _values(sec, doc.units)
-        if _UPSTREAM_VELOCITY.key in values:
-            if i != 0:
-                raise ConfigError(
-                    f"{_UPSTREAM_VELOCITY.key} belongs in the first [line] section only",
-                    sec.entries[_UPSTREAM_VELOCITY.key][1],
-                )
-            upstream_velocity = values[_UPSTREAM_VELOCITY.key]
-        segments.append(_build(PipeSegment, sec, values))
+        if i and _UPSTREAM_VELOCITY.key in sec.entries:
+            raise ConfigError(
+                f"{_UPSTREAM_VELOCITY.key} belongs in the first [line] section only",
+                sec.entries[_UPSTREAM_VELOCITY.key][1],
+            )
+        segments.append(_build(PipeSegment, sec))
+    first = doc.line_sections[0]
+    upstream_velocity = first.values.get(_UPSTREAM_VELOCITY.key)
     if upstream_velocity is None:
         upstream_velocity = generator.supply_flow_rate / segments[0].area
-    with doc.line_sections[0]:  # Scenario's rule, checked here to name the line
+    with first:  # Scenario's rule, checked here to name the line
         return tuple(segments), require_range(_UPSTREAM_VELOCITY.attribute, upstream_velocity, 0)
 
 
@@ -392,26 +391,20 @@ def build_vgtc(doc: ConfigDocument) -> tuple[Vgtc | None, float]:
     if "vgtc" not in doc.sections:
         return None, DEFAULT_EDGE_MARGIN
     sec = doc.sections["vgtc"]
-    values = _values(sec, doc.units)
     circle = _build(
         Vgtc,
         sec,
-        values,
-        pressure_window=_build(PressureWindow, sec, values),
+        pressure_window=_build(PressureWindow, sec),
         center=(0.0, 0.0),  # evaluate and plan move the circle to each grid position
     )
     with sec:  # Scenario's rule, checked here to name the line
-        return circle, require_range(_MARGIN.attribute, values.get(_MARGIN.key, DEFAULT_EDGE_MARGIN), 0)
+        return circle, require_range(_MARGIN.attribute, sec.values.get(_MARGIN.key, DEFAULT_EDGE_MARGIN), 0)
 
 
 def build_scenario(doc: ConfigDocument) -> Scenario:
-    fabric = build_fabric(doc)
-    motion = build_motion(doc)
-    cup = build_cup(doc)
+    fabric, motion, cup = build_fabric(doc), build_motion(doc), build_cup(doc)
     generator = build_generator(doc)
-    line, upstream_velocity = build_line(doc, generator)
-    vgtc, margin = build_vgtc(doc)
-    return Scenario(fabric, motion, cup, generator, line, upstream_velocity, vgtc, margin)
+    return Scenario(fabric, motion, cup, generator, *build_line(doc, generator), *build_vgtc(doc))
 
 
 def parse_config(text: str | bytes) -> Scenario:
@@ -738,8 +731,6 @@ _OUTLINE_RE = re.compile(
     r"^\s*(\d+(?:\.\d+)?)\s*cm\s*[x×]\s*(\d+(?:\.\d+)?)\s*cm\s*$", re.IGNORECASE
 )
 _SUPPLY_RE = re.compile(r"^\s*([-+]?\d+(?:\.\d+)?)\s*(kPa|Pa)\s*$")
-_INTEGER_RE = re.compile(r"([-+]?)0*(\d+)")
-_FLOAT_DIGITS = sys.float_info.max_10_exp + 1  # digits of the largest float
 
 
 def parse_corpus_csv(text: str) -> list[CorpusRow]:
@@ -766,23 +757,14 @@ def parse_corpus_csv(text: str) -> list[CorpusRow]:
         )
         m = _OUTLINE_RE.match(outline)
         if not m:
-            raise ConfigError(f"cannot parse outline {outline!r}", line_no)
+            raise ConfigError(f"cannot parse outline {_echo(outline)}", line_no)
         s = _SUPPLY_RE.match(supply)
         if not s:
-            raise ConfigError(f"cannot parse supply pressure {supply!r}", line_no)
-        whole = _INTEGER_RE.fullmatch(grippers)
-        if whole is not None:
-            # A count with more digits than any float is out of range, and past
-            # 4,300 digits int() refuses it. As +-inf SuctionCup rejects it, so
-            # the row becomes one error entry.
-            sign, digits = whole.groups()
-            count = int(sign + digits) if len(digits) <= _FLOAT_DIGITS else float(sign + "inf")
-        else:
-            try:
-                count = int(grippers)  # the other forms int() reads, such as 1_000
-            except ValueError:
-                shown = grippers if len(grippers) <= 40 else grippers[:40] + "..."
-                raise ConfigError(f"gripper count {shown!r} is not an integer", line_no) from None
+            raise ConfigError(f"cannot parse supply pressure {_echo(supply)}", line_no)
+        try:
+            count = _parse_count(grippers)  # +-inf past 309 digits: SuctionCup makes it an error entry
+        except ValueError:
+            raise ConfigError(f"gripper count {_echo(grippers)} is not an integer", line_no) from None
         rows.append(
             CorpusRow(
                 lot=lot,
@@ -824,8 +806,9 @@ def build_parser() -> _Parser:
     parser = _Parser(prog="vacgrab", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name: str, help_text: str, config: bool = True):
+    def add(name: str, run: Callable, help_text: str, config: bool = True):
         p = sub.add_parser(name, help=help_text)
+        p.set_defaults(run=run, config=None)
         if config:
             p.add_argument("--config", required=True, help="path to a scenario config file")
         p.add_argument(
@@ -836,16 +819,16 @@ def build_parser() -> _Parser:
         )
         return p
 
-    add("force", "holding force for the configured load case")
-    add("pressure", "required suction pressure per cup")
-    add("line-loss", "pressure loss along the hose line and net supply")
+    add("force", _cmd_force, "holding force for the configured load case")
+    add("pressure", _cmd_pressure, "required suction pressure per cup")
+    add("line-loss", _cmd_line_loss, "pressure loss along the hose line and net supply")
 
-    plan = add("plan", "gripper layout from the calibrated grabbing circle")
+    plan = add("plan", _cmd_plan, "gripper layout from the calibrated grabbing circle")
     plan.add_argument("--spacing", help="override grid spacing (quantity, e.g. '4.4 cm')")
     plan.add_argument("--margin", help="override edge margin (quantity)")
     plan.add_argument("--svg", help="write a layout diagram to this path")
 
-    cal = add("calibrate", "spacing intervals that hit a target gripper count")
+    cal = add("calibrate", _cmd_calibrate, "spacing intervals that hit a target gripper count")
     cal.add_argument("--target-count", required=True, type=int)
     cal.add_argument("--range", default="1 cm,15 cm", help="search range 'low,high' (quantities)")
     cal.add_argument(
@@ -857,11 +840,11 @@ def build_parser() -> _Parser:
         "--margin", help="edge margin (quantity; default: the config's [vgtc] margin, else 2 cm)"
     )
 
-    check = add("check", "full grasp feasibility verdict")
+    check = add("check", _cmd_check, "full grasp feasibility verdict")
     check.add_argument("--svg", help="write a layout diagram when a grabbing circle is set")
     check.add_argument("--strict", action="store_true", help="advisories escalate to exit 3")
 
-    batch = add("batch", "evaluate a grabbing-test corpus", config=False)
+    batch = add("batch", _cmd_batch, "evaluate a grabbing-test corpus", config=False)
     batch.add_argument("--corpus", help="corpus CSV path (default: bundled test table)")
     batch.add_argument("--strict", action="store_true", help="advisories escalate to exit 3")
     return parser
@@ -887,8 +870,7 @@ def _write_svg(path: str, svg: bytes) -> None:
         raise ConfigError(f"cannot write SVG {path!r}: {exc.strerror}") from exc
 
 
-def _cmd_force(args) -> tuple[bytes, list[str]]:
-    doc = parse_document(_read_text(args.config, "config"))
+def _cmd_force(args, doc: ConfigDocument) -> tuple[bytes, list[str]]:
     fabric, motion, consts = build_fabric(doc), build_motion(doc), PhysicalConstants()
     force = statics.holding_force(fabric, motion, consts)
     return _render(args.format, args.command, {
@@ -910,8 +892,7 @@ def _cmd_force(args) -> tuple[bytes, list[str]]:
     }), []
 
 
-def _cmd_pressure(args) -> tuple[bytes, list[str]]:
-    doc = parse_document(_read_text(args.config, "config"))
+def _cmd_pressure(args, doc: ConfigDocument) -> tuple[bytes, list[str]]:
     cup = build_cup(doc)
     force = statics.holding_force(build_fabric(doc), build_motion(doc))
     single = statics.required_pressure(force, cup)
@@ -931,8 +912,7 @@ def _cmd_pressure(args) -> tuple[bytes, list[str]]:
     }), []
 
 
-def _cmd_line_loss(args) -> tuple[bytes, list[str]]:
-    doc = parse_document(_read_text(args.config, "config"))
+def _cmd_line_loss(args, doc: ConfigDocument) -> tuple[bytes, list[str]]:
     generator = build_generator(doc)
     line, upstream_velocity = build_line(doc, generator)
     total, steps = pneumatics.line_loss_total(line, upstream_velocity)
@@ -966,8 +946,7 @@ def _cmd_line_loss(args) -> tuple[bytes, list[str]]:
     }), advisories
 
 
-def _cmd_plan(args) -> tuple[bytes, list[str]]:
-    doc = parse_document(_read_text(args.config, "config"))
+def _cmd_plan(args, doc: ConfigDocument) -> tuple[bytes, list[str]]:
     fabric = build_fabric(doc)
     circle, margin = build_vgtc(doc)
     if circle is None:
@@ -1005,12 +984,11 @@ def _cmd_plan(args) -> tuple[bytes, list[str]]:
     }), []
 
 
-def _cmd_calibrate(args) -> tuple[bytes, list[str]]:
-    doc = parse_document(_read_text(args.config, "config"))
+def _cmd_calibrate(args, doc: ConfigDocument) -> tuple[bytes, list[str]]:
     fabric = build_fabric(doc)
     _, margin = build_vgtc(doc)
     try:
-        low_text, high_text = args.range.split(",", 1)
+        low_text, high_text = args.range.split(",")
     except ValueError:
         raise UsageError("--range expects 'low,high'") from None
     low = _parse_cli_quantity(low_text, "length", "--range")
@@ -1037,8 +1015,7 @@ def _cmd_calibrate(args) -> tuple[bytes, list[str]]:
     }), []
 
 
-def _cmd_check(args) -> tuple[bytes, list[str]]:
-    doc = parse_document(_read_text(args.config, "config"))
+def _cmd_check(args, doc: ConfigDocument) -> tuple[bytes, list[str]]:
     scenario = build_scenario(doc)
     report = evaluate(scenario)
     if args.svg:
@@ -1048,7 +1025,7 @@ def _cmd_check(args) -> tuple[bytes, list[str]]:
     return emit_report(report, args.format), list(report.advisories)
 
 
-def _cmd_batch(args) -> tuple[bytes, list[str]]:
+def _cmd_batch(args, doc: None) -> tuple[bytes, list[str]]:
     if args.corpus:
         rows = parse_corpus_csv(_read_text(args.corpus, "corpus"))
     else:
@@ -1066,22 +1043,12 @@ def _cmd_batch(args) -> tuple[bytes, list[str]]:
     return emit_batch(entries, args.format), advisories
 
 
-_COMMANDS = {
-    "force": _cmd_force,
-    "pressure": _cmd_pressure,
-    "line-loss": _cmd_line_loss,
-    "plan": _cmd_plan,
-    "calibrate": _cmd_calibrate,
-    "check": _cmd_check,
-    "batch": _cmd_batch,
-}
-
-
 def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        output, advisories = _COMMANDS[args.command](args)
+        doc = None if args.config is None else parse_document(_read_text(args.config, "config"))
+        output, advisories = args.run(args, doc)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1

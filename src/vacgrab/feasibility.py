@@ -38,10 +38,12 @@ from .model import (
     Permeability,
     PhysicalConstants,
     PipeSegment,
+    Polygon,
     Record,
     SuctionCup,
     VacuumGenerator,
     ValidationError,
+    _echo,
     require_range,
 )
 from .vgtc import Layout, Vgtc, adjusted_min_pressure, effective_ratios, generate_layout
@@ -239,12 +241,12 @@ def scenario_from_row(row: CorpusRow) -> Scenario:
     key = row.application.strip().casefold()
     if key not in MASS_BY_APPLICATION:
         raise ValidationError(
-            f"no reference mass for application {row.application!r}; "
+            f"no reference mass for application {_echo(row.application)}; "
             f"known: {sorted(MASS_BY_APPLICATION)}"
         )
     fabric = FabricPiece(
         id=f"lot{row.lot}-{row.fabric_code}",
-        outline=(row.length_m, row.width_m),
+        outline=Polygon.rectangle(row.length_m, row.width_m),
         mass=MASS_BY_APPLICATION[key],
         friction_coefficient=DEFAULT_FRICTION,
         permeability=Permeability.AIR_IMPERMEABLE,

@@ -68,7 +68,7 @@ def _lookup_unit(name: str) -> tuple[str, float]:
     try:
         return _UNIT_TABLE[unit]
     except KeyError:
-        raise UnitError(f"unknown unit {name!r}") from None
+        raise UnitError(f"unknown unit {_echo(name)}") from None
 
 
 def supported_units(dimension: str) -> tuple[str, ...]:
@@ -87,7 +87,7 @@ def convert_units(value: float, from_unit: str, to_unit: str) -> float:
     dim_to, factor_to = _lookup_unit(to_unit)
     if dim_from != dim_to:
         raise UnitError(
-            f"cannot convert {from_unit!r} ({dim_from}) to {to_unit!r} ({dim_to})"
+            f"cannot convert {_echo(from_unit)} ({dim_from}) to {_echo(to_unit)} ({dim_to})"
         )
     return value * (factor_from / factor_to)
 
@@ -108,8 +108,16 @@ def _require(condition: bool, message: str, field: str | None = None) -> None:
         raise ValidationError(message, field)
 
 
+def _clip(text: str) -> str:
+    """Input text for a message: its first 40 characters, and '...' if there are more."""
+    return text if len(text) <= 40 else text[:40] + "..."
+
+
 def _echo(value) -> str:
-    """repr(value) in at most 40 characters; an int too big for a float as its bit length."""
+    """A value for a message: text clipped and repr'd, an int too big for a float as its
+    bit length, anything else repr'd in at most 40 characters."""
+    if isinstance(value, str):
+        return repr(_clip(value))
     if isinstance(value, int) and value.bit_length() > 1024:
         return f"an integer of {value.bit_length()} bits"
     text = repr(value)
@@ -301,21 +309,6 @@ class Polygon(Record):
         return self.bounds
 
 
-def as_polygon(outline) -> Polygon:
-    """Canonicalize an outline spec to a Polygon.
-
-    Accepts a Polygon, a (length_m, width_m) pair for a rectangle, or a
-    sequence of (x, y) vertices. Rectangles become 4-vertex polygons so
-    a single geometry path serves every outline.
-    """
-    if isinstance(outline, Polygon):
-        return outline
-    seq = tuple(outline)
-    if len(seq) == 2 and all(isinstance(v, (int, float)) for v in seq):
-        return Polygon.rectangle(float(seq[0]), float(seq[1]))
-    return Polygon(tuple((float(x), float(y)) for x, y in seq))
-
-
 # ---------------------------------------------------------------------------
 # enums
 
@@ -354,7 +347,7 @@ class FabricPiece(Record):
     material: str = ""  # recorded for the audit trail; no equation reads it
 
     def __post_init__(self):
-        object.__setattr__(self, "outline", as_polygon(self.outline))
+        _require(isinstance(self.outline, Polygon), "outline must be a Polygon", "outline")
         require_range("mass", self.mass, 0, above=True)
         require_range("friction_coefficient", self.friction_coefficient, 0, 2, above=True)
         _require(isinstance(self.permeability, Permeability), "permeability must be a Permeability value")

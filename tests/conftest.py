@@ -5,6 +5,7 @@ from vacgrab import (
     MotionProfile,
     PhysicalConstants,
     PipeSegment,
+    Polygon,
     Scenario,
     SuctionCup,
     VacuumGenerator,
@@ -20,7 +21,7 @@ def consts():
 def pocket_bag():
     return FabricPiece(
         id="pocket_bag",
-        outline=(0.26, 0.19),
+        outline=Polygon.rectangle(0.26, 0.19),
         mass=2.5e-3,
         friction_coefficient=0.5,
         material="100% Polyester; Plain Weave; TEXTILE-WOVEN",
@@ -31,7 +32,7 @@ def pocket_bag():
 def pocket_facing():
     return FabricPiece(
         id="pocket_facing",
-        outline=(0.26, 0.05),
+        outline=Polygon.rectangle(0.26, 0.05),
         mass=2.0e-3,
         friction_coefficient=0.5,
         material="100% Polyester; Plain Weave; TEXTILE-WOVEN",

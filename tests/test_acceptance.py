@@ -72,7 +72,7 @@ WINDOW = PressureWindow(p_min=30_000.0)
 
 
 def fabric(mass, mu=0.5):
-    return FabricPiece(id="f", outline=(0.26, 0.19), mass=mass, friction_coefficient=mu)
+    return FabricPiece(id="f", outline=Polygon.rectangle(0.26, 0.19), mass=mass, friction_coefficient=mu)
 
 
 # ---------------------------------------------------------------------------
@@ -310,7 +310,7 @@ def test_criterion_8d_verdict_monotonicity():
     line = (PipeSegment(inner_diameter=5.2e-3), PipeSegment(inner_diameter=2e-3))
 
     def verdict(mass, vacuum):
-        piece = FabricPiece(id="f", outline=(0.26, 0.19), mass=mass, friction_coefficient=0.5)
+        piece = FabricPiece(id="f", outline=Polygon.rectangle(0.26, 0.19), mass=mass, friction_coefficient=0.5)
         scenario = make_scenario(piece, line, generator=VacuumGenerator(max_vacuum=vacuum))
         return evaluate(scenario).verdict
 

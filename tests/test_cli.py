@@ -543,6 +543,12 @@ def test_quantity_flag_error_names_no_line(facing_config, capsys, args, message)
     assert capsys.readouterr().err == f"usage error: {message}\n"
 
 
+@pytest.mark.parametrize("bounds", ["1 cm", "1 cm,2 cm,3 cm", "1 cm,2 cm,"])
+def test_calibrate_range_needs_exactly_two_bounds(facing_config, capsys, bounds):
+    assert main(["calibrate", "--config", facing_config, "--target-count", "6", "--range", bounds]) == 1
+    assert capsys.readouterr().err == "usage error: --range expects 'low,high'\n"
+
+
 def test_calibrate_falls_back_to_config_margin(tmp_path, capsys):
     config = edited(tmp_path, "pocket_facing.conf", "margin = 2", "margin = 1")
     assert main(["calibrate", "--config", config, "--target-count", "6", "--format", "structured"]) == 0
@@ -572,6 +578,34 @@ def test_config_value_out_of_range_exit_two(tmp_path, capsys, old, new):
     assert main(["check", "--config", config]) == 2
     key = new.split(" =")[0]
     assert capsys.readouterr().err.startswith(f"error: line {line}: {key}: ")
+
+
+@pytest.mark.parametrize(
+    "old, new, message",
+    [
+        ("count = 6", "count = " + "9" * 5000, "count: '" + "9" * 40 + "...' is out of range"),
+        ("count = 6", "count = " + "9" * 400, "count: '" + "9" * 40 + "...' is out of range"),
+        ("count = 6", "count = " + "9" * 5000 + "x", "count: expected an integer, got '" + "9" * 40 + "...'"),
+        ("load_case = friction_lift", "load_case = " + "x" * 5000,
+         "load_case: expected one of plate_lift, friction_lift, got '" + "x" * 40 + "...'"),
+        ("mass = 2.5 g", "mass = 2.5 " + "g" * 5000, "mass: unknown unit '" + "g" * 40 + "...'"),
+    ],
+    ids=["count-5000-digits", "count-400-digits", "count-no-integer", "load_case", "unit"],
+)
+def test_config_error_echoes_at_most_40_characters(tmp_path, capsys, old, new, message):
+    config = edited(tmp_path, "pocket_bag.conf", old, new)
+    line = Path(config).read_text().splitlines().index(new) + 1
+    assert main(["check", "--config", config]) == 2
+    out, err = capsys.readouterr()
+    assert (out, err) == ("", f"error: line {line}: {message}\n")
+
+
+def test_malformed_value_in_a_section_the_command_does_not_read(tmp_path, capsys):
+    # force reads [fabric] and [motion] only, yet every value is parsed
+    config = edited(tmp_path, "pocket_facing.conf", "radius = 4.4\n", "radius = 4 furlong\n")
+    line = Path(config).read_text().splitlines().index("radius = 4 furlong") + 1
+    assert main(["force", "--config", config]) == 2
+    assert capsys.readouterr().err == f"error: line {line}: radius: unknown unit 'furlong'\n"
 
 
 @pytest.mark.parametrize(

@@ -110,7 +110,7 @@ def test_stage_labels_on_errors(pocket_bag):
     window = PressureWindow(p_min=1000.0)
     tri_fabric = FabricPiece(
         id="tri",
-        outline=[(0, 0), (0.3, 0), (0.15, 0.2)],
+        outline=Polygon(((0, 0), (0.3, 0), (0.15, 0.2))),
         mass=1e-3,
         friction_coefficient=0.5,
     )
@@ -202,7 +202,7 @@ def test_permeable_no_circle_is_uncalibrated(pocket_bag, std_line):
 )
 def test_more_vacuum_never_flips_pass_to_fail(vac_lo, vac_hi, mass):
     vac_lo, vac_hi = sorted((vac_lo, vac_hi))
-    fabric = FabricPiece(id="f", outline=(0.26, 0.19), mass=mass, friction_coefficient=0.5)
+    fabric = FabricPiece(id="f", outline=Polygon.rectangle(0.26, 0.19), mass=mass, friction_coefficient=0.5)
     line = (PipeSegment(inner_diameter=5.2e-3), PipeSegment(inner_diameter=2e-3))
 
     def verdict(vacuum):
@@ -224,7 +224,7 @@ def test_more_mass_never_flips_fail_to_pass(m_lo, m_hi, vacuum):
     line = (PipeSegment(inner_diameter=5.2e-3), PipeSegment(inner_diameter=2e-3))
 
     def verdict(mass):
-        fabric = FabricPiece(id="f", outline=(0.26, 0.19), mass=mass, friction_coefficient=0.5)
+        fabric = FabricPiece(id="f", outline=Polygon.rectangle(0.26, 0.19), mass=mass, friction_coefficient=0.5)
         return evaluate(
             make_scenario(fabric, line, generator=VacuumGenerator(max_vacuum=vacuum))
         ).verdict
@@ -263,6 +263,8 @@ def test_scenario_from_row_reference_masses():
 def test_scenario_from_row_unknown_application():
     with pytest.raises(ValidationError, match="Sleeve"):
         scenario_from_row(make_row(application="Sleeve"))
+    with pytest.raises(ValidationError, match=r"^no reference mass for application 'x{40}\.\.\.'; known: "):
+        scenario_from_row(make_row(application="x" * 5000))
 
 
 def test_run_corpus_empty():

@@ -33,7 +33,7 @@ from vacgrab import (
     solve_pressure_from_balance,
 )
 from vacgrab.cli import CONFIG_FIELDS
-from vacgrab.model import as_polygon, circular_area, supported_units
+from vacgrab.model import circular_area, supported_units
 from vacgrab.pneumatics import LineLossResult, NetSupplyResult
 from oracles import brute_self_intersects
 
@@ -108,13 +108,13 @@ def test_constants_must_be_positive(kwargs):
 
 def test_fabric_requires_positive_mass():
     with pytest.raises(ValidationError, match="mass"):
-        FabricPiece(id="x", outline=(0.1, 0.1), mass=0, friction_coefficient=0.5)
+        FabricPiece(id="x", outline=Polygon.rectangle(0.1, 0.1), mass=0, friction_coefficient=0.5)
 
 
 @pytest.mark.parametrize("mu", [0, -0.5, 2.5])
 def test_fabric_friction_range(mu):
     with pytest.raises(ValidationError, match="friction"):
-        FabricPiece(id="x", outline=(0.1, 0.1), mass=1e-3, friction_coefficient=mu)
+        FabricPiece(id="x", outline=Polygon.rectangle(0.1, 0.1), mass=1e-3, friction_coefficient=mu)
 
 
 def test_fabric_rectangle_becomes_polygon(pocket_bag):
@@ -126,7 +126,7 @@ def test_fabric_rectangle_becomes_polygon(pocket_bag):
 def test_fabric_accepts_vertex_list():
     piece = FabricPiece(
         id="tri",
-        outline=[(0, 0), (0.2, 0), (0.1, 0.15)],
+        outline=Polygon(((0, 0), (0.2, 0), (0.1, 0.15))),
         mass=1e-3,
         friction_coefficient=0.5,
     )
@@ -239,7 +239,7 @@ def test_cup_count_too_long_for_text_names_its_field():
 # valid keyword arguments for every value object whose fields are range checked
 VALID = {
     PhysicalConstants: {},
-    FabricPiece: dict(id="x", outline=(0.1, 0.1), mass=1e-3, friction_coefficient=0.5),
+    FabricPiece: dict(id="x", outline=Polygon.rectangle(0.1, 0.1), mass=1e-3, friction_coefficient=0.5),
     MotionProfile: {},
     SuctionCup: dict(orifice_diameter=2e-3),
     VacuumGenerator: {},
@@ -250,7 +250,7 @@ VALID = {
     Vgtc: dict(center=(0.0, 0.0), radius=0.02, pressure_window=PressureWindow(p_min=30_000.0)),
     Layout: dict(xs=(0.0,), ys=(0.0,), spacing=0.1, margin=0.0),
     Scenario: dict(
-        fabric=FabricPiece(id="x", outline=(0.1, 0.1), mass=1e-3, friction_coefficient=0.5),
+        fabric=FabricPiece(id="x", outline=Polygon.rectangle(0.1, 0.1), mass=1e-3, friction_coefficient=0.5),
         motion=MotionProfile(),
         cup=SuctionCup(orifice_diameter=2e-3),
         generator=VacuumGenerator(),
@@ -460,9 +460,11 @@ def test_axis_aligned_rectangle_detection():
     assert tilted.box is None
 
 
-def test_as_polygon_passthrough():
-    rect = Polygon.rectangle(1, 1)
-    assert as_polygon(rect) is rect
+@pytest.mark.parametrize("outline", [(0.1, 0.1), ((0, 0), (1, 0), (1, 1)), None])
+def test_fabric_outline_must_be_a_polygon(outline):
+    with pytest.raises(ValidationError, match="outline must be a Polygon") as info:
+        FabricPiece(id="x", outline=outline, mass=1e-3, friction_coefficient=0.5)
+    assert info.value.field == "outline"
 
 
 # ---------------------------------------------------------------------------

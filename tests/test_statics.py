@@ -7,6 +7,7 @@ from vacgrab import (
     FabricPiece,
     LoadCase,
     MotionProfile,
+    Polygon,
     SuctionCup,
     ValidationError,
     holding_force,
@@ -16,7 +17,7 @@ from vacgrab import (
 
 
 def fabric(mass, mu=0.5):
-    return FabricPiece(id="f", outline=(0.1, 0.1), mass=mass, friction_coefficient=mu)
+    return FabricPiece(id="f", outline=Polygon.rectangle(0.1, 0.1), mass=mass, friction_coefficient=mu)
 
 
 PLATE = MotionProfile(load_case=LoadCase.PLATE_LIFT)
