@@ -802,6 +802,17 @@ def _parse_cli_quantity(text: str, kind: str, flag: str) -> float:
         raise UsageError(str(exc)) from exc
 
 
+def _target_count(text: str) -> int:
+    """--target-count read by _parse_count; an error quotes at most 40 characters of it."""
+    try:
+        count = _parse_count(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {_echo(text)}") from None
+    if isinstance(count, float):  # +-inf: more digits than a float holds
+        raise argparse.ArgumentTypeError(f"{_echo(text)} is out of range")
+    return count
+
+
 def build_parser() -> _Parser:
     parser = _Parser(prog="vacgrab", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
@@ -829,7 +840,7 @@ def build_parser() -> _Parser:
     plan.add_argument("--svg", help="write a layout diagram to this path")
 
     cal = add("calibrate", _cmd_calibrate, "spacing intervals that hit a target gripper count")
-    cal.add_argument("--target-count", required=True, type=int)
+    cal.add_argument("--target-count", required=True, type=_target_count)
     cal.add_argument("--range", default="1 cm,15 cm", help="search range 'low,high' (quantities)")
     cal.add_argument(
         "--step",

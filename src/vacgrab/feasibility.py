@@ -58,6 +58,9 @@ MASS_BY_APPLICATION = {
 DEFAULT_FRICTION = 0.5
 DEFAULT_EDGE_MARGIN = 0.02  # m
 DEFAULT_ORIFICE_DIAMETER = 2e-3  # m
+# the corpus rig's fixed parts: frozen Records, so every row's scenario shares them
+REFERENCE_MOTION = MotionProfile()
+REFERENCE_LINE = (PipeSegment(inner_diameter=2e-3),)
 
 
 class Verdict(enum.Enum):
@@ -254,10 +257,10 @@ def scenario_from_row(row: CorpusRow) -> Scenario:
     )
     return Scenario(
         fabric=fabric,
-        motion=MotionProfile(),
+        motion=REFERENCE_MOTION,
         cup=SuctionCup(orifice_diameter=DEFAULT_ORIFICE_DIAMETER, count=row.gripper_count),
         generator=VacuumGenerator(max_vacuum=row.supply_pressure),
-        line=(PipeSegment(inner_diameter=2e-3),),
+        line=REFERENCE_LINE,
         upstream_velocity=0.0,
     )
 

@@ -222,17 +222,39 @@ def _segments_intersect(p1: Point, p2: Point, q1: Point, q2: Point) -> bool:
     return False
 
 
+def _ring_box(verts: tuple[Point, ...]) -> tuple[float, float, float, float] | None:
+    """The bounds of four vertices whose edges alternate horizontal and vertical, else None.
+
+    Such a ring is an axis-aligned rectangle in ring order, once its edges
+    are known to have nonzero length. min and max take the first of equal
+    values, as Polygon.bounds does, so signed zeros match it bit for bit.
+    """
+    if len(verts) != 4:
+        return None
+    (ax, ay), (bx, by), (cx, cy), (dx, dy) = verts
+    if (ay == by and bx == cx and cy == dy and dx == ax) or (
+        ax == bx and by == cy and cx == dx and dy == ay
+    ):
+        return min(ax, bx, cx, dx), min(ay, by, cy, dy), max(ax, bx, cx, dx), max(ay, by, cy, dy)
+    return None
+
+
 class Polygon(Record):
     """Simple polygon in fabric-local coordinates (meters).
 
     Vertices may be given in either winding order; signed_area exposes
-    the raw orientation, area the magnitude. signed_area is computed
-    once at construction; bounds, ccw_ring and box are computed on
-    first read and cached. All four live outside the fields,
-    so they take no part in ==, hash or repr. Construction rejects
-    degenerate outlines: fewer than three vertices, repeated
-    consecutive points, an area that is zero or not finite (as any inf
-    or nan vertex makes it), or self-intersection.
+    the raw orientation, area the magnitude. signed_area and box are set
+    at construction; bounds and ccw_ring are computed on first read and
+    cached. All four live outside the fields, so they take no part in
+    ==, hash or repr. Construction rejects degenerate outlines: fewer
+    than three vertices, repeated consecutive points, an area that is
+    zero or not finite (as any inf or nan vertex makes it), or
+    self-intersection.
+
+    box is bounds when the outline is exactly an axis-aligned rectangle
+    given in ring order: four vertices whose edges alternate horizontal
+    and vertical. No tolerance: a corner off by 1e-10 m is no box. Every
+    other outline has box None. A box is simple, so it skips the sweep.
 
     Simplicity: edges sorted by smaller x are swept (Shamos & Hoey 1976);
     only non-adjacent pairs overlapping in x and y reach the segment test,
@@ -253,6 +275,10 @@ class Polygon(Record):
             total += p[0] * q[1] - q[0] * p[1]
         object.__setattr__(self, "signed_area", 0.5 * total)
         require_range("area", abs(self.signed_area), 0, above=True)  # an inf or nan vertex fails
+        box = _ring_box(verts)
+        object.__setattr__(self, "box", box)
+        if box is not None:
+            return
         lo = [min(p[0], q[0]) for p, q in zip(verts, ends)]
         active: list[int] = []
         for i in sorted(range(n), key=lo.__getitem__):
@@ -292,21 +318,6 @@ class Polygon(Record):
         """The edges as (start, end) pairs, wound counter-clockwise."""
         verts = self.vertices if self.signed_area > 0 else self.vertices[::-1]
         return tuple(zip(verts, verts[1:] + verts[:1]))
-
-    @cached_property
-    def box(self) -> tuple[float, float, float, float] | None:
-        """bounds if the outline is exactly an axis-aligned rectangle, else None.
-
-        Four vertices on two distinct x and two distinct y values are a
-        rectangle's corners, and the only simple polygon on them is the
-        rectangle (the bowtie order self-intersects). No tolerance: a
-        corner off by 1e-10 m is no box.
-        """
-        if len(self.vertices) != 4:
-            return None
-        if len({x for x, _ in self.vertices}) != 2 or len({y for _, y in self.vertices}) != 2:
-            return None
-        return self.bounds
 
 
 # ---------------------------------------------------------------------------

@@ -24,12 +24,13 @@ A layout is its columns and rows: the x of each column and the y of
 each row. Its positions are derived from them, row by row, and built
 only when asked for; the emitters format each column and each row
 once. Layouts exist only for outlines that are an exact box
-(Polygon.box, no tolerance): a rectangle given as vertices must
-repeat identical coordinates, or come from length and width. On a
-real layout almost every disk lies wholly on the piece. So when the
-outline's box contains the disk's bounding square, the intersection
-is the disk's own area, returned without integrating, and the ratio
-is exactly 1. The fast path sits inside
+(Polygon.box, set when the outline is built, no tolerance): a
+rectangle given as vertices must list its corners in ring order,
+each edge repeating one coordinate exactly, or come from length and
+width. On a real layout almost every disk lies wholly on the piece.
+So when the outline's box contains the disk's bounding square, the
+intersection is the disk's own area, returned without integrating,
+and the ratio is exactly 1. The fast path sits inside
 circle_polygon_intersection_area, not in effective_ratio or
 effective_ratios, so every caller of the intersection gets it and
 each layout position still makes exactly one intersection call.
@@ -47,6 +48,7 @@ from .model import (
     PressureWindow,
     Record,
     ValidationError,
+    _echo,
     circular_area,
     require_range,
 )
@@ -301,6 +303,40 @@ def _first(pred, lo: int, hi: int) -> int:
     return lo
 
 
+def _sample_end(low: float, high: float, step: float) -> int:
+    """First k >= 1 with low + k*step >= cutoff = high - 1e-12: samples 1 .. k-1 lie below it.
+
+    The search starts at the quotient max(1, ceil((cutoff - low) / step)),
+    which rounding leaves on or near the answer, gallops outward in
+    steps of 1, 2, 4, ... and lets _first bisect the last gap. low +
+    k*step never decreases as k grows, so this is the k that any search
+    from 1 finds. Where low >> step that sum stays flat over runs of k,
+    and the gallop keeps the cost logarithmic in the distance from the
+    quotient.
+    """
+    cutoff = high - 1e-12
+
+    def past(k: int) -> bool:
+        return low + k * step >= cutoff
+
+    k = max(1, math.ceil((cutoff - low) / step))
+    if past(k):
+        lo, hi, gap = 1, k, 1
+        while hi - gap >= 1:
+            if not past(hi - gap):
+                lo = hi - gap + 1
+                break
+            hi -= gap
+            gap *= 2
+    else:
+        lo, gap = k + 1, 1
+        while not past(k + gap):
+            lo = k + gap + 1
+            gap *= 2
+        hi = k + gap
+    return _first(past, lo, hi)
+
+
 def calibrate_spacing(
     outline: Polygon,
     margin: float,
@@ -318,9 +354,11 @@ def calibrate_spacing(
 
     s_k never decreases as k grows, and each axis count never increases
     as the spacing grows, so the count never increases along the
-    samples: the matching samples form one contiguous run. Bisection on
-    k finds the first sample with count <= target_count and the first
-    with count < target_count, so the cost is O(log(samples)) count
+    samples: the matching samples form one contiguous run. The end of
+    the samples comes from the quotient (high - 1e-12 - low) / step,
+    checked outward from there (_sample_end). Bisection on k then finds
+    the first sample with count <= target_count and the first with
+    count < target_count, so the cost is O(log(samples)) count
     evaluations and no layout is built. The result is [(first, last)]
     of that run, or [] when no sample matches -- a valid answer: no
     spacing in range reproduces the target. A margin that leaves no
@@ -332,7 +370,7 @@ def calibrate_spacing(
     and positive, or more than MAX_CALIBRATION_SAMPLES samples in range.
     """
     if not isinstance(target_count, int) or isinstance(target_count, bool) or target_count < 1:
-        raise ValidationError(f"target_count must be an integer >= 1, got {target_count!r}")
+        raise ValidationError(f"target_count must be an integer >= 1, got {_echo(target_count)}")
     low = require_range("search_range", float(search_range[0]), 0)
     high = require_range("search_range", float(search_range[1]), low, above=True)
     require_range("step", step, 0, above=True)
@@ -346,22 +384,13 @@ def calibrate_spacing(
     except _NoUsableArea:
         return []
 
-    cutoff = high - 1e-12
-
-    def sample(k: int) -> float:
-        return low + k * step
-
     def count(k: int) -> int | float:
-        s = sample(k)
+        s = low + k * step
         return _axis_count(usable_l, s) * _axis_count(usable_w, s)
 
-    # samples k = 1 .. end-1 lie below the cutoff
-    hi = 1
-    while sample(hi) < cutoff:
-        hi *= 2
-    end = _first(lambda k: sample(k) >= cutoff, 1, hi)
+    end = _sample_end(low, high, step)
     first = _first(lambda k: count(k) <= target_count, 1, end)
     stop = _first(lambda k: count(k) < target_count, first, end)
     if first == stop:
         return []
-    return [(sample(first), sample(stop - 1))]
+    return [(low + first * step, low + (stop - 1) * step)]

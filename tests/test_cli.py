@@ -600,6 +600,22 @@ def test_config_error_echoes_at_most_40_characters(tmp_path, capsys, old, new, m
     assert (out, err) == ("", f"error: line {line}: {message}\n")
 
 
+@pytest.mark.parametrize(
+    "count, message",
+    [
+        ("9" * 5001, "'" + "9" * 40 + "...' is out of range"),
+        ("-" + "9" * 400, "'-" + "9" * 39 + "...' is out of range"),
+        ("9" * 5000 + "x", "invalid int value: '" + "9" * 40 + "...'"),
+        ("six", "invalid int value: 'six'"),
+    ],
+    ids=["5001-digits", "negative-400-digits", "no-integer", "word"],
+)
+def test_target_count_error_echoes_at_most_40_characters(facing_config, capsys, count, message):
+    assert main(["calibrate", "--config", facing_config, "--target-count", count]) == 1
+    out, err = capsys.readouterr()
+    assert (out, err) == ("", f"usage error: argument --target-count: {message}\n")
+
+
 def test_malformed_value_in_a_section_the_command_does_not_read(tmp_path, capsys):
     # force reads [fabric] and [motion] only, yet every value is parsed
     config = edited(tmp_path, "pocket_facing.conf", "radius = 4.4\n", "radius = 4 furlong\n")

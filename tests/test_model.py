@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import math
 import random
 
@@ -458,6 +459,59 @@ def test_axis_aligned_rectangle_detection():
     assert Polygon.rectangle(1, 2).box == (0.0, 0.0, 1.0, 2.0)
     tilted = Polygon(((0, 0), (1, 0.2), (0.8, 1.2), (-0.2, 1)))
     assert tilted.box is None
+
+
+def _construct(vertices):
+    """Polygon(vertices), or the text of the ValidationError it raised."""
+    try:
+        return Polygon(vertices)
+    except ValidationError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize(
+    "corners, boxes",
+    [
+        (((0.0, 0.0), (2.0, 0.0), (2.0, 1.5), (0.0, 1.5)), 8),
+        (((-0.0, 0.0), (0.25, -0.0), (0.25, 1.0), (0.0, 1.0)), 8),
+        (((-3.0, -0.0), (-0.0, -0.0), (0.0, 2.0), (-3.0, 2.0)), 8),
+        (((0.0, 0.0), (1.0, 0.0), (1.0, 0.0), (0.0, 1.0)), 0),
+        (((0.0, 0.0), (0.0, 0.0), (1.0, 1.0), (1.0, 1.0)), 0),
+        (((0.0, 0.0), (math.nan, 0.0), (math.nan, 1.0), (0.0, 1.0)), 0),
+        (((0.0, 0.0), (math.inf, 0.0), (math.inf, 1.0), (0.0, 1.0)), 0),
+        (((-math.inf, -1.0), (1.0, -1.0), (1.0, math.inf), (-math.inf, math.inf)), 0),
+        # three axis-aligned edges, no rectangle; some orders cross with nonzero area
+        (((0.0, 0.0), (2.0, 0.0), (2.0, 1.0), (0.0, 3.0)), 0),
+    ],
+    ids=[
+        "plain", "signed-zero-x", "signed-zero-both", "repeated-corner", "two-repeats",
+        "nan", "inf", "infs", "trapezoid",
+    ],
+)
+def test_box_path_matches_the_sweep_in_every_corner_order(monkeypatch, corners, boxes):
+    # all 24 orders of four corners: for a rectangle, 8 ring orders and 16 bowties
+    calls = 0
+    segments_intersect = vacgrab.model._segments_intersect
+
+    def counting(*args):
+        nonlocal calls
+        calls += 1
+        return segments_intersect(*args)
+
+    monkeypatch.setattr(vacgrab.model, "_segments_intersect", counting)
+    orders = list(itertools.permutations(corners))
+    built = []
+    for order in orders:
+        calls = 0
+        polygon = _construct(order)
+        if isinstance(polygon, Polygon) and polygon.box is not None:
+            assert calls == 0  # a box skips the sweep
+            assert repr(polygon.box) == repr(polygon.bounds)  # bit for bit, signed zeros too
+        built.append(polygon)
+    assert sum(isinstance(p, Polygon) and p.box is not None for p in built) == boxes
+    # the reference: no outline is a box, so every one takes the sweep
+    monkeypatch.setattr(vacgrab.model, "_ring_box", lambda verts: None)
+    assert [_construct(order) for order in orders] == built
 
 
 @pytest.mark.parametrize("outline", [(0.1, 0.1), ((0, 0), (1, 0), (1, 1)), None])

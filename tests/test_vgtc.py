@@ -569,6 +569,49 @@ def test_calibrate_never_builds_a_layout(monkeypatch):
     assert calibrate_spacing(rect, 0.2, 6, (0.01, 0.15), 0.001) == []  # no usable area
 
 
+def _doubling_end(low, high, step):
+    """First k >= 1 with low + k*step >= high - 1e-12, by doubling k from 1, then bisecting."""
+    cutoff = high - 1e-12
+    hi = 1
+    while low + hi * step < cutoff:
+        hi *= 2
+    lo = 1
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if low + mid * step >= cutoff:
+            hi = mid
+        else:
+            lo = mid + 1
+    return lo
+
+
+def test_sample_end_matches_doubling_search():
+    rng = random.Random(16)
+    cases = [
+        (1e3, 1e3 + 1e-6, 1e-13),  # low >> step: low + k*step is flat over runs of k
+        (1e3, 1e3 + 1e-9, 1e-16),
+        (0.01, 0.15, 0.001),
+        (0.0, 1.0, 1.0 / 2**53),
+    ]
+    for _ in range(3000):
+        low = rng.choice([0.0, rng.uniform(0.0, 0.2), 10 ** rng.uniform(-3, 4)])
+        step = 10 ** rng.uniform(-16, -1)
+        k = 10 ** rng.uniform(0, 8)
+        high = low + rng.choice([k * step, round(k) * step, round(k) * step + 1e-12])
+        if high > low and (high - low) / step <= vgtc.MAX_CALIBRATION_SAMPLES:
+            cases.append((low, high, step))
+    for low, high, step in cases:
+        assert vgtc._sample_end(low, high, step) == _doubling_end(low, high, step), (low, high, step)
+
+
+@pytest.mark.parametrize("low", [0.0, 0.01, 1e3])
+def test_range_within_the_cutoff_has_no_samples(low):
+    # samples lie below high - 1e-12, so a range that narrow holds none
+    for high in (low + 1e-12, low + 5e-13, math.nextafter(low, math.inf)):
+        assert vgtc._sample_end(low, high, 1e-13) == 1
+        assert calibrate_spacing(Polygon.rectangle(0.26, 0.19), 0.02, 6, (low, high), 1e-13) == []
+
+
 # ---------------------------------------------------------------------------
 # calibrated circle entry point
 
