@@ -115,8 +115,8 @@ _LENGTH = ConfigField("fabric", "length", "length")  # with width: a rectangle o
 _WIDTH = ConfigField("fabric", "width", "length")
 _VERTICES = ConfigField("fabric", "vertices", Polygon)  # or the outline itself
 _MAX_VACUUM = ConfigField("generator", "max_vacuum", "pressure", VacuumGenerator)  # sign ignored
-_UPSTREAM_VELOCITY = ConfigField("line", "upstream_velocity", float, Scenario)  # first [line] only
-_MARGIN = ConfigField("vgtc", "margin", "length", Scenario)
+_UPSTREAM_VELOCITY = ConfigField("line", "upstream_velocity", float)  # first [line] only
+_MARGIN = ConfigField("vgtc", "margin", "length")
 
 CONFIG_FIELDS = (
     ConfigField("fabric", "id", str, FabricPiece),
@@ -419,16 +419,9 @@ def parse_config(text: str | bytes) -> Scenario:
 CSV_COLUMNS = ("id", "force_N", "req_pressure_Pa", "loss_Pa", "net_Pa", "gripper_count", "verdict")
 
 
-class _Grid(Record):
-    """A layout's positions for the JSON writer: [x, y] pairs, row by row."""
-
-    xs: tuple[float, ...]
-    ys: tuple[float, ...]
-
-
 def _layout_dict(layout: Layout) -> dict:
     return {
-        "positions": _Grid(layout.xs, layout.ys),
+        "positions": layout,
         "spacing": layout.spacing,
         "margin": layout.margin,
         "rows": layout.rows,
@@ -501,8 +494,8 @@ def _write_json(value, pad: str, out: list[str]) -> None:
 
     pad is a newline followed by the indentation of the line the value
     starts on. Dict keys must be str. A list of finite floats is joined
-    in one step, and a _Grid formats each column's x and each row's y
-    once.
+    in one step, and a Layout is written as its positions, [x, y] pairs
+    row by row, formatting each column's x and each row's y once.
     """
     if isinstance(value, str):
         out.append(encode_basestring_ascii(value))
@@ -545,7 +538,7 @@ def _write_json(value, pad: str, out: list[str]) -> None:
             _write_json(item, inner, out)
             sep = "," + inner
         out.append(pad + "}")
-    elif isinstance(value, _Grid):
+    elif isinstance(value, Layout):
         if not value.xs or not value.ys:
             out.append("[]")
             return

@@ -12,10 +12,10 @@ keeps comparisons like "is 55 kPa of vacuum enough for a 47.1 kPa
 demand" free of sign-convention bugs.
 
 Every value type is a frozen Record that validates its invariants in
-__post_init__, so an instance that exists is valid and finite, and safe
-to share across threads; .replace(...) copies and validates again.
-Quantities are checked by one rule, require_range, which refuses nan;
-the statics, pneumatics and vgtc functions check their arguments with it.
+__post_init__, so an instance that exists is valid and finite (Layout's
+axes too), and safe to share across threads; .replace(...) validates
+again. Quantities are checked by require_range, which refuses nan, counts
+by require_count; library functions check arguments before converting.
 """
 
 from __future__ import annotations
@@ -139,6 +139,13 @@ def require_range(name: str, value, low=-_FLOAT_MAX, high=_FLOAT_MAX, *, above=F
     raise ValidationError(f"{name} must be {rule.removeprefix(' and ')}, got {_echo(value)}", name)
 
 
+def require_count(name: str, value, high=_FLOAT_MAX):
+    """Return value if it is an int (not a bool) in [1, high], else raise ValidationError."""
+    if isinstance(value, int) and not isinstance(value, bool) and 1 <= value <= high:
+        return value
+    raise ValidationError(f"{name} must be an integer from 1 to {high:.6g}, got {_echo(value)}", name)
+
+
 class Record:
     """Base of the frozen value types: a subclass's fields are its own annotations, in order.
 
@@ -247,9 +254,9 @@ class Polygon(Record):
     at construction; bounds and ccw_ring are computed on first read and
     cached. All four live outside the fields, so they take no part in
     ==, hash or repr. Construction rejects degenerate outlines: fewer
-    than three vertices, repeated consecutive points, an area that is
-    zero or not finite (as any inf or nan vertex makes it), or
-    self-intersection.
+    than three vertices, an int coordinate too large for a float,
+    repeated consecutive points, an area that is zero or not finite (as
+    any inf or nan vertex makes it), or self-intersection.
 
     box is bounds when the outline is exactly an axis-aligned rectangle
     given in ring order: four vertices whose edges alternate horizontal
@@ -264,7 +271,10 @@ class Polygon(Record):
     vertices: tuple[Point, ...]
 
     def __post_init__(self):
-        verts = tuple((float(x), float(y)) for x, y in self.vertices)
+        try:
+            verts = tuple((float(x), float(y)) for x, y in self.vertices)
+        except OverflowError:  # an int no float holds
+            raise ValidationError("vertices must be finite, got an int too large", "vertices") from None
         object.__setattr__(self, "vertices", verts)
         _require(len(verts) >= 3, "polygon needs at least 3 vertices")
         n = len(verts)
@@ -387,10 +397,7 @@ class SuctionCup(Record):
         d = require_range("orifice_diameter", self.orifice_diameter, 0, above=True)
         area = self.area  # 0 or inf where the square underflows or overflows
         _require(0 < area < math.inf, f"orifice_diameter {d} m has an area of {area:g}", "orifice_diameter")
-        count = self.count  # the statics divide by it as a float
-        if not (isinstance(count, int) and not isinstance(count, bool) and 1 <= count <= _FLOAT_MAX):
-            message = f"count must be an integer from 1 to {_FLOAT_MAX:.6g}, got {_echo(count)}"
-            raise ValidationError(message, "count")
+        require_count("count", self.count)  # the statics divide by it as a float
 
     @property
     def area(self) -> float:

@@ -21,10 +21,10 @@ honest warning instead of silently trusting the arithmetic.
 Head terms are meters of fluid column; conversion to Pa uses rho*g of
 the working air from PhysicalConstants.
 
-Numeric arguments are checked with model.require_range: finite, in
-their domain, never nan. continuity_velocity's v1 and net_supply_vacuum's
-loss may also be +inf, since a line whose arithmetic overflows is a
-valid run with an infinite loss.
+Numeric arguments are checked with model.require_range (counts with
+model.require_count): finite, in their domain, never nan.
+continuity_velocity's v1 and net_supply_vacuum's loss may also be +inf,
+since a line whose arithmetic overflows is a valid run with an infinite loss.
 """
 
 from __future__ import annotations
@@ -40,11 +40,15 @@ from .model import (
     Record,
     VacuumGenerator,
     ValidationError,
+    require_count,
     require_range,
 )
 
 # above this speed the incompressible assumption is not trustworthy
 MACH_ADVISORY_VELOCITY = 100.0  # m/s
+
+# parallel_flow_split returns a float per branch; a larger count is refused, not allocated
+MAX_BRANCHES = 10**6
 
 
 class LineLossResult(Record):
@@ -167,15 +171,14 @@ def parallel_flow_split(
 
     Equal split when no weights are given, proportional otherwise. The
     last branch absorbs the rounding residue so the returned flows sum
-    back to total_flow within one ulp.
+    back to total_flow within one ulp. branch_count is 1 to MAX_BRANCHES.
     """
-    if not isinstance(branch_count, int) or isinstance(branch_count, bool) or branch_count < 1:
-        raise ValidationError(f"branch_count must be an integer >= 1, got {branch_count!r}")
+    require_count("branch_count", branch_count, MAX_BRANCHES)
     require_range("total_flow", total_flow, 0)
     if weights is None:
         w = [1.0] * branch_count
     else:
-        w = [require_range("weights", float(x), 0, above=True) for x in weights]
+        w = [float(require_range("weights", x, 0, above=True)) for x in weights]
         if len(w) != branch_count:
             raise ValidationError(
                 f"weights length {len(w)} does not match branch_count {branch_count}"

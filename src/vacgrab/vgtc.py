@@ -39,6 +39,7 @@ each layout position still makes exactly one intersection call.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from functools import cached_property
 from itertools import repeat
 
@@ -48,8 +49,8 @@ from .model import (
     PressureWindow,
     Record,
     ValidationError,
-    _echo,
     circular_area,
+    require_count,
     require_range,
 )
 
@@ -97,9 +98,9 @@ class Vgtc(Record):
 class Layout(Record):
     """A rectangular grid of gripper positions inside a margin inset.
 
-    xs holds the x of each column and ys the y of each row. cols and
-    rows are their lengths, and positions is every (x, y), row by row
-    (all of the first row, then the next), built once on first use.
+    xs holds the finite x of each column and ys the y of each row. cols
+    and rows are their lengths, and positions is every (x, y), row by
+    row (all of the first row, then the next), built once on first use.
     """
 
     xs: tuple[float, ...]
@@ -108,8 +109,8 @@ class Layout(Record):
     margin: float
 
     def __post_init__(self):
-        object.__setattr__(self, "xs", tuple(map(float, self.xs)))
-        object.__setattr__(self, "ys", tuple(map(float, self.ys)))
+        object.__setattr__(self, "xs", tuple([float(require_range("xs", x)) for x in self.xs]))
+        object.__setattr__(self, "ys", tuple([float(require_range("ys", y)) for y in self.ys]))
         require_range("spacing", self.spacing, 0, above=True)
         require_range("margin", self.margin, 0)
 
@@ -292,49 +293,25 @@ def generate_layout(outline: Polygon, margin: float, spacing: float) -> Layout:
     return Layout(xs=xs, ys=ys, spacing=spacing, margin=margin)
 
 
-def _first(pred, lo: int, hi: int) -> int:
-    """First k in [lo, hi) with pred(k), or hi; pred is False then True."""
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if pred(mid):
-            hi = mid
-        else:
-            lo = mid + 1
-    return lo
-
-
 def _sample_end(low: float, high: float, step: float) -> int:
     """First k >= 1 with low + k*step >= cutoff = high - 1e-12: samples 1 .. k-1 lie below it.
 
-    The search starts at the quotient max(1, ceil((cutoff - low) / step)),
-    which rounding leaves on or near the answer, gallops outward in
-    steps of 1, 2, 4, ... and lets _first bisect the last gap. low +
-    k*step never decreases as k grows, so this is the k that any search
-    from 1 finds. Where low >> step that sum stays flat over runs of k,
-    and the gallop keeps the cost logarithmic in the distance from the
-    quotient.
+    The search starts just below the quotient ceil((cutoff - low) / step),
+    which rounding leaves on or near the answer, and gallops upward (1,
+    2, 4, ... past it) until the sum reaches the cutoff. bisect_left then
+    searches up from the last k found below it, or from k = 1 if the
+    start was already past. low + k*step never decreases as k grows, so
+    the cost is logarithmic even where low >> step flattens that sum.
     """
     cutoff = high - 1e-12
 
     def past(k: int) -> bool:
         return low + k * step >= cutoff
 
-    k = max(1, math.ceil((cutoff - low) / step))
-    if past(k):
-        lo, hi, gap = 1, k, 1
-        while hi - gap >= 1:
-            if not past(hi - gap):
-                lo = hi - gap + 1
-                break
-            hi -= gap
-            gap *= 2
-    else:
-        lo, gap = k + 1, 1
-        while not past(k + gap):
-            lo = k + gap + 1
-            gap *= 2
-        hi = k + gap
-    return _first(past, lo, hi)
+    lo, hi, gap = 0, max(1, math.ceil((cutoff - low) / step) - 1), 1
+    while not past(hi):
+        lo, hi, gap = hi, hi + gap, 2 * gap
+    return 1 + bisect_left(range(1, hi), True, lo, key=past)
 
 
 def calibrate_spacing(
@@ -356,29 +333,27 @@ def calibrate_spacing(
     as the spacing grows, so the count never increases along the
     samples: the matching samples form one contiguous run. The end of
     the samples comes from the quotient (high - 1e-12 - low) / step,
-    checked outward from there (_sample_end). Bisection on k then finds
-    the first sample with count <= target_count and the first with
-    count < target_count, so the cost is O(log(samples)) count
-    evaluations and no layout is built. The result is [(first, last)]
+    searched upward from just below there, then bisected (_sample_end).
+    bisect_left then finds the first sample with count <= target_count
+    and the first with count < target_count: O(log(samples)) count
+    evaluations, and no layout is built. The result is [(first, last)]
     of that run, or [] when no sample matches -- a valid answer: no
     spacing in range reproduces the target. A margin that leaves no
     usable area fits no grid at any spacing, so it also yields [].
 
-    Raises ValidationError for a bad target, a negative or non-finite margin,
-    an outline with no exact box (Polygon.box), a range that is
-    not 0 <= low < high with a finite high, a step that is not finite
-    and positive, or more than MAX_CALIBRATION_SAMPLES samples in range.
+    Raises ValidationError for a target_count that is no integer from 1
+    to the largest float, a negative or non-finite margin, an outline
+    with no exact box (Polygon.box), a range that is not
+    0 <= low < high with a finite high, a step that is not finite and
+    positive, or more than MAX_CALIBRATION_SAMPLES samples in range.
     """
-    if not isinstance(target_count, int) or isinstance(target_count, bool) or target_count < 1:
-        raise ValidationError(f"target_count must be an integer >= 1, got {_echo(target_count)}")
-    low = require_range("search_range", float(search_range[0]), 0)
-    high = require_range("search_range", float(search_range[1]), low, above=True)
+    require_count("target_count", target_count)
+    low = float(require_range("search_range", search_range[0], 0))
+    high = float(require_range("search_range", search_range[1], low, above=True))
     require_range("step", step, 0, above=True)
-    samples = (high - low) / step
-    if samples > MAX_CALIBRATION_SAMPLES:
-        raise ValidationError(
-            f"step {step:.3g} m too small: {samples:.3g} samples in range exceed 2**53"
-        )
+    n = (high - low) / step
+    if n > MAX_CALIBRATION_SAMPLES:
+        raise ValidationError(f"step {step:.3g} m too small: {n:.3g} samples in range exceed 2**53")
     try:
         usable_l, usable_w = _usable_span(outline, margin)
     except _NoUsableArea:
@@ -388,9 +363,9 @@ def calibrate_spacing(
         s = low + k * step
         return _axis_count(usable_l, s) * _axis_count(usable_w, s)
 
-    end = _sample_end(low, high, step)
-    first = _first(lambda k: count(k) <= target_count, 1, end)
-    stop = _first(lambda k: count(k) < target_count, first, end)
+    samples = range(1, _sample_end(low, high, step))
+    first = bisect_left(samples, True, key=lambda k: count(k) <= target_count)
+    stop = bisect_left(samples, True, first, key=lambda k: count(k) < target_count)
     if first == stop:
         return []
-    return [(low + first * step, low + (stop - 1) * step)]
+    return [(low + samples[first] * step, low + samples[stop - 1] * step)]

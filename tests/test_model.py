@@ -2,6 +2,7 @@ import dataclasses
 import itertools
 import math
 import random
+import sys
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -35,7 +36,7 @@ from vacgrab import (
 )
 from vacgrab.cli import CONFIG_FIELDS
 from vacgrab.model import circular_area, supported_units
-from vacgrab.pneumatics import LineLossResult, NetSupplyResult
+from vacgrab.pneumatics import MAX_BRANCHES, LineLossResult, NetSupplyResult
 from oracles import brute_self_intersects
 
 
@@ -159,6 +160,19 @@ def test_cup_count_must_be_integer():
         SuctionCup(orifice_diameter=1e-3, count=1.5)
     with pytest.raises(ValidationError, match="count must be an integer from 1 to 1.79769e"):
         SuctionCup(orifice_diameter=1e-3, count=10**400)  # the statics divide by it as a float
+    # every count argument follows one rule, each up to its own largest value
+    for name, high, call in (
+        ("count", sys.float_info.max, lambda n: SuctionCup(orifice_diameter=1e-3, count=n)),
+        ("target_count", sys.float_info.max, lambda n: calibrate_spacing(_SQUARE, 0.02, n, (0.01, 0.1), 0.01)),
+        ("branch_count", MAX_BRANCHES, lambda n: parallel_flow_split(1.0, n)),
+    ):
+        call(1)
+        # just past high, then far enough past that a list of that length cannot be indexed
+        for bad in (0, 1.5, True, int(high) + 1, 10**20 + int(high), 10**400, -(10**5000)):
+            with pytest.raises(ValidationError) as err:
+                call(bad)
+            assert err.value.field == name
+            assert str(err.value).startswith(f"{name} must be an integer from 1 to {high:.6g}, got ")
 
 
 def test_generator_defaults():
@@ -263,21 +277,22 @@ FLOAT_FIELDS = [
     (cls, name)
     for cls in VALID
     for name in cls._fields
-    if cls.__annotations__[name] in ("float", "float | None")
+    if cls.__annotations__[name] in ("float", "float | None", "tuple[float, ...]")
 ]
 
 
 def test_float_fields_cover_every_range_checked_quantity():
-    assert len(FLOAT_FIELDS) == 25  # a type filter that matched nothing would pass vacuously
+    assert len(FLOAT_FIELDS) == 27  # a type filter that matched nothing would pass vacuously
     for cls, kwargs in VALID.items():
         cls(**kwargs)
 
 
 @pytest.mark.parametrize("cls, name", FLOAT_FIELDS, ids=[f"{c.__name__}.{n}" for c, n in FLOAT_FIELDS])
-@given(bad=st.sampled_from([math.nan, math.inf, -math.inf]))
+@given(bad=st.sampled_from([math.nan, math.inf, -math.inf, 10**400, -(10**400)]))
 def test_every_float_field_refuses_nan_and_inf(cls, name, bad):
+    value = (bad,) if cls.__annotations__[name].startswith("tuple") else bad  # Layout.xs, Layout.ys
     with pytest.raises(ValidationError) as err:
-        cls(**{**VALID[cls], name: bad})
+        cls(**{**VALID[cls], name: value})
     assert err.value.field == name
     assert str(err.value).startswith(f"{name} must be finite")
 
@@ -305,6 +320,7 @@ GUARDED_ARGUMENTS = [
     ("total_flow", lambda x: parallel_flow_split(x, 2)),
     ("weights", lambda x: parallel_flow_split(1.0, 2, (1.0, x))),
     ("ratio", lambda x: adjusted_min_pressure(PressureWindow(p_min=30_000.0), x)),
+    ("vertices", lambda x: Polygon(((0.0, 0.0), (x, 0.0), (0.0, 1.0)))),
     ("search_range", lambda x: calibrate_spacing(_SQUARE, 0.02, 4, (x, 1.0), 0.001)),
     ("search_range", lambda x: calibrate_spacing(_SQUARE, 0.02, 4, (0.01, x), 0.001)),
 ]
@@ -319,10 +335,12 @@ INF_ALLOWED = {"force", "total_force", "v1", "loss"}
 )
 def test_guarded_argument_refuses_nan(name, call):
     call(0.5)  # in range for every argument
-    for bad in (math.nan, -math.inf) if name in INF_ALLOWED else (math.nan, -math.inf, math.inf):
+    too_big = (math.inf, 10**400)  # an int no float holds must not reach float()
+    for bad in (math.nan, -math.inf, -(10**400), *(() if name in INF_ALLOWED else too_big)):
         with pytest.raises(ValidationError) as err:
             call(bad)
-        assert err.value.field == name
+        # a polygon's nan or inf coordinate leaves its area non-finite, refused as "area"
+        assert err.value.field == ("area" if name == "vertices" and isinstance(bad, float) else name)
     if name in INF_ALLOWED:
         call(math.inf)
 
@@ -599,7 +617,6 @@ def test_required_config_keys():
         ("fabric", "id"),
         ("fabric", "mass"),
         ("line", "inner_diameter"),
-        ("line", "upstream_velocity"),
         ("vgtc", "p_min"),
         ("vgtc", "radius"),
     ]
