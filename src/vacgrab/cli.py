@@ -28,14 +28,16 @@ from collections.abc import Callable, Iterable, Iterator, Sequence
 from itertools import product
 from json.encoder import encode_basestring_ascii
 
-from . import pneumatics, statics
+from . import statics
 from .feasibility import (
     DEFAULT_EDGE_MARGIN,
     CorpusEntry,
     CorpusRow,
     GraspReport,
     Scenario,
+    cup_demand,
     evaluate,
+    line_supply,
     run_corpus,
 )
 from .model import (
@@ -898,9 +900,7 @@ def _cmd_force(args, doc: ConfigDocument) -> tuple[bytes, list[str]]:
 
 def _cmd_pressure(args, doc: ConfigDocument) -> tuple[bytes, list[str]]:
     cup = build_cup(doc)
-    force = statics.holding_force(build_fabric(doc), build_motion(doc))
-    single = statics.required_pressure(force, cup)
-    shared = statics.required_pressure(statics.per_gripper_force(force, cup), cup)
+    force, single, shared = cup_demand(build_fabric(doc), build_motion(doc), cup)
     return _render(args.format, args.command, {
         "human": lambda: (
             f"holding force      : {force:.6g} N\n"
@@ -919,13 +919,7 @@ def _cmd_pressure(args, doc: ConfigDocument) -> tuple[bytes, list[str]]:
 def _cmd_line_loss(args, doc: ConfigDocument) -> tuple[bytes, list[str]]:
     generator = build_generator(doc)
     line, upstream_velocity = build_line(doc, generator)
-    total, steps = pneumatics.line_loss_total(line, upstream_velocity)
-    net = pneumatics.net_supply_vacuum(generator, max(total, 0.0))
-    advisories = [
-        f"line step {i}: velocity above {pneumatics.MACH_ADVISORY_VELOCITY:.0f} m/s"
-        for i, step in enumerate(steps, start=1)
-        if step.mach_advisory
-    ]
+    total, steps, net, advisories = line_supply(line, upstream_velocity, generator)
 
     def human() -> str:
         lines = [f"upstream velocity : {upstream_velocity:.6g} m/s"]
@@ -962,8 +956,6 @@ def _cmd_plan(args, doc: ConfigDocument) -> tuple[bytes, list[str]]:
         spacing = _parse_cli_quantity(args.spacing, "length", "--spacing")
     layout = generate_layout(fabric.outline, margin, spacing)
     ratios = effective_ratios(circle, fabric.outline, layout.positions)
-    if args.svg:
-        _write_svg(args.svg, emit_layout_svg(layout, fabric.outline, circle))
 
     def human() -> str:
         lines = [
@@ -978,14 +970,17 @@ def _cmd_plan(args, doc: ConfigDocument) -> tuple[bytes, list[str]]:
             lines.append(f"  ({x}, {y}) m  effective {ratio:.4f}")
         return "\n".join(lines) + "\n"
 
-    return _render(args.format, args.command, {
+    output = _render(args.format, args.command, {
         "human": human,
         "structured": lambda: {
             "layout": _layout_dict(layout),
             "effective_ratios": ratios,
             "radius": circle.radius,
         },
-    }), []
+    })
+    if args.svg:  # after rendering, so a usage error writes no file
+        _write_svg(args.svg, emit_layout_svg(layout, fabric.outline, circle))
+    return output, []
 
 
 def _cmd_calibrate(args, doc: ConfigDocument) -> tuple[bytes, list[str]]:

@@ -3,15 +3,15 @@ into a single pass/fail grasp verdict with a full audit trail.
 
 The pipeline per scenario:
 
-1. holding force for the selected load case;
-2. required vacuum via force = pressure * area, both for one cup
-   carrying the whole piece (conservative) and shared across the bank;
-3. line loss summed over consecutive bore changes;
-4. net vacuum left at the cup;
-5. with a calibrated grabbing circle: gripper layout, per-position
+1. cup_demand: holding force for the load case and the vacuum it needs
+   (force = pressure * area) on one cup carrying the whole piece
+   (conservative) and shared across the bank;
+2. line_supply: line loss over the bore changes, net vacuum at the cup
+   and the line's advisories (`pressure` and `line-loss` run these too);
+3. with a calibrated grabbing circle: gripper layout, per-position
    effective ratios (vgtc.effective_ratios, the values `plan` lists
    and the layout SVG shades by) and edge-inflated minimum pressures;
-6. the verdict.
+4. the verdict.
 
 Verdict rules: Fail when the net supply cannot cover the largest
 pressure demand. Otherwise air-impermeable fabric passes outright
@@ -28,7 +28,7 @@ ordering, and one bad row never aborts the rest.
 from __future__ import annotations
 
 import enum
-from collections.abc import Iterable
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 
 from . import pneumatics, statics
@@ -110,28 +110,27 @@ class GraspReport:
     advisories: tuple[str, ...]
 
 
-def _stage(name: str, exc: Exception) -> ValidationError:
-    return ValidationError(f"{name} stage: {exc}")
-
-
-def evaluate(
-    scenario: Scenario,
+def cup_demand(
+    fabric: FabricPiece,
+    motion: MotionProfile,
+    cup: SuctionCup,
     consts: PhysicalConstants = PhysicalConstants(),
-) -> GraspReport:
-    """Run the full grasp-feasibility pipeline for one scenario."""
+) -> tuple[float, float, float]:
+    """Holding force (N) and the vacuum (Pa) it needs on one cup and shared across the bank."""
+    force = statics.holding_force(fabric, motion, consts)
+    single = statics.required_pressure(force, cup)
+    return force, single, statics.required_pressure(statics.per_gripper_force(force, cup), cup)
+
+
+def line_supply(
+    line: Sequence[PipeSegment],
+    upstream_velocity: float,
+    generator: VacuumGenerator,
+    consts: PhysicalConstants = PhysicalConstants(),
+) -> tuple[float, list[pneumatics.LineLossResult], pneumatics.NetSupplyResult, list[str]]:
+    """The signed line loss, its steps, the net vacuum at the cup and the line's advisories."""
     advisories: list[str] = []
-
-    force = statics.holding_force(scenario.fabric, scenario.motion, consts)
-    req_single = statics.required_pressure(force, scenario.cup)
-    shared_force = statics.per_gripper_force(force, scenario.cup)
-    req_shared = statics.required_pressure(shared_force, scenario.cup)
-
-    try:
-        total_loss, steps = pneumatics.line_loss_total(
-            scenario.line, scenario.upstream_velocity, consts
-        )
-    except ValidationError as exc:
-        raise _stage("line-loss", exc) from exc
+    loss, steps = pneumatics.line_loss_total(line, upstream_velocity, consts)
     for i, step in enumerate(steps, start=1):
         if step.mach_advisory:
             advisories.append(
@@ -141,13 +140,23 @@ def evaluate(
             )
         if step.pressure_recovery:
             advisories.append(f"line step {i}: bore expands, pressure recovery predicted")
-    if total_loss < 0:
+    if loss < 0:
         advisories.append("net line pressure recovery ignored; loss clamped to 0")
-        total_loss = 0.0
-
-    net = pneumatics.net_supply_vacuum(scenario.generator, total_loss)
+    net = pneumatics.net_supply_vacuum(generator, max(loss, 0.0))
     if net.clamped:
         advisories.append("line loss exceeds generator vacuum; no usable vacuum at the cup")
+    return loss, steps, net, advisories
+
+
+def evaluate(scenario: Scenario, consts: PhysicalConstants = PhysicalConstants()) -> GraspReport:
+    """Run the full grasp-feasibility pipeline for one scenario."""
+    force, req_single, req_shared = cup_demand(scenario.fabric, scenario.motion, scenario.cup, consts)
+    try:
+        loss, _, net, advisories = line_supply(
+            scenario.line, scenario.upstream_velocity, scenario.generator, consts
+        )
+    except ValidationError as exc:
+        raise ValidationError(f"line-loss stage: {exc}") from exc
 
     layout: Layout | None = None
     ratios: tuple[float, ...] = ()
@@ -163,33 +172,21 @@ def evaluate(
             # p_min / r is correctly rounded and falls as r rises: min(ratios) sets the demand
             demand = max(demand, adjusted_min_pressure(window, min(ratios)))
         except ValidationError as exc:
-            raise _stage("layout", exc) from exc
+            raise ValidationError(f"layout stage: {exc}") from exc
 
     permeable = scenario.fabric.permeability is Permeability.AIR_PERMEABLE
+    verdict = Verdict.PASS
     if net.pressure < demand:
         verdict = Verdict.FAIL
-    elif permeable:
-        if p_max is None:
-            verdict = Verdict.UNCALIBRATED
-            advisories.append(
-                "air-permeable fabric with no calibrated window maximum; "
-                "single-layer pickup not assured"
-            )
-        elif net.pressure > p_max:
-            verdict = Verdict.PASS_WITH_MULTI_LAYER_RISK
-            advisories.append(
-                f"net supply {net.pressure:.0f} Pa exceeds window maximum {p_max:.0f} Pa; "
-                "may lift more than one layer"
-            )
-        else:
-            verdict = Verdict.PASS
-    else:
-        verdict = Verdict.PASS
-        if p_max is not None and net.pressure > p_max:
-            advisories.append(
-                f"net supply {net.pressure:.0f} Pa exceeds window maximum {p_max:.0f} Pa; "
-                "harmless for air-impermeable fabric"
-            )
+    elif permeable and p_max is None:
+        verdict = Verdict.UNCALIBRATED
+        advisories.append(
+            "air-permeable fabric with no calibrated window maximum; single-layer pickup not assured"
+        )
+    elif p_max is not None and net.pressure > p_max:
+        verdict = Verdict.PASS_WITH_MULTI_LAYER_RISK if permeable else Verdict.PASS
+        risk = "may lift more than one layer" if permeable else "harmless for air-impermeable fabric"
+        advisories.append(f"net supply {net.pressure:.0f} Pa exceeds window maximum {p_max:.0f} Pa; {risk}")
 
     return GraspReport(
         fabric_id=scenario.fabric.id,
@@ -197,7 +194,7 @@ def evaluate(
         holding_force=force,
         required_pressure_single_cup=req_single,
         required_pressure_shared=req_shared,
-        line_loss=total_loss,
+        line_loss=max(loss, 0.0),
         net_supply=net.pressure,
         layout=layout,
         effective_ratios=ratios,

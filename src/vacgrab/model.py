@@ -128,11 +128,13 @@ def require_range(name: str, value, low=-_FLOAT_MAX, high=_FLOAT_MAX, *, above=F
     """Return value if it is in [low, high], or in (low, high] if above.
 
     Else raise ValidationError for field `name`. The default bounds, the
-    largest floats, refuse ±inf and ints no float holds, so the value must
-    be finite; high=math.inf lets +inf through. nan fails every bound.
+    largest floats, refuse ±inf, so the value must be finite; high=math.inf
+    lets +inf through. An int no float holds and nan fail whatever the bounds.
     """
     if (low < value if above else low <= value) and value <= high:
-        return value
+        if -_FLOAT_MAX <= value <= _FLOAT_MAX or not isinstance(value, int):
+            return value
+        raise ValidationError(f"{name} must fit in a float, got {_echo(value)}", name)
     lo = "" if low == -_FLOAT_MAX else f" and {'>' if above else '>='} {low}"
     hi = "" if high >= _FLOAT_MAX else f" and <= {high}"
     rule = ("" if high == math.inf else "finite") + lo + hi

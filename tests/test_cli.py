@@ -436,6 +436,29 @@ def test_line_loss_command(bag_config, capsys):
     assert payload["net_supply"] == pytest.approx(55_000, abs=500)
 
 
+@pytest.mark.parametrize(
+    "old, new, count",
+    [
+        ("", "", 1),  # Mach
+        # an expanding first step: Mach, pressure recovery, loss clamped to 0
+        ("inner_diameter = 5.2 mm\nlength = 1 m\nupstream_velocity = 37.14",
+         "inner_diameter = 1 mm\nlength = 1 m\nupstream_velocity = 120", 3),
+        ("max_vacuum = -92 kPa", "max_vacuum = -30 kPa", 2),  # Mach, no vacuum left at the cup
+    ],
+    ids=["shipped", "expanding", "loss-above-vacuum"],
+)
+def test_line_loss_and_check_give_the_same_line_advisories(tmp_path, capsys, old, new, count):
+    config = edited(tmp_path, "pocket_bag.conf", old, new)
+    advisories = {}
+    for command in ("line-loss", "check"):
+        assert main([command, "--config", config]) == 0
+        err = capsys.readouterr().err.splitlines()
+        # pocket_bag.conf has impermeable fabric and no [vgtc]: every advisory is about the line
+        advisories[command] = [line for line in err if line.startswith("advisory: ")]
+    assert len(advisories["check"]) == count
+    assert advisories["line-loss"] == advisories["check"]
+
+
 def test_plan_writes_svg(facing_config, tmp_path, capsys):
     svg_path = tmp_path / "layout.svg"
     assert main(["plan", "--config", facing_config, "--svg", str(svg_path)]) == 0
@@ -443,6 +466,13 @@ def test_plan_writes_svg(facing_config, tmp_path, capsys):
     assert "6 grippers" in out
     svg = svg_path.read_text()
     assert svg.count('class="vgtc-ring"') == 6
+
+
+def test_plan_usage_error_writes_no_svg(facing_config, tmp_path, capsys):
+    svg_path = tmp_path / "layout.svg"
+    assert main(["plan", "--config", facing_config, "--format", "csv", "--svg", str(svg_path)]) == 1
+    assert capsys.readouterr().err == "usage error: plan supports --format human or structured\n"
+    assert not svg_path.exists()
 
 
 def test_plan_spacing_override(facing_config, capsys):

@@ -191,6 +191,33 @@ def test_permeable_no_circle_is_uncalibrated(pocket_bag, std_line):
     assert report.verdict is Verdict.UNCALIBRATED
 
 
+# every verdict branch: permeability x window maximum x whether the net supply
+# (about 55 kPa) covers the demand; 2.5 g needs about 47 kPa per cup, 5 g about 94 kPa
+@pytest.mark.parametrize("mass", [2.5e-3, 5e-3], ids=["met", "unmet"])
+@pytest.mark.parametrize("p_max", [None, 50_000.0, 80_000.0], ids=["no-max", "max-below-net", "max-above-net"])
+@pytest.mark.parametrize("permeable", [True, False], ids=["permeable", "impermeable"])
+def test_verdict_table(pocket_bag, permeable, p_max, mass):
+    permeability = Permeability.AIR_PERMEABLE if permeable else Permeability.AIR_IMPERMEABLE
+    fabric = pocket_bag.replace(permeability=permeability, mass=mass)
+    report = evaluate(interior_circle_scenario(fabric, p_max=p_max))
+    exceeds = f"net supply {report.net_supply:.0f} Pa exceeds window maximum {p_max or 0:.0f} Pa; "
+    if mass > 2.5e-3:  # a Fail says nothing of the window, even where net exceeds p_max
+        expected = Verdict.FAIL, []
+    elif not permeable:
+        harmless = p_max is not None and report.net_supply > p_max
+        expected = Verdict.PASS, [exceeds + "harmless for air-impermeable fabric"] if harmless else []
+    elif p_max is None:
+        expected = Verdict.UNCALIBRATED, [
+            "air-permeable fabric with no calibrated window maximum; single-layer pickup not assured"
+        ]
+    elif report.net_supply > p_max:
+        expected = Verdict.PASS_WITH_MULTI_LAYER_RISK, [exceeds + "may lift more than one layer"]
+    else:
+        expected = Verdict.PASS, []
+    assert (report.verdict, [a for a in report.advisories if "window" in a]) == expected
+    assert report.net_supply == pytest.approx(55_000, abs=500)  # p_max 50 kPa is below it, 80 kPa above
+
+
 # ---------------------------------------------------------------------------
 # verdict monotonicity
 

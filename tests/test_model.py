@@ -28,6 +28,7 @@ from vacgrab import (
     calibrate_spacing,
     continuity_velocity,
     convert_units,
+    line_loss_total,
     net_supply_vacuum,
     parallel_flow_split,
     per_gripper_force,
@@ -317,6 +318,8 @@ GUARDED_ARGUMENTS = [
     ("unknown_velocity", lambda x: solve_pressure_from_balance(FlowState(pressure=0.0), x, 0.0)),
     ("unknown_elevation", lambda x: solve_pressure_from_balance(FlowState(pressure=0.0), 0.0, x)),
     ("loss", lambda x: net_supply_vacuum(VacuumGenerator(), x)),
+    # on a line of two segments, so that the velocity reaches a step
+    ("upstream_velocity", lambda x: line_loss_total((PipeSegment(2e-3), PipeSegment(1e-3)), x)),
     ("total_flow", lambda x: parallel_flow_split(x, 2)),
     ("weights", lambda x: parallel_flow_split(1.0, 2, (1.0, x))),
     ("ratio", lambda x: adjusted_min_pressure(PressureWindow(p_min=30_000.0), x)),
@@ -325,7 +328,7 @@ GUARDED_ARGUMENTS = [
     ("search_range", lambda x: calibrate_spacing(_SQUARE, 0.02, 4, (0.01, x), 0.001)),
 ]
 # a valid run can overflow into these, so +inf passes them
-INF_ALLOWED = {"force", "total_force", "v1", "loss"}
+INF_ALLOWED = {"force", "total_force", "v1", "loss", "upstream_velocity"}
 
 
 @pytest.mark.parametrize(
@@ -335,12 +338,14 @@ INF_ALLOWED = {"force", "total_force", "v1", "loss"}
 )
 def test_guarded_argument_refuses_nan(name, call):
     call(0.5)  # in range for every argument
-    too_big = (math.inf, 10**400)  # an int no float holds must not reach float()
-    for bad in (math.nan, -math.inf, -(10**400), *(() if name in INF_ALLOWED else too_big)):
+    # an int no float holds must not reach float(), even where +inf passes
+    for bad in (math.nan, -math.inf, -(10**400), 10**400, *(() if name in INF_ALLOWED else (math.inf,))):
         with pytest.raises(ValidationError) as err:
             call(bad)
         # a polygon's nan or inf coordinate leaves its area non-finite, refused as "area"
         assert err.value.field == ("area" if name == "vertices" and isinstance(bad, float) else name)
+        if bad == 10**400 and name in INF_ALLOWED:  # no rule it meets, such as ">= 0"
+            assert str(err.value) == f"{name} must fit in a float, got an integer of 1329 bits"
     if name in INF_ALLOWED:
         call(math.inf)
 
