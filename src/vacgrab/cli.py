@@ -24,7 +24,7 @@ import csv
 import io
 import re
 import sys
-from collections.abc import Callable, Iterable, Iterator, Sequence
+from collections.abc import Callable, Iterable, Sequence
 from itertools import product
 from json.encoder import encode_basestring_ascii
 
@@ -497,7 +497,8 @@ def _write_json(value, pad: str, out: list[str]) -> None:
     pad is a newline followed by the indentation of the line the value
     starts on. Dict keys must be str. A list of finite floats is joined
     in one step, and a Layout is written as its positions, [x, y] pairs
-    row by row, formatting each column's x and each row's y once.
+    row by row, formatting each column's x and each row's y once and
+    joining each row in one step.
     """
     if isinstance(value, str):
         out.append(encode_basestring_ascii(value))
@@ -548,7 +549,8 @@ def _write_json(value, pad: str, out: list[str]) -> None:
         cell = inner + "  "
         heads = ["[" + cell + _json_float(x) + "," + cell for x in value.xs]
         tails = [_json_float(y) + inner + "]" for y in value.ys]
-        out.append("[" + inner + ("," + inner).join(h + t for t in tails for h in heads) + pad + "]")
+        rows = [(t + "," + inner).join(heads) + t for t in tails]
+        out.append("[" + inner + ("," + inner).join(rows) + pad + "]")
     else:
         raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
@@ -652,8 +654,8 @@ def emit_layout_svg(layout: Layout, outline: Polygon, vgtc: Vgtc) -> bytes:
     A position whose effective ratio (vgtc.effective_ratios, the ratios
     check and plan report) is below 1 - 1e-9 additionally gets its
     effective (clipped) area shaded. Each column's x and each row's y
-    are formatted once. Output is deterministic byte for byte for
-    identical inputs.
+    are formatted once, and each row of circles is joined in one step.
+    Output is deterministic byte for byte for identical inputs.
     """
     bx0, by0, bx1, by1 = outline.bounds
     ext = vgtc.radius
@@ -698,11 +700,13 @@ def emit_layout_svg(layout: Layout, outline: Polygon, vgtc: Vgtc) -> bytes:
     cxs = [_fmt(tx(x)) for x in layout.xs]
     cys = [_fmt(ty(y)) for y in layout.ys]
 
-    def circles(head: str, tail: str) -> Iterator[str]:
-        """One element per position, row by row: head, cx, cy, tail."""
+    def circles(head: str, tail: str) -> list[str]:
+        """One string per row: its elements, head, cx, cy, tail, one a line."""
+        if not cxs:  # a row of no elements would still print its tail
+            return []
         heads = [f'{head} cx="{cx}" cy="' for cx in cxs]
         tails = [f'{cy}" {tail}' for cy in cys]
-        return (h + t for t in tails for h in heads)
+        return [(t + "\n").join(heads) + t for t in tails]
 
     for i, ratio in enumerate(effective_ratios(vgtc, outline, layout.positions)):
         if ratio < 1.0 - 1e-9:

@@ -128,7 +128,12 @@ def line_supply(
     generator: VacuumGenerator,
     consts: PhysicalConstants = PhysicalConstants(),
 ) -> tuple[float, list[pneumatics.LineLossResult], pneumatics.NetSupplyResult, list[str]]:
-    """The signed line loss, its steps, the net vacuum at the cup and the line's advisories."""
+    """The line loss applied to the supply, its steps, the net vacuum at the cup and the line's advisories.
+
+    The loss is the signed total clamped at 0: a net pressure recovery
+    along the line is ignored (with an advisory), not added to the
+    supply. The signed per-step delta_p values are in the steps.
+    """
     advisories: list[str] = []
     loss, steps = pneumatics.line_loss_total(line, upstream_velocity, consts)
     for i, step in enumerate(steps, start=1):
@@ -142,7 +147,8 @@ def line_supply(
             advisories.append(f"line step {i}: bore expands, pressure recovery predicted")
     if loss < 0:
         advisories.append("net line pressure recovery ignored; loss clamped to 0")
-    net = pneumatics.net_supply_vacuum(generator, max(loss, 0.0))
+        loss = 0.0
+    net = pneumatics.net_supply_vacuum(generator, loss)
     if net.clamped:
         advisories.append("line loss exceeds generator vacuum; no usable vacuum at the cup")
     return loss, steps, net, advisories
@@ -194,7 +200,7 @@ def evaluate(scenario: Scenario, consts: PhysicalConstants = PhysicalConstants()
         holding_force=force,
         required_pressure_single_cup=req_single,
         required_pressure_shared=req_shared,
-        line_loss=max(loss, 0.0),
+        line_loss=loss,
         net_supply=net.pressure,
         layout=layout,
         effective_ratios=ratios,

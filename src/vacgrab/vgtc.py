@@ -9,9 +9,11 @@ is fixed, effective area scales with the ratio, so pressure scales
 inversely. The inflation law is a modeling choice, not a measured
 curve; treat its outputs as conservative. effective_ratios gives the
 ratio at every layout position, and the verdict, the plan listing and
-the SVG shading all read those values. It moves the one validated
-circle to each position (Vgtc.moved) instead of building and checking
-a new one.
+the SVG shading all read those values. The intersection reads only a
+circle's center, radius and disk_area, so effective_ratios places the
+one validated circle at each position as a plain named tuple of those
+three (_Placed), built in C, instead of building and checking a new
+Vgtc.
 
 The disk/polygon intersection is exact. Each polygon edge contributes
 a Green's theorem term: straight pieces inside the disk integrate as
@@ -40,6 +42,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
+from collections import namedtuple
 from functools import cached_property
 from itertools import repeat
 
@@ -80,19 +83,6 @@ class Vgtc(Record):
         object.__setattr__(self, "disk_area", disk_area)
         if not isinstance(self.pressure_window, PressureWindow):
             raise ValidationError("pressure_window must be a PressureWindow")
-
-    def moved(self, center: Point) -> Vgtc:
-        """This circle with its center at `center`, a pair of finite floats.
-
-        The radius, window and disk_area were validated when this circle
-        was built and do not depend on the center, so the copy skips
-        __post_init__.
-        """
-        circle = object.__new__(Vgtc)
-        attrs = circle.__dict__
-        attrs.update(self.__dict__)
-        attrs["center"] = center
-        return circle
 
 
 class Layout(Record):
@@ -177,7 +167,11 @@ def _edge_term(x1: float, y1: float, x2: float, y2: float, r: float) -> float:
 
 
 def circle_polygon_intersection_area(circle: Vgtc, outline: Polygon) -> float:
-    """Exact area of the grabbing disk clipped to the fabric outline."""
+    """Exact area of the grabbing disk clipped to the fabric outline.
+
+    circle may be any object with a validated center, radius and
+    disk_area: a Vgtc, or the _Placed disks effective_ratios builds.
+    """
     cx, cy = circle.center
     r = circle.radius
     if outline.box is not None:
@@ -194,16 +188,29 @@ def circle_polygon_intersection_area(circle: Vgtc, outline: Polygon) -> float:
 
 
 def effective_ratio(circle: Vgtc, outline: Polygon) -> float:
-    """Fraction of the grabbing disk on the fabric, in [0, 1]: the intersection is at most disk_area."""
+    """Fraction of the grabbing disk on the fabric, in [0, 1]: the intersection is at most disk_area.
+
+    circle may be any object with a validated center, radius and disk_area.
+    """
     return circle_polygon_intersection_area(circle, outline) / circle.disk_area
 
 
-def effective_ratios(circle: Vgtc, outline: Polygon, positions: tuple[Point, ...]) -> tuple[float, ...]:
-    """effective_ratio of the circle moved to each position, in order.
+# a validated circle placed at one layout position: what the intersection reads
+_Placed = namedtuple("_Placed", "center radius disk_area")
 
-    positions are pairs of floats, as Layout.positions holds them.
+
+def effective_ratios(circle: Vgtc, outline: Polygon, positions: tuple[Point, ...]) -> tuple[float, ...]:
+    """effective_ratio of the circle placed at each position, in order.
+
+    positions are pairs of floats, as Layout.positions holds them. The
+    radius and disk_area were validated when circle was built and do not
+    depend on the center, so each position gets a _Placed disk, built in
+    C by tuple.__new__ without a Python-level call; effective_ratio is
+    then the one Python-level call per position.
     """
-    return tuple(map(effective_ratio, map(circle.moved, positions), repeat(outline)))
+    fields = zip(positions, repeat(circle.radius), repeat(circle.disk_area))
+    placed = map(tuple.__new__, repeat(_Placed), fields)
+    return tuple(map(effective_ratio, placed, repeat(outline)))
 
 
 def adjusted_min_pressure(window: PressureWindow, ratio: float) -> float:

@@ -38,7 +38,7 @@ from vacgrab.cli import (
     parse_corpus_csv,
 )
 from vacgrab import vgtc as vgtc_module
-from vacgrab.cli import _json_text
+from vacgrab.cli import _json_text, _layout_dict
 from vacgrab.feasibility import CorpusEntry
 from vacgrab.model import SI_UNIT
 from conftest import make_scenario
@@ -325,6 +325,20 @@ def test_svg_empty_layout_outline_only():
     assert svg.count('class="fabric"') == 1
 
 
+@pytest.mark.parametrize("xs, ys", [((), (0.1,)), ((0.1,), ())], ids=["no-cols", "no-rows"])
+def test_layout_with_one_empty_axis_writes_no_position(xs, ys):
+    # each grid row is joined in one step: a row of no columns must not leave its tail behind
+    outline = Polygon.rectangle(0.26, 0.19)
+    vgtc = Vgtc(center=(0, 0), radius=0.02, pressure_window=PressureWindow(p_min=30_000.0))
+    layout = Layout(xs=xs, ys=ys, spacing=0.05, margin=0.02)
+    svg = emit_layout_svg(layout, outline, vgtc).decode()
+    assert svg.count("<circle") == 0
+    assert svg.endswith('stroke-dasharray="6 4"/>\n</svg>\n')
+    text = _json_text({"layout": _layout_dict(layout)})  # as structured plan and check write it
+    assert '\n    "positions": [],\n' in text
+    assert json.loads(text)["layout"]["positions"] == []
+
+
 @pytest.mark.parametrize("x, shaded", [(0.02, False), (0.02 - 1e-6, True)], ids=["tangent", "1um-over"])
 def test_svg_shades_a_disk_that_barely_overhangs(x, shaded):
     outline = Polygon.rectangle(0.26, 0.19)
@@ -362,15 +376,17 @@ def test_one_intersection_per_position_in_evaluate_and_svg(tmp_path, monkeypatch
     original = vgtc_module.circle_polygon_intersection_area
 
     def counted(circle, outline):
-        calls.append(circle.center)
+        calls.append((circle.center, circle.radius, circle.disk_area))
         return original(circle, outline)
 
     monkeypatch.setattr(vgtc_module, "circle_polygon_intersection_area", counted)
     report = evaluate(scenario)
-    assert calls == list(report.layout.positions) and len(calls) == 48
+    # each position gets the configured circle's own radius and disk area
+    expected = [(pos, scenario.vgtc.radius, scenario.vgtc.disk_area) for pos in report.layout.positions]
+    assert calls == expected and len(calls) == 48
     calls.clear()
     emit_layout_svg(report.layout, scenario.fabric.outline, scenario.vgtc)
-    assert calls == list(report.layout.positions)
+    assert calls == expected
 
 
 def test_svg_deterministic_bytes():
@@ -437,26 +453,29 @@ def test_line_loss_command(bag_config, capsys):
 
 
 @pytest.mark.parametrize(
-    "old, new, count",
+    "old, new, count, loss",
     [
-        ("", "", 1),  # Mach
+        ("", "", 1, "37116.3"),  # Mach
         # an expanding first step: Mach, pressure recovery, loss clamped to 0
         ("inner_diameter = 5.2 mm\nlength = 1 m\nupstream_velocity = 37.14",
-         "inner_diameter = 1 mm\nlength = 1 m\nupstream_velocity = 120", 3),
-        ("max_vacuum = -92 kPa", "max_vacuum = -30 kPa", 2),  # Mach, no vacuum left at the cup
+         "inner_diameter = 1 mm\nlength = 1 m\nupstream_velocity = 120", 3, "0"),
+        ("max_vacuum = -92 kPa", "max_vacuum = -30 kPa", 2, "37116.3"),  # Mach, no vacuum left at the cup
     ],
     ids=["shipped", "expanding", "loss-above-vacuum"],
 )
-def test_line_loss_and_check_give_the_same_line_advisories(tmp_path, capsys, old, new, count):
+def test_line_loss_and_check_give_the_same_line_advisories(tmp_path, capsys, old, new, count, loss):
     config = edited(tmp_path, "pocket_bag.conf", old, new)
-    advisories = {}
+    advisories, losses = {}, {}
     for command in ("line-loss", "check"):
         assert main([command, "--config", config]) == 0
-        err = capsys.readouterr().err.splitlines()
+        out, err = capsys.readouterr()
         # pocket_bag.conf has impermeable fabric and no [vgtc]: every advisory is about the line
-        advisories[command] = [line for line in err if line.startswith("advisory: ")]
+        advisories[command] = [line for line in err.splitlines() if line.startswith("advisory: ")]
+        # line-loss says "total loss", check says "line loss": one figure for one line
+        losses[command] = re.search(r"^(?:total|line) loss +: (\S+) Pa$", out, re.MULTILINE).group(1)
     assert len(advisories["check"]) == count
     assert advisories["line-loss"] == advisories["check"]
+    assert losses == {"line-loss": loss, "check": loss}
 
 
 def test_plan_writes_svg(facing_config, tmp_path, capsys):
