@@ -93,7 +93,9 @@ class ConfigField(Record):
     kind: a dimension of SI_UNIT (number with optional unit), float (bare
     number), int, str, an Enum class or Polygon (vertex list). target: the
     value object the key sets; attr: its attribute, if not named like the
-    key. Keys without a target are applied by explicit code.
+    key. Keys without a target are applied by explicit code. Stored when
+    built: attribute (attr or key), and required, true when the target
+    attribute has no default, so the key must be given.
     """
 
     section: str
@@ -102,14 +104,9 @@ class ConfigField(Record):
     target: type | None = None
     attr: str | None = None
 
-    @property
-    def attribute(self) -> str:
-        return self.attr or self.key
-
-    @property
-    def required(self) -> bool:
-        """Whether the key must be given: its target attribute has no default."""
-        return self.target is not None and self.attribute in self.target._required
+    def __post_init__(self):
+        object.__setattr__(self, "attribute", self.attr or self.key)
+        object.__setattr__(self, "required", self.attribute in getattr(self.target, "_required", ()))
 
 
 # Keys with a rule the table cannot state, applied by name below.
@@ -657,7 +654,8 @@ def emit_layout_svg(layout: Layout, outline: Polygon, vgtc: Vgtc) -> bytes:
     are formatted once, and each row of circles is joined in one step.
     Output is deterministic byte for byte for identical inputs.
     """
-    bx0, by0, bx1, by1 = outline.bounds
+    xs, ys = zip(*outline.vertices)
+    bx0, by0, bx1, by1 = min(xs), min(ys), max(xs), max(ys)
     ext = vgtc.radius
     x_min, y_min = bx0 - ext, by0 - ext
     x_max, y_max = bx1 + ext, by1 + ext

@@ -16,6 +16,9 @@ __post_init__, so an instance that exists is valid and finite (Layout's
 axes too), and safe to share across threads; .replace(...) validates
 again. Quantities are checked by require_range, which refuses nan, counts
 by require_count; library functions check arguments before converting.
+A derived value (an area, a polygon's box, a layout's positions) is
+stored by __post_init__ beside the fields, outside ==, hash and repr;
+only Polygon.ccw_ring waits for its first read (see Polygon).
 """
 
 from __future__ import annotations
@@ -216,6 +219,10 @@ def _segments_intersect(p1: Point, p2: Point, q1: Point, q2: Point) -> bool:
     d2 = _cross(q1, q2, p2)
     d3 = _cross(p1, p2, q1)
     d4 = _cross(p1, p2, q2)
+    if math.isnan(d1 + d2 + d3 + d4):  # an overflow left no sign: decide again exactly
+        from fractions import Fraction
+        p1, p2, q1, q2 = [(Fraction(x), Fraction(y)) for x, y in (p1, p2, q1, q2)]
+        d1, d2, d3, d4 = _cross(q1, q2, p1), _cross(q1, q2, p2), _cross(p1, p2, q1), _cross(p1, p2, q2)
     if ((d1 > 0 and d2 < 0) or (d1 < 0 and d2 > 0)) and (
         (d3 > 0 and d4 < 0) or (d3 < 0 and d4 > 0)
     ):
@@ -235,8 +242,7 @@ def _ring_box(verts: tuple[Point, ...]) -> tuple[float, float, float, float] | N
     """The bounds of four vertices whose edges alternate horizontal and vertical, else None.
 
     Such a ring is an axis-aligned rectangle in ring order, once its edges
-    are known to have nonzero length. min and max take the first of equal
-    values, as Polygon.bounds does, so signed zeros match it bit for bit.
+    are known to have nonzero length.
     """
     if len(verts) != 4:
         return None
@@ -252,18 +258,19 @@ class Polygon(Record):
     """Simple polygon in fabric-local coordinates (meters).
 
     Vertices may be given in either winding order; signed_area exposes
-    the raw orientation, area the magnitude. signed_area and box are set
-    at construction; bounds and ccw_ring are computed on first read and
-    cached. All four live outside the fields, so they take no part in
-    ==, hash or repr. Construction rejects degenerate outlines: fewer
-    than three vertices, an int coordinate too large for a float,
-    repeated consecutive points, an area that is zero or not finite (as
-    any inf or nan vertex makes it), or self-intersection.
+    the raw orientation, area the magnitude; both and box are stored at
+    construction. ccw_ring is cached on first read: only an intersection
+    that integrates reads it, and building it for every outline made
+    construction measurably slower. None of the four is a field.
+    Construction rejects degenerate outlines: fewer than three vertices,
+    an int coordinate too large for a float, repeated consecutive points,
+    an area that is zero or not finite (as any inf or nan vertex makes
+    it), or self-intersection.
 
-    box is bounds when the outline is exactly an axis-aligned rectangle
-    given in ring order: four vertices whose edges alternate horizontal
-    and vertical. No tolerance: a corner off by 1e-10 m is no box. Every
-    other outline has box None. A box is simple, so it skips the sweep.
+    box is (min x, min y, max x, max y) when the outline is exactly an
+    axis-aligned rectangle in ring order: four vertices whose edges
+    alternate horizontal and vertical. No tolerance: a corner off by
+    1e-10 m is no box, and has box None. A box skips the sweep.
 
     Simplicity: edges sorted by smaller x are swept (Shamos & Hoey 1976);
     only non-adjacent pairs overlapping in x and y reach the segment test,
@@ -286,7 +293,8 @@ class Polygon(Record):
             _require(p != q, "polygon has a zero-length edge")
             total += p[0] * q[1] - q[0] * p[1]
         object.__setattr__(self, "signed_area", 0.5 * total)
-        require_range("area", abs(self.signed_area), 0, above=True)  # an inf or nan vertex fails
+        area = require_range("area", abs(self.signed_area), 0, above=True)  # an inf or nan vertex fails
+        object.__setattr__(self, "area", area)
         box = _ring_box(verts)
         object.__setattr__(self, "box", box)
         if box is not None:
@@ -314,16 +322,6 @@ class Polygon(Record):
         require_range("length", length, 0, above=True)
         require_range("width", width, 0, above=True)
         return cls(((0.0, 0.0), (length, 0.0), (length, width), (0.0, width)))
-
-    @property
-    def area(self) -> float:
-        return abs(self.signed_area)
-
-    @cached_property
-    def bounds(self) -> tuple[float, float, float, float]:
-        xs = [v[0] for v in self.vertices]
-        ys = [v[1] for v in self.vertices]
-        return min(xs), min(ys), max(xs), max(ys)
 
     @cached_property
     def ccw_ring(self) -> tuple[tuple[Point, Point], ...]:
@@ -390,20 +388,17 @@ class MotionProfile(Record):
 
 
 class SuctionCup(Record):
-    """A suction cup orifice and how many identical cups share the load."""
+    """A suction cup orifice and how many identical cups share the load; area is the orifice's."""
 
     orifice_diameter: float  # m
     count: int = 1
 
     def __post_init__(self):
         d = require_range("orifice_diameter", self.orifice_diameter, 0, above=True)
-        area = self.area  # 0 or inf where the square underflows or overflows
+        area = circular_area(d)  # 0 or inf where the square underflows or overflows
         _require(0 < area < math.inf, f"orifice_diameter {d} m has an area of {area:g}", "orifice_diameter")
+        object.__setattr__(self, "area", area)
         require_count("count", self.count)  # the statics divide by it as a float
-
-    @property
-    def area(self) -> float:
-        return circular_area(self.orifice_diameter)
 
 
 class VacuumGenerator(Record):
@@ -422,20 +417,17 @@ class VacuumGenerator(Record):
 
 
 class PipeSegment(Record):
-    """One hose segment of the suction line."""
+    """One hose segment of the suction line; area is its bore's."""
 
     inner_diameter: float  # m
     length: float = 0.0  # m, recorded; the bore-step loss model does not read it
 
     def __post_init__(self):
         d = require_range("inner_diameter", self.inner_diameter, 0, above=True)
-        area = self.area  # 0 or inf where the square underflows or overflows
+        area = circular_area(d)  # 0 or inf where the square underflows or overflows
         _require(0 < area < math.inf, f"inner_diameter {d} m has a bore area of {area:g}", "inner_diameter")
+        object.__setattr__(self, "area", area)
         require_range("length", self.length, 0)
-
-    @property
-    def area(self) -> float:
-        return circular_area(self.inner_diameter)
 
 
 class EnergyHeads(Record):

@@ -23,10 +23,9 @@ boundary this yields the intersection area to floating-point accuracy
 for any simple polygon, convex or not.
 
 A layout is its columns and rows: the x of each column and the y of
-each row. Its positions are derived from them, row by row, and built
-only when asked for; the emitters format each column and each row
-once. Layouts exist only for outlines that are an exact box
-(Polygon.box, set when the outline is built, no tolerance): a
+each row. Its positions, row by row, are stored when it is built; the
+emitters format each column and each row once. Layouts exist only for
+outlines that are an exact box (Polygon.box, no tolerance): a
 rectangle given as vertices must list its corners in ring order,
 each edge repeating one coordinate exactly, or come from length and
 width. On a real layout almost every disk lies wholly on the piece.
@@ -43,7 +42,6 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from collections import namedtuple
-from functools import cached_property
 from itertools import repeat
 
 from .model import (
@@ -90,7 +88,8 @@ class Layout(Record):
 
     xs holds the finite x of each column and ys the y of each row. cols
     and rows are their lengths, and positions is every (x, y), row by
-    row (all of the first row, then the next), built once on first use.
+    row (all of the first row, then the next); all three are stored at
+    construction, outside the fields.
     """
 
     xs: tuple[float, ...]
@@ -103,18 +102,9 @@ class Layout(Record):
         object.__setattr__(self, "ys", tuple([float(require_range("ys", y)) for y in self.ys]))
         require_range("spacing", self.spacing, 0, above=True)
         require_range("margin", self.margin, 0)
-
-    @property
-    def cols(self) -> int:
-        return len(self.xs)
-
-    @property
-    def rows(self) -> int:
-        return len(self.ys)
-
-    @cached_property
-    def positions(self) -> tuple[Point, ...]:
-        return tuple((x, y) for y in self.ys for x in self.xs)
+        object.__setattr__(self, "cols", len(self.xs))
+        object.__setattr__(self, "rows", len(self.ys))
+        object.__setattr__(self, "positions", tuple([(x, y) for y in self.ys for x in self.xs]))
 
 
 # ---------------------------------------------------------------------------
@@ -283,7 +273,7 @@ def generate_layout(outline: Polygon, margin: float, spacing: float) -> Layout:
 
     Only outlines with an exact box (Polygon.box) are supported. A grid
     of more than MAX_LAYOUT_POSITIONS positions is rejected before any
-    is built.
+    is built; one near that size stores all its positions when built.
     """
     require_range("spacing", spacing, 0, above=True)
     usable_l, usable_w = _usable_span(outline, margin)

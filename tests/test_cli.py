@@ -221,6 +221,7 @@ def test_batch_error_entries_keep_slots(bag_scenario):
     assert "error: boom" in lines[2]
     structured = json.loads(emit_batch(entries, "structured").decode())
     assert structured[1]["error"] == "boom"
+    assert emit_batch(entries, "human").decode().splitlines()[1] == "bad        error: boom"
 
 
 _JSON_LEAVES = st.none() | st.booleans() | st.integers() | st.floats() | st.text()
@@ -279,6 +280,15 @@ def test_bundled_corpus_loads_twelve_rows():
 def test_corpus_rejects_wrong_column_count():
     with pytest.raises(ConfigError, match="columns"):
         parse_corpus_csv("a,b,c\n")
+
+
+def test_empty_corpus_needs_a_header(tmp_path, capsys):
+    with pytest.raises(ConfigError, match="^corpus file is empty; a header row is required$"):
+        parse_corpus_csv("")
+    path = tmp_path / "empty.csv"
+    path.write_text("")
+    assert main(["batch", "--corpus", str(path)]) == 2
+    assert capsys.readouterr().err == "error: corpus file is empty; a header row is required\n"
 
 
 def test_corpus_rejects_bad_outline():
@@ -756,7 +766,7 @@ def run_cli(*argv):
 def test_start_up_imports_neither_typing_nor_importlib_resources():
     # -S: no site hooks, which may load either module before vacgrab does
     env = dict(os.environ, PYTHONPATH=str(Path(vacgrab.__file__).parents[1]))
-    code = "import sys, vacgrab.cli; print(sorted({'typing', 'importlib.resources'} & set(sys.modules)))"
+    code = "import sys, vacgrab.cli; print(sorted({'typing', 'importlib.resources', 'fractions'} & set(sys.modules)))"
     run = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True, timeout=30, env=env)
     assert (run.returncode, run.stdout, run.stderr) == (0, "[]\n", "")
 

@@ -276,7 +276,7 @@ def test_polygon_caches_stay_out_of_identity():
     box = Polygon(((X0, Y0), (X1, Y0), (X1, Y1), (X0, Y1)))
     fresh = Polygon(box.vertices)
     before = repr(box), hash(box)
-    assert box.box and box.bounds and box.ccw_ring
+    assert box.box and box.ccw_ring
     assert (repr(box), hash(box)) == before
     assert box == fresh and repr(fresh) == before[0]
 
@@ -333,7 +333,7 @@ def test_layout_positions_inside_inset_and_spaced():
     outline = Polygon.rectangle(0.30, 0.36)
     margin, spacing = 0.02, 0.09
     layout = generate_layout(outline, margin, spacing)
-    x0, y0, x1, y1 = outline.bounds
+    x0, y0, x1, y1 = outline.box
     for x, y in layout.positions:
         assert x0 + margin - 1e-9 <= x <= x1 - margin + 1e-9
         assert y0 + margin - 1e-9 <= y <= y1 - margin + 1e-9
