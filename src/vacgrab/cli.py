@@ -20,13 +20,11 @@ Exit codes: 0 success, 1 usage error, 2 validation/config error,
 from __future__ import annotations
 
 import argparse
-import csv
 import io
 import re
 import sys
 from collections.abc import Callable, Iterable, Sequence
 from itertools import product
-from json.encoder import encode_basestring_ascii
 
 from . import statics
 from .feasibility import (
@@ -488,17 +486,17 @@ def _json_float(value: float) -> str:
     return _JSON_NON_FINITE.get(text, text)
 
 
-def _write_json(value, pad: str, out: list[str]) -> None:
+def _write_json(value, pad: str, out: list[str], escape: Callable[[str], str]) -> None:
     """Append `value` to out as json.dumps(value, indent=2) writes it.
 
     pad is a newline followed by the indentation of the line the value
-    starts on. Dict keys must be str. A list of finite floats is joined
-    in one step, and a Layout is written as its positions, [x, y] pairs
-    row by row, formatting each column's x and each row's y once and
-    joining each row in one step.
+    starts on, and escape is json's C string escaper. Dict keys must be
+    str. A list of finite floats is joined in one step, and a Layout is
+    written as its positions, [x, y] pairs row by row, formatting each
+    column's x and each row's y once and joining each row in one step.
     """
     if isinstance(value, str):
-        out.append(encode_basestring_ascii(value))
+        out.append(escape(value))
     elif value is None:
         out.append("null")
     elif value is True:
@@ -522,7 +520,7 @@ def _write_json(value, pad: str, out: list[str]) -> None:
         sep = "[" + inner
         for item in value:
             out.append(sep)
-            _write_json(item, inner, out)
+            _write_json(item, inner, out, escape)
             sep = "," + inner
         out.append(pad + "]")
     elif isinstance(value, dict):
@@ -534,8 +532,8 @@ def _write_json(value, pad: str, out: list[str]) -> None:
         for key, item in value.items():
             if not isinstance(key, str):
                 raise TypeError(f"keys must be str, not {type(key).__name__}")
-            out.append(sep + encode_basestring_ascii(key) + ": ")
-            _write_json(item, inner, out)
+            out.append(sep + escape(key) + ": ")
+            _write_json(item, inner, out, escape)
             sep = "," + inner
         out.append(pad + "}")
     elif isinstance(value, Layout):
@@ -558,10 +556,13 @@ def _json_text(value) -> str:
     json.dumps runs its pure-Python encoder whenever indent is set.
     This writer gives every scalar the encoding json gives it
     (float.__repr__ and NaN/Infinity, int.__repr__, the C string
-    escaper) and lays out the indentation itself.
+    escaper) and lays out the indentation itself. json is imported
+    here, not at start-up: only structured output uses it.
     """
+    from json.encoder import encode_basestring_ascii
+
     out: list[str] = []
-    _write_json(value, "\n", out)
+    _write_json(value, "\n", out, encode_basestring_ascii)
     out.append("\n")
     return "".join(out)
 
@@ -583,6 +584,8 @@ def _render(format: str, command: str, renderers: dict[str, Callable[[], object]
 
 
 def _csv_text(rows: Iterable[list[str]]) -> str:
+    import csv  # here, not at start-up: only csv output and corpus files use it
+
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(CSV_COLUMNS)
@@ -716,8 +719,10 @@ def emit_layout_svg(layout: Layout, outline: Polygon, vgtc: Vgtc) -> bytes:
         '<circle class="vgtc-ring"', f'r="{r_px}" fill="none" stroke="#2e6da4" stroke-width="1.2"/>'
     ))
     parts.extend(circles('<circle class="grip-dot"', 'r="3" fill="#c0392b"/>'))
-    parts.append("</svg>")
-    return ("\n".join(parts) + "\n").encode("utf-8")
+    parts += ("</svg>", "")  # "" ends the text with a newline
+    text = "\n".join(parts)
+    parts.clear()  # the rows go before the bytes are built: two copies of the SVG at the peak, not three
+    return text.encode("utf-8")
 
 
 # ---------------------------------------------------------------------------
@@ -732,6 +737,8 @@ _SUPPLY_RE = re.compile(r"^\s*([-+]?\d+(?:\.\d+)?)\s*(kPa|Pa)\s*$")
 
 def parse_corpus_csv(text: str) -> list[CorpusRow]:
     """Read a grabbing-test table: header row plus one row per test lot."""
+    import csv  # here, not at start-up: only batch reads a corpus
+
     reader = csv.reader(io.StringIO(text))
     try:
         header = next(reader)

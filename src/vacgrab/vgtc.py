@@ -15,12 +15,13 @@ one validated circle at each position as a plain named tuple of those
 three (_Placed), built in C, instead of building and checking a new
 Vgtc.
 
-The disk/polygon intersection is exact. Each polygon edge contributes
-a Green's theorem term: straight pieces inside the disk integrate as
-origin triangles (shoelace), pieces outside integrate along the arc
-their chord shadows (r^2/2 * wrapped angle). Summed over a CCW
-boundary this yields the intersection area to floating-point accuracy
-for any simple polygon, convex or not.
+The disk/polygon intersection is exact, at a tangency too. Each edge
+contributes a Green's theorem term: straight pieces inside the disk
+integrate as origin triangles (shoelace), pieces outside along the arc
+their chord shadows (r^2/2 * wrapped angle), and an edge whose line
+only touches the circle is all arc: a tangent point is never an inside
+piece. Summed over a CCW boundary this gives the intersection area to
+floating-point accuracy for any simple polygon, convex or not.
 
 A layout is its columns and rows: the x of each column and the y of
 each row. Its positions, row by row, are stored when it is built; the
@@ -110,49 +111,58 @@ class Layout(Record):
 # ---------------------------------------------------------------------------
 # disk / polygon intersection
 
-def _wrap_angle(angle: float) -> float:
-    # wrap to (-pi, pi]; chords subtend < pi so this picks the right arc
-    a = math.fmod(angle, 2.0 * math.pi)
-    if a <= -math.pi:
-        a += 2.0 * math.pi
-    elif a > math.pi:
-        a -= 2.0 * math.pi
-    return a
+_TWO_PI = 2.0 * math.pi
+
+
+def _arc(ax: float, ay: float, bx: float, by: float, r2: float) -> float:
+    # r^2/2 times the angle from a to b, wrapped to (-pi, pi]: a piece
+    # outside the disk subtends less than pi, so the wrap picks its arc
+    angle = math.fmod(math.atan2(by, bx) - math.atan2(ay, ax), _TWO_PI)
+    if angle <= -math.pi:
+        angle += _TWO_PI
+    elif angle > math.pi:
+        angle -= _TWO_PI
+    return 0.5 * r2 * angle
 
 
 def _edge_term(x1: float, y1: float, x2: float, y2: float, r: float) -> float:
-    """Green's theorem contribution of one edge against the disk |p| <= r."""
+    """Green's theorem contribution of one edge against the disk |p| <= r.
+
+    The edge is x1 + t*dx, t in [0, 1]; x1 + 1.0*dx need not round to
+    x2. A line that misses or only touches the circle (disc <= 0) never
+    enters the disk, so the edge is one arc: a tangent point is never
+    an inside piece. A line that crosses it is cut at its roots strictly
+    inside (0, 1), in order; each piece whose midpoint lies in the disk
+    is a triangle, each other one an arc.
+    """
     dx = x2 - x1
     dy = y2 - y1
     a = dx * dx + dy * dy
     if a == 0.0:
         return 0.0
     b = 2.0 * (x1 * dx + y1 * dy)
-    c = x1 * x1 + y1 * y1 - r * r
-    cuts = [0.0, 1.0]
-    disc = b * b - 4.0 * a * c
-    if disc > 0.0:
-        sq = math.sqrt(disc)
-        for t in ((-b - sq) / (2.0 * a), (-b + sq) / (2.0 * a)):
-            if 0.0 < t < 1.0:
-                cuts.append(t)
-    cuts.sort()
     r2 = r * r
+    c = x1 * x1 + y1 * y1 - r2
+    disc = b * b - 4.0 * a * c
+    ax = x1 + 0.0 * dx
+    ay = y1 + 0.0 * dy
+    if not disc > 0.0:
+        return _arc(ax, ay, x1 + 1.0 * dx, y1 + 1.0 * dy, r2)
+    sq = math.sqrt(disc)
     total = 0.0
-    for t0, t1 in zip(cuts, cuts[1:]):
-        if t1 <= t0:
-            continue
-        tm = 0.5 * (t0 + t1)
-        mx = x1 + tm * dx
-        my = y1 + tm * dy
-        ax = x1 + t0 * dx
-        ay = y1 + t0 * dy
-        bx = x1 + t1 * dx
-        by = y1 + t1 * dy
-        if mx * mx + my * my <= r2:
-            total += 0.5 * (ax * by - ay * bx)
-        else:
-            total += 0.5 * r2 * _wrap_angle(math.atan2(by, bx) - math.atan2(ay, ax))
+    t0 = 0.0
+    for t1 in ((-b - sq) / (2.0 * a), (-b + sq) / (2.0 * a), 1.0):
+        if t0 < t1 <= 1.0:
+            tm = 0.5 * (t0 + t1)
+            mx = x1 + tm * dx
+            my = y1 + tm * dy
+            bx = x1 + t1 * dx
+            by = y1 + t1 * dy
+            if mx * mx + my * my <= r2:
+                total += 0.5 * (ax * by - ay * bx)
+            else:
+                total += _arc(ax, ay, bx, by, r2)
+            t0, ax, ay = t1, bx, by
     return total
 
 

@@ -1,7 +1,9 @@
 """Independent oracles the tests check the analytic code against.
 
-These deliberately avoid the library's own algorithms: the area oracle
-is Monte Carlo point sampling, the spacing oracle is a brute scan that
+These deliberately avoid the library's own algorithms: the area oracles
+are Monte Carlo point sampling and a closed form built from the
+antiderivative of sqrt(r^2 - t^2), which shares nothing with the
+library's Green's theorem edge terms, the spacing oracle is a brute scan that
 re-counts layouts sample by sample through a count function the caller
 supplies, the grid oracle counts the single-pitch grid in closed
 form from the piece's sides alone, and the simplicity oracle tests
@@ -34,6 +36,42 @@ def mc_disk_rect_area(cx, cy, r, rect_w, rect_h, n=1_000_000, seed=0):
     hit = (xs - cx) ** 2 + (ys - cy) ** 2 <= r * r
     p = hit.mean()
     return box_area * p, box_area * math.sqrt(p * (1.0 - p) / n)
+
+
+def _quadrant_area(x, y, r):
+    """Area of the disk u^2 + v^2 <= r^2 within {u <= x, v <= y}.
+
+    H(t), the integral of s(u) = sqrt(r^2 - u^2) from -r to t, gives
+    every piece. The chord at u spans [-s, s]; the line v = y cuts it
+    only where |u| < w = sqrt(r^2 - y^2). There, over u up to
+    m = min(x, w), the chord keeps y + s of its length; elsewhere, for
+    y >= 0 all of it (2s), for y < 0 none.
+    """
+    x = min(max(x, -r), r)
+    y = min(max(y, -r), r)
+
+    def s(t):  # (r - t)(r + t) keeps its digits where t nears +-r
+        return math.sqrt((r - t) * (r + t))
+
+    def h(t):  # atan2, not asin(t / r), which loses half its digits near +-1
+        return 0.5 * (t * s(t) + r * r * math.atan2(t, s(t))) + 0.25 * math.pi * r * r
+
+    w = s(y)
+    if x <= -w:
+        return 2.0 * h(x) if y >= 0.0 else 0.0
+    m = min(x, w)
+    cut = h(m) - h(-w) + y * (m + w)  # the chords that v = y cuts
+    return 2.0 * h(x) - 2.0 * (h(m) - h(-w)) + cut if y >= 0.0 else cut
+
+
+def disk_rect_area(cx, cy, r, x0, y0, x1, y1):
+    """Exact area of the disk of radius r at (cx, cy) within the box
+    [x0, x1] x [y0, y1]: inclusion-exclusion over the box's four corners
+    of the quadrant area below and left of each."""
+    def q(x, y):
+        return _quadrant_area(x - cx, y - cy, r)
+
+    return (q(x1, y1) - q(x0, y1)) - (q(x1, y0) - q(x0, y0))
 
 
 # boundary tolerance of the grid rule: keeps exact multiples from rounding down

@@ -6,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
 from importlib import resources
 from pathlib import Path
@@ -349,6 +350,22 @@ def test_layout_with_one_empty_axis_writes_no_position(xs, ys):
     assert json.loads(text)["layout"]["positions"] == []
 
 
+def test_svg_holds_at_most_two_copies_of_itself():
+    # 57 x 42 grid of full disks: the rows, their join and the bytes must
+    # not all be alive at once
+    outline = Polygon.rectangle(0.6, 0.45)
+    vgtc = Vgtc(center=(0, 0), radius=0.01, pressure_window=PressureWindow(p_min=30_000.0))
+    layout = generate_layout(outline, 0.02, 0.01)
+    assert len(layout.positions) == 2394
+    tracemalloc.start()
+    try:
+        svg = emit_layout_svg(layout, outline, vgtc)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.2 * len(svg)
+
+
 @pytest.mark.parametrize("x, shaded", [(0.02, False), (0.02 - 1e-6, True)], ids=["tangent", "1um-over"])
 def test_svg_shades_a_disk_that_barely_overhangs(x, shaded):
     outline = Polygon.rectangle(0.26, 0.19)
@@ -623,6 +640,23 @@ def test_calibrate_falls_back_to_config_margin(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out)["layout"]["margin"] == 0.01
 
 
+def test_one_gripper_tangent_to_the_piece_fails_check(tmp_path, capsys):
+    # 11 x 9 cm with a 5.5 cm radius at a 2.8 cm margin: one centred
+    # gripper whose disk touches both short sides at their midpoints and
+    # overhangs both long sides, losing 9% of its area
+    text = shipped("pocket_facing.conf")
+    for old, new in [("length = 26", "length = 11"), ("width = 5", "width = 9"), ("radius = 4.4", "radius = 5.5"),
+                     ("margin = 2", "margin = 2.8"), ("p_min = 37.561 kPa", "p_min = 52 kPa")]:
+        assert text.count(old) == 1
+        text = text.replace(old, new)
+    config = tmp_path / "tangent.conf"
+    config.write_text(text)
+    assert main(["check", "--config", str(config)]) == 0
+    out = capsys.readouterr().out
+    assert "layout            : 1 x 1 grid, spacing 0.055 m, min effective ratio 0.9095\n" in out
+    assert "verdict           : Fail\n" in out
+
+
 @pytest.mark.parametrize(
     "old, new",
     [
@@ -764,9 +798,11 @@ def run_cli(*argv):
 
 
 def test_start_up_imports_neither_typing_nor_importlib_resources():
-    # -S: no site hooks, which may load either module before vacgrab does
+    # -S: no site hooks, which may load any of them before vacgrab does;
+    # json and csv wait for structured output and corpus files
     env = dict(os.environ, PYTHONPATH=str(Path(vacgrab.__file__).parents[1]))
-    code = "import sys, vacgrab.cli; print(sorted({'typing', 'importlib.resources', 'fractions'} & set(sys.modules)))"
+    unloaded = "{'typing', 'importlib.resources', 'fractions', 'json', 'csv'}"
+    code = f"import sys, vacgrab.cli; print(sorted({unloaded} & set(sys.modules)))"
     run = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True, timeout=30, env=env)
     assert (run.returncode, run.stdout, run.stderr) == (0, "[]\n", "")
 

@@ -2,7 +2,7 @@ import math
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from vacgrab import vgtc
 from vacgrab import (
@@ -21,6 +21,7 @@ from vacgrab import (
 
 from oracles import (
     GRID_TOL,
+    disk_rect_area,
     grid_count,
     grid_spacing_runs,
     mc_disk_rect_area,
@@ -114,6 +115,8 @@ def test_intersection_bounds(cx, cy, r):
 
 
 @settings(max_examples=60)
+# tangent to the bottom edge at its midpoint, overhanging the top
+@example(cx=0.5, cy=0.375, r=0.375, angle=1.0, tx=0.0, ty=0.0)
 @given(
     cx=st.floats(min_value=0.0, max_value=1.0, allow_nan=False),
     cy=st.floats(min_value=0.0, max_value=0.5, allow_nan=False),
@@ -148,6 +151,55 @@ def test_area_monotone_along_outward_ray():
         area = circle_polygon_intersection_area(c, rect)
         assert area <= prev + 1e-12
         prev = area
+
+
+# ---------------------------------------------------------------------------
+# degenerate rigs against the closed form: dyadic boxes, radii and
+# centres, so that every tangency below is exact in floats
+
+DYADIC_BOXES = [(0.0, 0.0, 1.0, 0.5), (0.25, -0.125, 0.75, 0.375), (-1.0, 2.0, -0.25, 2.375)]
+
+
+def assert_matches_closed_form(box, r, centres):
+    x0, y0, x1, y1 = box
+    outline = Polygon(((x0, y0), (x1, y0), (x1, y1), (x0, y1)))
+    disk_area = circle(0.0, 0.0, r).disk_area
+    ratios = effective_ratios(circle(0.0, 0.0, r), outline, tuple(centres))
+    for (cx, cy), ratio in zip(centres, ratios):
+        expected = disk_rect_area(cx, cy, r, x0, y0, x1, y1) / disk_area
+        assert ratio == pytest.approx(expected, rel=0, abs=1e-12), (box, r, cx, cy)
+
+
+@pytest.mark.parametrize("box", DYADIC_BOXES)
+def test_ratios_match_the_closed_form_at_tangencies_edges_and_corners(box):
+    # the x and y of: a side's line -r and +r (tangent from outside and
+    # inside), the side itself (centre on an edge or a corner) and the
+    # middle (tangent at an edge's midpoint); with a radius of half a side
+    # the middle is also tangent to both sides
+    x0, y0, x1, y1 = box
+    for r in (0.0625, 0.25, 0.375, 0.5 * (x1 - x0), 0.5 * (y1 - y0)):
+        xs = (x0 - r, x0, x0 + r, 0.5 * (x0 + x1), x1 - r, x1, x1 + r)
+        ys = (y0 - r, y0, y0 + r, 0.5 * (y0 + y1), y1 - r, y1, y1 + r)
+        assert_matches_closed_form(box, r, [(cx, cy) for cx in xs for cy in ys])
+
+
+@pytest.mark.parametrize("box", DYADIC_BOXES)
+@pytest.mark.parametrize("r", [0.0625, 0.125, 0.1875])
+def test_layout_ratios_match_the_closed_form_at_margin_zero_and_r(box, r):
+    x0, y0, x1, y1 = box
+    outline = Polygon(((x0, y0), (x1, y0), (x1, y1), (x0, y1)))
+    for margin in (0.0, r):
+        assert_matches_closed_form(box, r, generate_layout(outline, margin, r).positions)
+
+
+def test_layout_ratios_match_the_closed_form_where_rounding_meets_a_tangency():
+    # 22 x 10 cm, 55 mm radius, 28 mm margin: the disk at (0.165, 0.05)
+    # touches the right edge at its midpoint, and its midpoint rounds to
+    # just inside the circle
+    outline = Polygon.rectangle(0.22, 0.10)
+    positions = generate_layout(outline, 0.028, 0.055).positions
+    assert (0.165, 0.05) in positions
+    assert_matches_closed_form((0.0, 0.0, 0.22, 0.10), 0.055, positions)
 
 
 # ---------------------------------------------------------------------------
