@@ -655,7 +655,10 @@ def emit_layout_svg(layout: Layout, outline: Polygon, vgtc: Vgtc) -> bytes:
     check and plan report) is below 1 - 1e-9 additionally gets its
     effective (clipped) area shaded. Each column's x and each row's y
     are formatted once, and each row of circles is joined in one step.
-    Output is deterministic byte for byte for identical inputs.
+    The document is written once, in order, into one bytes buffer: the
+    header and shading encoded in one piece, then each row of circles
+    as it is made, so no second copy of it is ever held. Output is
+    deterministic byte for byte for identical inputs.
     """
     xs, ys = zip(*outline.vertices)
     bx0, by0, bx1, by1 = min(xs), min(ys), max(xs), max(ys)
@@ -674,15 +677,16 @@ def emit_layout_svg(layout: Layout, outline: Polygon, vgtc: Vgtc) -> bytes:
     def poly_points(points) -> str:
         return " ".join(f"{_fmt(tx(x))},{_fmt(ty(y))}" for x, y in points)
 
+    fabric = poly_points(outline.vertices)
     parts = [
         '<?xml version="1.0" encoding="UTF-8"?>',
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{_fmt(width)}" '
         f'height="{_fmt(height)}" viewBox="0 0 {_fmt(width)} {_fmt(height)}">',
         "<defs>",
-        f'<clipPath id="fabric-clip"><polygon points="{poly_points(outline.vertices)}"/></clipPath>',
+        f'<clipPath id="fabric-clip"><polygon points="{fabric}"/></clipPath>',
         "</defs>",
         f'<rect width="{_fmt(width)}" height="{_fmt(height)}" fill="#ffffff"/>',
-        f'<polygon class="fabric" points="{poly_points(outline.vertices)}" '
+        f'<polygon class="fabric" points="{fabric}" '
         'fill="#f6efdd" stroke="#444444" stroke-width="1.5"/>',
     ]
     if layout.margin > 0:
@@ -701,13 +705,13 @@ def emit_layout_svg(layout: Layout, outline: Polygon, vgtc: Vgtc) -> bytes:
     cxs = [_fmt(tx(x)) for x in layout.xs]
     cys = [_fmt(ty(y)) for y in layout.ys]
 
-    def circles(head: str, tail: str) -> list[str]:
-        """One string per row: its elements, head, cx, cy, tail, one a line."""
+    def circles(head: str, tail: str) -> Iterable[bytes]:
+        """One encoded string per row: its elements, head, cx, cy, tail, one a line."""
         if not cxs:  # a row of no elements would still print its tail
-            return []
+            return ()
         heads = [f'{head} cx="{cx}" cy="' for cx in cxs]
-        tails = [f'{cy}" {tail}' for cy in cys]
-        return [(t + "\n").join(heads) + t for t in tails]
+        tails = [f'{cy}" {tail}\n' for cy in cys]
+        return map(str.encode, (t.join(heads) + t for t in tails))
 
     for i, ratio in enumerate(effective_ratios(vgtc, outline, layout.positions)):
         if ratio < 1.0 - 1e-9:
@@ -715,14 +719,15 @@ def emit_layout_svg(layout: Layout, outline: Polygon, vgtc: Vgtc) -> bytes:
                 f'<circle class="effective-shade" cx="{cxs[i % layout.cols]}" cy="{cys[i // layout.cols]}" '
                 f'r="{r_px}" fill="#7fb3d5" fill-opacity="0.35" clip-path="url(#fabric-clip)"/>'
             )
-    parts.extend(circles(
+    parts.append("")  # "" ends the header with a newline
+    out = io.BytesIO()
+    out.write("\n".join(parts).encode())
+    out.writelines(circles(
         '<circle class="vgtc-ring"', f'r="{r_px}" fill="none" stroke="#2e6da4" stroke-width="1.2"/>'
     ))
-    parts.extend(circles('<circle class="grip-dot"', 'r="3" fill="#c0392b"/>'))
-    parts += ("</svg>", "")  # "" ends the text with a newline
-    text = "\n".join(parts)
-    parts.clear()  # the rows go before the bytes are built: two copies of the SVG at the peak, not three
-    return text.encode("utf-8")
+    out.writelines(circles('<circle class="grip-dot"', 'r="3" fill="#c0392b"/>'))
+    out.write(b"</svg>\n")
+    return out.getvalue()  # the buffer itself, not a copy of it
 
 
 # ---------------------------------------------------------------------------

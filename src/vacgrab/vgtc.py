@@ -21,7 +21,9 @@ integrate as origin triangles (shoelace), pieces outside along the arc
 their chord shadows (r^2/2 * wrapped angle), and an edge whose line
 only touches the circle is all arc: a tangent point is never an inside
 piece. Summed over a CCW boundary this gives the intersection area to
-floating-point accuracy for any simple polygon, convex or not.
+floating-point accuracy for any simple polygon, convex or not. An edge
+so long or so far out that its squares overflow is cut into pieces
+first (_split_edge_term): the term is additive along an edge.
 
 A layout is its columns and rows: the x of each column and the y of
 each row. Its positions, row by row, are stored when it is built; the
@@ -32,7 +34,7 @@ each edge repeating one coordinate exactly, or come from length and
 width. On a real layout almost every disk lies wholly on the piece.
 So when the outline's box contains the disk's bounding square, the
 intersection is the disk's own area, returned without integrating,
-and the ratio is exactly 1. The fast path sits inside
+and the ratio is the shared constant 1.0. The fast path sits inside
 circle_polygon_intersection_area, not in effective_ratio or
 effective_ratios, so every caller of the intersection gets it and
 each layout position still makes exactly one intersection call.
@@ -133,7 +135,9 @@ def _edge_term(x1: float, y1: float, x2: float, y2: float, r: float) -> float:
     enters the disk, so the edge is one arc: a tangent point is never
     an inside piece. A line that crosses it is cut at its roots strictly
     inside (0, 1), in order; each piece whose midpoint lies in the disk
-    is a triangle, each other one an arc.
+    is a triangle, each other one an arc. An edge whose disc is not
+    finite goes to _split_edge_term; disc is finite only when a, b and
+    c are.
     """
     dx = x2 - x1
     dy = y2 - y1
@@ -144,6 +148,8 @@ def _edge_term(x1: float, y1: float, x2: float, y2: float, r: float) -> float:
     r2 = r * r
     c = x1 * x1 + y1 * y1 - r2
     disc = b * b - 4.0 * a * c
+    if not math.isfinite(disc):  # a, b or c overflowed: a far or very long edge
+        return _split_edge_term(x1, y1, x2, y2, r)
     ax = x1 + 0.0 * dx
     ay = y1 + 0.0 * dy
     if not disc > 0.0:
@@ -163,6 +169,42 @@ def _edge_term(x1: float, y1: float, x2: float, y2: float, r: float) -> float:
             else:
                 total += _arc(ax, ay, bx, by, r2)
             t0, ax, ay = t1, bx, by
+    return total
+
+
+def _split_edge_term(x1: float, y1: float, x2: float, y2: float, r: float) -> float:
+    """_edge_term of an edge whose squares overflow, summed over pieces of it.
+
+    Green's theorem is additive along an edge, so the edge is cut in
+    halves at 0.5 * x1 + 0.5 * x2 (and the same for y), which cannot
+    overflow. A piece whose bounding box misses the square [-r, r]^2
+    lies outside the disk and is one arc. A piece that comes near the
+    disk is cut again until it is no longer than r on either axis; then
+    its coordinates lie within 2r of the center, and scaled by the
+    power of two that brings r into [0.5, 1) they give _edge_term
+    finite, well-conditioned terms, scaled back by its square. At most
+    three pieces per level come near the disk, over at most about 1,560
+    levels (from an extent of 2^1025 down to the smallest r whose disk
+    area is positive). A coordinate that is not finite (a center more
+    than the largest float from a vertex) gives nan.
+    """
+    if not all(map(math.isfinite, (x1, y1, x2, y2))):
+        return math.nan
+    e = math.frexp(r)[1]
+    r2 = r * r
+    total = 0.0
+    pieces = [(x1, y1, x2, y2)]
+    while pieces:
+        x1, y1, x2, y2 = pieces.pop()
+        if x1 > r < x2 or x1 < -r > x2 or y1 > r < y2 or y1 < -r > y2:
+            total += _arc(x1, y1, x2, y2, r2)
+        elif abs(x2 - x1) <= r and abs(y2 - y1) <= r:
+            x1, y1, x2, y2, s = (math.ldexp(v, -e) for v in (x1, y1, x2, y2, r))
+            total += math.ldexp(_edge_term(x1, y1, x2, y2, s), 2 * e)
+        else:
+            mx = 0.5 * x1 + 0.5 * x2
+            my = 0.5 * y1 + 0.5 * y2
+            pieces += ((x1, y1, mx, my), (mx, my, x2, y2))
     return total
 
 
@@ -190,9 +232,13 @@ def circle_polygon_intersection_area(circle: Vgtc, outline: Polygon) -> float:
 def effective_ratio(circle: Vgtc, outline: Polygon) -> float:
     """Fraction of the grabbing disk on the fabric, in [0, 1]: the intersection is at most disk_area.
 
-    circle may be any object with a validated center, radius and disk_area.
+    circle may be any object with a validated center, radius and
+    disk_area. A full disk's ratio is the one shared constant 1.0, the
+    value disk_area / disk_area has, so a grid of full disks holds one
+    float, not one per position.
     """
-    return circle_polygon_intersection_area(circle, outline) / circle.disk_area
+    area = circle_polygon_intersection_area(circle, outline)
+    return 1.0 if area == circle.disk_area else area / circle.disk_area
 
 
 # a validated circle placed at one layout position: what the intersection reads

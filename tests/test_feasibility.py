@@ -145,6 +145,14 @@ def test_vgtc_layout_and_ratios(pocket_bag):
     assert report.verdict is Verdict.PASS
 
 
+def test_full_disk_grid_holds_one_ratio_object(pocket_bag):
+    # every full disk's ratio is the shared constant 1.0, not a new float each
+    report = evaluate(interior_circle_scenario(pocket_bag))
+    assert len(report.effective_ratios) > 1
+    assert len({id(r) for r in report.effective_ratios}) == 1
+    assert report.effective_ratios[0] == 1.0
+
+
 def test_vgtc_edge_overhang_inflates_demand(pocket_bag):
     # radius 4.4 cm with a 2 cm margin: corner circles overhang the piece
     window = PressureWindow(p_min=37_561.0)

@@ -2,7 +2,7 @@ import math
 import random
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from vacgrab import vgtc
 from vacgrab import (
@@ -200,6 +200,42 @@ def test_layout_ratios_match_the_closed_form_where_rounding_meets_a_tangency():
     positions = generate_layout(outline, 0.028, 0.055).positions
     assert (0.165, 0.05) in positions
     assert_matches_closed_form((0.0, 0.0, 0.22, 0.10), 0.055, positions)
+
+
+# ---------------------------------------------------------------------------
+# edges so long that their squares overflow: each is cut into pieces
+
+# share of the unit disk at the origin within -0.5 <= y <= 0; the strip |y| <= 0.5 holds twice that
+HALF_STRIP = disk_rect_area(0.0, 0.0, 1.0, -2.0, -0.5, 2.0, 0.0) / math.pi
+
+
+@pytest.mark.parametrize(
+    "centre, r, outline, expected",
+    [
+        # a 3e154 x 1 m box: its long edges square to more than the largest float
+        ((1.5e154, 0.5), 1.0, Polygon.rectangle(3e154, 1.0), 2.0 * HALF_STRIP),
+        # a 2e155 m triangle whose apex is 1e-100 above the centre
+        ((0.0, 0.0), 1.0, Polygon(((-1e155, -0.5), (1e155, -0.5), (0.0, 1e-100))), HALF_STRIP),
+        # a base whose dx itself overflows
+        ((0.0, 0.0), 1.0, Polygon(((-1e308, -0.5), (1e308, -0.5), (0.0, 1e-300))), HALF_STRIP),
+        # the same strip at radius 1e-150: the cut pieces are scaled up to integrate
+        ((0.0, 0.0), 1e-150, Polygon(((-1e308, -0.5e-150), (1e308, -0.5e-150), (0.0, 1e-300))), HALF_STRIP),
+    ],
+    ids=["box-3e154", "triangle-2e155", "base-dx-overflows", "base-dx-overflows-tiny-r"],
+)
+def test_edges_whose_squares_overflow_match_the_closed_form(centre, r, outline, expected):
+    assert effective_ratio(circle(*centre, r), outline) == pytest.approx(expected, rel=0, abs=1e-12)
+
+
+@pytest.mark.parametrize("box", DYADIC_BOXES)
+def test_edges_with_finite_squares_are_never_split(monkeypatch, box):
+    # their arithmetic is the one-pass integration, bit for bit
+    calls = []
+    monkeypatch.setattr(vgtc, "_split_edge_term", lambda *a: calls.append(a) or math.nan)
+    x0, y0, x1, y1 = box
+    outline = Polygon(((x0, y0), (x1, y0), (x1, y1), (x0, y1)))
+    assert_matches_closed_form(box, 0.1875, generate_layout(outline, 0.0, 0.1875).positions)
+    assert calls == []
 
 
 # ---------------------------------------------------------------------------
@@ -725,3 +761,32 @@ def test_layout_positions_and_ratios_follow_its_axes(x0, y0, length, width, marg
     ratios = effective_ratios(circle(0.0, 0.0, radius), outline, layout.positions)
     assert ratios == tuple(effective_ratio(circle(x, y, radius), outline) for x, y in layout.positions)
     assert Layout(xs=(), ys=layout.ys, spacing=spacing, margin=margin).positions == ()
+
+
+@settings(max_examples=100, deadline=None)
+# margin = r on a dyadic piece: the outer rings are tangent to the sides
+@example(x0=0.0, y0=0.0, length=0.5, width=0.25, radius=0.0625, share=1.0, spacing=0.0625)
+@given(
+    x0=st.floats(-1.0, 1.0),
+    y0=st.floats(-1.0, 1.0),
+    length=st.floats(0.05, 1.0),
+    width=st.floats(0.05, 1.0),
+    radius=st.floats(0.002, 0.2),
+    share=st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 2.0)),
+    spacing=st.floats(0.02, 0.5),
+)
+def test_layout_ratios_are_mirror_symmetric(x0, y0, length, width, radius, share, spacing):
+    # the grid is centred in the box, so column i and column cols - 1 - i
+    # (and likewise rows) see the piece alike
+    margin = share * radius  # margin 0 and margin r drawn on purpose
+    assume(2.0 * margin < min(length, width))
+    x1, y1 = x0 + length, y0 + width
+    outline = Polygon(((x0, y0), (x1, y0), (x1, y1), (x0, y1)))
+    layout = generate_layout(outline, margin, spacing)
+    ratios = effective_ratios(circle(0.0, 0.0, radius), outline, layout.positions)
+    cols, rows = layout.cols, layout.rows
+    for j in range(rows):
+        for i in range(cols):
+            ratio = ratios[j * cols + i]
+            assert ratio == pytest.approx(ratios[j * cols + cols - 1 - i], rel=0, abs=1e-12), (i, j)
+            assert ratio == pytest.approx(ratios[(rows - 1 - j) * cols + i], rel=0, abs=1e-12), (i, j)
