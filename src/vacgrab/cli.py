@@ -59,7 +59,7 @@ from .model import (
     require_range,
 )
 from .vgtc import Layout, Vgtc, calibrate_spacing, effective_ratios, generate_layout
-# not called here: bench/vgbench/trace.py patches these names to count per-position calls
+# not called here: bench/vgbench/trace.py resolves and patches these names
 from .vgtc import circle_polygon_intersection_area, effective_ratio  # noqa: F401
 
 
@@ -491,9 +491,11 @@ def _write_json(value, pad: str, out: list[str], escape: Callable[[str], str]) -
 
     pad is a newline followed by the indentation of the line the value
     starts on, and escape is json's C string escaper. Dict keys must be
-    str. A list of finite floats is joined in one step, and a Layout is
-    written as its positions, [x, y] pairs row by row, formatting each
-    column's x and each row's y once and joining each row in one step.
+    str. A list of finite floats is joined in one step, formatting each
+    distinct value once (a grid of full disks repeats one 1.0), and a
+    Layout is written as its positions, [x, y] pairs row by row,
+    formatting each column's x and each row's y once and joining each
+    row in one step.
     """
     if isinstance(value, str):
         out.append(escape(value))
@@ -513,7 +515,14 @@ def _write_json(value, pad: str, out: list[str], escape: Callable[[str], str]) -
             out.append("[]")
             return
         if all(type(item) is float for item in value):
-            text = ("," + inner).join(map(float.__repr__, value))
+            texts = dict.fromkeys(value)
+            if 0.0 in texts:  # 0.0 == -0.0, but their texts differ
+                items = map(float.__repr__, value)
+            else:
+                for item in texts:
+                    texts[item] = float.__repr__(item)
+                items = map(texts.__getitem__, value)
+            text = ("," + inner).join(items)
             if "n" not in text:  # no nan or inf, which json spells NaN and Infinity
                 out.append("[" + inner + text + pad + "]")
                 return

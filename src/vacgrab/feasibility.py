@@ -47,7 +47,7 @@ from .model import (
     require_range,
 )
 from .vgtc import Layout, Vgtc, adjusted_min_pressure, effective_ratios, generate_layout
-# not called here: bench/vgbench/trace.py patches this name to count per-position calls
+# not called here: bench/vgbench/trace.py resolves and patches this name
 from .vgtc import effective_ratio  # noqa: F401
 
 # reference masses when a corpus row names only the application

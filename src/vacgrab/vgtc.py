@@ -9,11 +9,13 @@ is fixed, effective area scales with the ratio, so pressure scales
 inversely. The inflation law is a modeling choice, not a measured
 curve; treat its outputs as conservative. effective_ratios gives the
 ratio at every layout position, and the verdict, the plan listing and
-the SVG shading all read those values. The intersection reads only a
+the SVG shading all read those values; effective_ratio is the same
+rule at one circle's own center. The intersection reads only a
 circle's center, radius and disk_area, so effective_ratios places the
 one validated circle at each position as a plain named tuple of those
 three (_Placed), built in C, instead of building and checking a new
-Vgtc.
+Vgtc, and its comprehension calls circle_polygon_intersection_area
+directly: that call is the one Python-level call per position.
 
 The disk/polygon intersection is exact, at a tangency too. Each edge
 contributes a Green's theorem term: straight pieces inside the disk
@@ -22,8 +24,10 @@ their chord shadows (r^2/2 * wrapped angle), and an edge whose line
 only touches the circle is all arc: a tangent point is never an inside
 piece. Summed over a CCW boundary this gives the intersection area to
 floating-point accuracy for any simple polygon, convex or not. An edge
-so long or so far out that its squares overflow is cut into pieces
-first (_split_edge_term): the term is additive along an edge.
+longer than 2^16 radii, one so far out that its squares overflow, and
+every edge of a circle below 2^-200 m are cut into pieces first
+(_split_edge_term): the term is additive along an edge. A vertex more
+than the largest float from the center is summed at half scale.
 
 A layout is its columns and rows: the x of each column and the y of
 each row. Its positions, row by row, are stored when it is built; the
@@ -35,9 +39,9 @@ width. On a real layout almost every disk lies wholly on the piece.
 So when the outline's box contains the disk's bounding square, the
 intersection is the disk's own area, returned without integrating,
 and the ratio is the shared constant 1.0. The fast path sits inside
-circle_polygon_intersection_area, not in effective_ratio or
-effective_ratios, so every caller of the intersection gets it and
-each layout position still makes exactly one intersection call.
+circle_polygon_intersection_area, not in effective_ratios, so every
+caller of the intersection gets it and each layout position still
+makes exactly one intersection call.
 """
 
 from __future__ import annotations
@@ -46,6 +50,7 @@ import math
 from bisect import bisect_left
 from collections import namedtuple
 from itertools import repeat
+from math import atan2, fmod, isfinite, sqrt  # by bare name in the per-edge terms: one lookup, not two
 
 from .model import (
     Point,
@@ -115,11 +120,23 @@ class Layout(Record):
 
 _TWO_PI = 2.0 * math.pi
 
+# An edge longer than 2^16 radii (a > _LONG_EDGE2 * r^2) is cut into
+# pieces: b*b and 4*a*c cancel in disc, so a 2e6-radius edge is 7e-12
+# off and past 7e7 radii the crossing is lost. Golden, shipped and
+# bench edges are at most a few hundred radii, so none of them is cut.
+_LONG_EDGE2 = 2.0**32
+
+# Below this radius every edge is cut and scaled: disc is of the order
+# of a*r^2, which at a tiny r underflows, so a crossing edge reads as
+# one arc. From 2^-200 up it keeps full precision for edges down to
+# 2^-100 radii long; shorter ones move a ratio by less than 2^-100.
+_SMALL_RADIUS = 2.0**-200
+
 
 def _arc(ax: float, ay: float, bx: float, by: float, r2: float) -> float:
     # r^2/2 times the angle from a to b, wrapped to (-pi, pi]: a piece
     # outside the disk subtends less than pi, so the wrap picks its arc
-    angle = math.fmod(math.atan2(by, bx) - math.atan2(ay, ax), _TWO_PI)
+    angle = fmod(atan2(by, bx) - atan2(ay, ax), _TWO_PI)
     if angle <= -math.pi:
         angle += _TWO_PI
     elif angle > math.pi:
@@ -135,26 +152,28 @@ def _edge_term(x1: float, y1: float, x2: float, y2: float, r: float) -> float:
     enters the disk, so the edge is one arc: a tangent point is never
     an inside piece. A line that crosses it is cut at its roots strictly
     inside (0, 1), in order; each piece whose midpoint lies in the disk
-    is a triangle, each other one an arc. An edge whose disc is not
-    finite goes to _split_edge_term; disc is finite only when a, b and
-    c are.
+    is a triangle, each other one an arc. An edge longer than 2^16 r,
+    or whose disc is not finite, goes to _split_edge_term; disc is
+    finite only when a, b and c are. r is at least _SMALL_RADIUS here.
     """
     dx = x2 - x1
     dy = y2 - y1
     a = dx * dx + dy * dy
     if a == 0.0:
         return 0.0
-    b = 2.0 * (x1 * dx + y1 * dy)
     r2 = r * r
+    if a > _LONG_EDGE2 * r2:  # disc would cancel: cut the edge
+        return _split_edge_term(x1, y1, x2, y2, r)
+    b = 2.0 * (x1 * dx + y1 * dy)
     c = x1 * x1 + y1 * y1 - r2
     disc = b * b - 4.0 * a * c
-    if not math.isfinite(disc):  # a, b or c overflowed: a far or very long edge
+    if not isfinite(disc):  # b or c overflowed: a far edge
         return _split_edge_term(x1, y1, x2, y2, r)
     ax = x1 + 0.0 * dx
     ay = y1 + 0.0 * dy
     if not disc > 0.0:
         return _arc(ax, ay, x1 + 1.0 * dx, y1 + 1.0 * dy, r2)
-    sq = math.sqrt(disc)
+    sq = sqrt(disc)
     total = 0.0
     t0 = 0.0
     for t1 in ((-b - sq) / (2.0 * a), (-b + sq) / (2.0 * a), 1.0):
@@ -173,23 +192,26 @@ def _edge_term(x1: float, y1: float, x2: float, y2: float, r: float) -> float:
 
 
 def _split_edge_term(x1: float, y1: float, x2: float, y2: float, r: float) -> float:
-    """_edge_term of an edge whose squares overflow, summed over pieces of it.
+    """_edge_term of an edge too long, too far or too small for its arithmetic, summed over pieces of it.
 
-    Green's theorem is additive along an edge, so the edge is cut in
-    halves at 0.5 * x1 + 0.5 * x2 (and the same for y), which cannot
-    overflow. A piece whose bounding box misses the square [-r, r]^2
-    lies outside the disk and is one arc. A piece that comes near the
-    disk is cut again until it is no longer than r on either axis; then
-    its coordinates lie within 2r of the center, and scaled by the
-    power of two that brings r into [0.5, 1) they give _edge_term
-    finite, well-conditioned terms, scaled back by its square. At most
-    three pieces per level come near the disk, over at most about 1,560
+    It takes an edge longer than 2^16 r, one whose squares overflow,
+    and every edge of a circle smaller than _SMALL_RADIUS. Green's
+    theorem is additive along an edge, so the edge is cut in halves at
+    0.5 * x1 + 0.5 * x2 (and the same for y), which cannot overflow. A
+    piece whose bounding box misses the square [-r, r]^2 lies outside
+    the disk and is one arc. A piece that comes near the disk is cut
+    again until it is no longer than r on either axis; then its
+    coordinates lie within 2r of the center, and scaled by the power of
+    two that brings r into [0.5, 1) they give _edge_term finite,
+    well-conditioned terms, scaled back by its square. At most three
+    pieces per level come near the disk, over at most about 1,560
     levels (from an extent of 2^1025 down to the smallest r whose disk
-    area is positive). A coordinate that is not finite (a center more
-    than the largest float from a vertex) gives nan.
+    area is positive). A coordinate that is not finite (a vertex more
+    than the largest float from the center) raises OverflowError, which
+    circle_polygon_intersection_area answers at half scale.
     """
-    if not all(map(math.isfinite, (x1, y1, x2, y2))):
-        return math.nan
+    if not all(map(isfinite, (x1, y1, x2, y2))):
+        raise OverflowError("a vertex lies more than the largest float from the center")
     e = math.frexp(r)[1]
     r2 = r * r
     total = 0.0
@@ -213,6 +235,11 @@ def circle_polygon_intersection_area(circle: Vgtc, outline: Polygon) -> float:
 
     circle may be any object with a validated center, radius and
     disk_area: a Vgtc, or the _Placed disks effective_ratios builds.
+    A circle smaller than _SMALL_RADIUS has every edge cut and scaled
+    (_split_edge_term). A vertex more than the largest float from the
+    center overflows x - cx; then every coordinate and r are halved
+    (exact above the subnormal range), and the sum is redone and scaled
+    back by 4.
     """
     cx, cy = circle.center
     r = circle.radius
@@ -220,9 +247,17 @@ def circle_polygon_intersection_area(circle: Vgtc, outline: Polygon) -> float:
         x0, y0, x1, y1 = outline.box
         if x0 <= cx - r and cx + r <= x1 and y0 <= cy - r and cy + r <= y1:
             return circle.disk_area
+    edge_term = _edge_term if r >= _SMALL_RADIUS else _split_edge_term
     total = 0.0
-    for (x1, y1), (x2, y2) in outline.ccw_ring:
-        total += _edge_term(x1 - cx, y1 - cy, x2 - cx, y2 - cy, r)
+    try:
+        for (x1, y1), (x2, y2) in outline.ccw_ring:
+            total += edge_term(x1 - cx, y1 - cy, x2 - cx, y2 - cy, r)
+    except OverflowError:
+        cx, cy, r = 0.5 * cx, 0.5 * cy, 0.5 * r
+        total = 0.0
+        for (x1, y1), (x2, y2) in outline.ccw_ring:
+            total += edge_term(0.5 * x1 - cx, 0.5 * y1 - cy, 0.5 * x2 - cx, 0.5 * y2 - cy, r)
+        total *= 4.0
     cap = min(circle.disk_area, outline.area)
     if total < 1e-14 * cap:  # rounding residue of a disjoint pair
         return 0.0
@@ -233,12 +268,11 @@ def effective_ratio(circle: Vgtc, outline: Polygon) -> float:
     """Fraction of the grabbing disk on the fabric, in [0, 1]: the intersection is at most disk_area.
 
     circle may be any object with a validated center, radius and
-    disk_area. A full disk's ratio is the one shared constant 1.0, the
-    value disk_area / disk_area has, so a grid of full disks holds one
-    float, not one per position.
+    disk_area. This is effective_ratios at the circle's own center, so
+    the ratio rule lives in one place: a full disk's ratio is the one
+    shared constant 1.0, the value disk_area / disk_area has.
     """
-    area = circle_polygon_intersection_area(circle, outline)
-    return 1.0 if area == circle.disk_area else area / circle.disk_area
+    return effective_ratios(circle, outline, (circle.center,))[0]
 
 
 # a validated circle placed at one layout position: what the intersection reads
@@ -246,17 +280,23 @@ _Placed = namedtuple("_Placed", "center radius disk_area")
 
 
 def effective_ratios(circle: Vgtc, outline: Polygon, positions: tuple[Point, ...]) -> tuple[float, ...]:
-    """effective_ratio of the circle placed at each position, in order.
+    """Fraction of the circle's disk on the fabric at each position, in order.
 
     positions are pairs of floats, as Layout.positions holds them. The
     radius and disk_area were validated when circle was built and do not
     depend on the center, so each position gets a _Placed disk, built in
-    C by tuple.__new__ without a Python-level call; effective_ratio is
-    then the one Python-level call per position.
+    C by tuple.__new__ without a Python-level call. The comprehension
+    then calls circle_polygon_intersection_area directly, the one
+    Python-level call per position; it is looked up once per call
+    through the module global, so a replaced one sees every position.
+    A full disk's ratio is the shared constant 1.0, so a grid of full
+    disks holds one float, not one per position.
     """
-    fields = zip(positions, repeat(circle.radius), repeat(circle.disk_area))
+    disk_area = circle.disk_area
+    fields = zip(positions, repeat(circle.radius), repeat(disk_area))
     placed = map(tuple.__new__, repeat(_Placed), fields)
-    return tuple(map(effective_ratio, placed, repeat(outline)))
+    area = circle_polygon_intersection_area
+    return tuple([1.0 if (a := area(p, outline)) == disk_area else a / disk_area for p in placed])
 
 
 def adjusted_min_pressure(window: PressureWindow, ratio: float) -> float:

@@ -232,6 +232,7 @@ _JSON_TREES = st.recursive(
         st.lists(children)
         | st.lists(children).map(tuple)
         | st.lists(st.floats())  # all floats: the joined path, or its fallback on nan/inf
+        | st.lists(st.sampled_from([1.0, 0.5, 0.0, -0.0, math.nan, math.inf]))  # repeated objects
         | st.dictionaries(st.text(), children)
     ),
     max_leaves=40,
@@ -244,6 +245,10 @@ _JSON_TREES = st.recursive(
 @example([1.0, math.nan, math.inf, -math.inf])
 @example({"": {}, "k": [], "\u00e9\u4e2d\U0001f600": ["\n\"\\", True, 1, 1.0, False, 0, None]})
 @example([(), [], {}, [[]], (1,)])
+@example([1.0] * 50)  # one shared object, formatted once
+@example([0.0, -0.0, 0.0])  # equal keys with different texts
+@example([-0.0, -0.0])
+@example([0.5, math.nan, 0.5, math.nan])  # one nan object twice
 def test_json_writer_matches_json_dumps(tree):
     assert _json_text(tree) == json.dumps(tree, indent=2) + "\n"
 

@@ -227,15 +227,69 @@ def test_edges_whose_squares_overflow_match_the_closed_form(centre, r, outline, 
     assert effective_ratio(circle(*centre, r), outline) == pytest.approx(expected, rel=0, abs=1e-12)
 
 
+def rect_ratio(cx, cy, r, x0, y0, x1, y1):
+    return disk_rect_area(cx, cy, r, x0, y0, x1, y1) / circle(0.0, 0.0, r).disk_area
+
+
+@pytest.mark.parametrize(
+    "centre, r, box",
+    [
+        # a 2e8 x 1 m box: disc of its long edges cancels to 0
+        ((1e8, 0.5), 1.0, (0.0, 0.0, 2e8, 1.0)),
+        # 2e6 radii: still integrated in one piece, the ratio was 7e-12 off
+        ((1e6, 0.5), 1.0, (0.0, 0.0, 2e6, 1.0)),
+        # 1e20 radii: a 1e-20 m circle centred on the unit square's bottom edge
+        ((0.5, 0.0), 1e-20, (0.0, 0.0, 1.0, 1.0)),
+        # a 1e-150 m circle: disc underflows on every crossing edge
+        ((2e-150, 0.5e-150), 1e-150, (0.0, 0.0, 4e-150, 1e-150)),
+    ],
+    ids=["box-2e8", "box-2e6", "radius-1e-20", "radius-1e-150"],
+)
+def test_long_edges_and_tiny_radii_match_the_closed_form(centre, r, box):
+    x0, y0, x1, y1 = box
+    outline = Polygon(((x0, y0), (x1, y0), (x1, y1), (x0, y1)))
+    expected = rect_ratio(*centre, r, *box)
+    assert effective_ratio(circle(*centre, r), outline) == pytest.approx(expected, rel=0, abs=1e-12)
+
+
+def test_a_vertex_beyond_the_largest_float_from_the_centre_is_summed_at_half_scale():
+    # x - cx overflows for these vertices; the sum is redone with every
+    # coordinate halved, exactly, and scaled back
+    far = Polygon(((1e308, 0.0), (1e308, 1.0), (0.9e308, 0.0)))
+    assert circle_polygon_intersection_area(circle(-1e308, 0.0, 1.0), far) == 0.0
+    # at x = -0.9e308 this triangle spans -0.5 <= y <= -0.45 (its top
+    # edge rises 1e-308 across the disk)
+    strip = Polygon(((-1e308, -0.5), (1e308, -0.5), (0.0, 1e-300)))
+    expected = rect_ratio(0.0, 0.0, 1.0, -2.0, -0.5, 2.0, -0.45)
+    assert effective_ratio(circle(-0.9e308, 0.0, 1.0), strip) == pytest.approx(expected, rel=0, abs=1e-12)
+
+
 @pytest.mark.parametrize("box", DYADIC_BOXES)
 def test_edges_with_finite_squares_are_never_split(monkeypatch, box):
-    # their arithmetic is the one-pass integration, bit for bit
+    # unless longer than 2^16 radii or of a circle below 2^-200 m: these
+    # edges are integrated in one pass, bit for bit
     calls = []
     monkeypatch.setattr(vgtc, "_split_edge_term", lambda *a: calls.append(a) or math.nan)
     x0, y0, x1, y1 = box
     outline = Polygon(((x0, y0), (x1, y0), (x1, y1), (x0, y1)))
     assert_matches_closed_form(box, 0.1875, generate_layout(outline, 0.0, 0.1875).positions)
     assert calls == []
+
+
+def test_effective_ratios_never_calls_effective_ratio(monkeypatch):
+    # 35 positions, the 20 on the border overhanging: one intersection call
+    # each, straight from the comprehension
+    outline = Polygon.rectangle(0.3, 0.2)
+    positions = generate_layout(outline, 0.0, 0.05).positions
+    expected = tuple(rect_ratio(x, y, 0.04, 0.0, 0.0, 0.3, 0.2) for x, y in positions)
+    ratios = effective_ratios(circle(0.0, 0.0, 0.04), outline, positions)
+    assert ratios == pytest.approx(expected, rel=0, abs=1e-12) and 1.0 in ratios
+
+    def refuse(*args):
+        raise AssertionError("effective_ratios called effective_ratio")
+
+    monkeypatch.setattr(vgtc, "effective_ratio", refuse)
+    assert vgtc.effective_ratios(circle(0.0, 0.0, 0.04), outline, positions) == ratios
 
 
 # ---------------------------------------------------------------------------
@@ -790,3 +844,34 @@ def test_layout_ratios_are_mirror_symmetric(x0, y0, length, width, radius, share
             ratio = ratios[j * cols + i]
             assert ratio == pytest.approx(ratios[j * cols + cols - 1 - i], rel=0, abs=1e-12), (i, j)
             assert ratio == pytest.approx(ratios[(rows - 1 - j) * cols + i], rel=0, abs=1e-12), (i, j)
+
+
+@settings(max_examples=100, deadline=None)
+# margin = r on a dyadic piece: the outer rings are tangent to the sides
+@example(x0=0.0, y0=0.0, length=0.5, width=0.25, radius=0.0625, share=1.0, spacing=0.0625, kx=1536, ky=-768)
+@given(
+    x0=st.floats(-1.0, 1.0),
+    y0=st.floats(-1.0, 1.0),
+    length=st.floats(0.05, 1.0),
+    width=st.floats(0.05, 1.0),
+    radius=st.floats(0.002, 0.2),
+    share=st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 2.0)),
+    spacing=st.floats(0.02, 0.5),
+    kx=st.integers(-4096, 4096),
+    ky=st.integers(-4096, 4096),
+)
+def test_layout_ratios_are_translation_invariant(x0, y0, length, width, radius, share, spacing, kx, ky):
+    # shifting the piece by a multiple of 2^-10 m (up to 4 m) moves its
+    # grid with it and leaves every ratio within 1e-12
+    margin = share * radius  # margin 0 and margin r drawn on purpose
+    assume(2.0 * margin < min(length, width))
+    tx, ty = math.ldexp(kx, -10), math.ldexp(ky, -10)
+    ratios = []
+    for dx, dy in ((0.0, 0.0), (tx, ty)):
+        a, b = x0 + dx, y0 + dy
+        c, d = a + length, b + width
+        outline = Polygon(((a, b), (c, b), (c, d), (a, d)))
+        layout = generate_layout(outline, margin, spacing)
+        ratios.append(effective_ratios(circle(0.0, 0.0, radius), outline, layout.positions))
+    assert len(ratios[0]) == len(ratios[1])
+    assert ratios[1] == pytest.approx(ratios[0], rel=0, abs=1e-12)
