@@ -10,12 +10,13 @@ inversely. The inflation law is a modeling choice, not a measured
 curve; treat its outputs as conservative. effective_ratios gives the
 ratio at every layout position, and the verdict, the plan listing and
 the SVG shading all read those values; effective_ratio is the same
-rule at one circle's own center. The intersection reads only a
-circle's center, radius and disk_area, so effective_ratios places the
-one validated circle at each position as a plain named tuple of those
-three (_Placed), built in C, instead of building and checking a new
-Vgtc, and its comprehension calls circle_polygon_intersection_area
-directly: that call is the one Python-level call per position.
+rule at one circle's own center. The intersection takes the disk's
+center as an optional third argument, and the radius and disk_area
+from the circle, which do not depend on where it sits. So
+effective_ratios passes the one validated circle and each position
+tuple of the layout straight to circle_polygon_intersection_area: it
+builds nothing per position, and that call is the one Python-level
+call per position.
 
 The disk/polygon intersection is exact, at a tangency too. Each edge
 contributes a Green's theorem term: straight pieces inside the disk
@@ -48,8 +49,6 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from collections import namedtuple
-from itertools import repeat
 from math import atan2, fmod, isfinite, sqrt  # by bare name in the per-edge terms: one lookup, not two
 
 from .model import (
@@ -230,18 +229,24 @@ def _split_edge_term(x1: float, y1: float, x2: float, y2: float, r: float) -> fl
     return total
 
 
-def circle_polygon_intersection_area(circle: Vgtc, outline: Polygon) -> float:
+def circle_polygon_intersection_area(
+    circle: Vgtc, outline: Polygon, center: Point | None = None
+) -> float:
     """Exact area of the grabbing disk clipped to the fabric outline.
 
     circle may be any object with a validated center, radius and
-    disk_area: a Vgtc, or the _Placed disks effective_ratios builds.
-    A circle smaller than _SMALL_RADIUS has every edge cut and scaled
+    disk_area. center, a pair of finite floats, places the disk there
+    instead of at circle.center: the radius and disk_area do not depend
+    on the center, so a caller can move one validated circle to many
+    positions without building a circle for each, and the area is the
+    one a circle built at center would get, bit for bit. A circle
+    smaller than _SMALL_RADIUS has every edge cut and scaled
     (_split_edge_term). A vertex more than the largest float from the
     center overflows x - cx; then every coordinate and r are halved
     (exact above the subnormal range), and the sum is redone and scaled
     back by 4.
     """
-    cx, cy = circle.center
+    cx, cy = circle.center if center is None else center
     r = circle.radius
     if outline.box is not None:
         x0, y0, x1, y1 = outline.box
@@ -275,28 +280,22 @@ def effective_ratio(circle: Vgtc, outline: Polygon) -> float:
     return effective_ratios(circle, outline, (circle.center,))[0]
 
 
-# a validated circle placed at one layout position: what the intersection reads
-_Placed = namedtuple("_Placed", "center radius disk_area")
-
-
 def effective_ratios(circle: Vgtc, outline: Polygon, positions: tuple[Point, ...]) -> tuple[float, ...]:
     """Fraction of the circle's disk on the fabric at each position, in order.
 
     positions are pairs of floats, as Layout.positions holds them. The
     radius and disk_area were validated when circle was built and do not
-    depend on the center, so each position gets a _Placed disk, built in
-    C by tuple.__new__ without a Python-level call. The comprehension
-    then calls circle_polygon_intersection_area directly, the one
-    Python-level call per position; it is looked up once per call
+    depend on the center, so the comprehension passes circle itself and
+    each position tuple as it stands to circle_polygon_intersection_area:
+    nothing is built per position, and that call is the one Python-level
+    call per position. The intersection is looked up once per call
     through the module global, so a replaced one sees every position.
     A full disk's ratio is the shared constant 1.0, so a grid of full
     disks holds one float, not one per position.
     """
     disk_area = circle.disk_area
-    fields = zip(positions, repeat(circle.radius), repeat(disk_area))
-    placed = map(tuple.__new__, repeat(_Placed), fields)
     area = circle_polygon_intersection_area
-    return tuple([1.0 if (a := area(p, outline)) == disk_area else a / disk_area for p in placed])
+    return tuple([1.0 if (a := area(circle, outline, p)) == disk_area else a / disk_area for p in positions])
 
 
 def adjusted_min_pressure(window: PressureWindow, ratio: float) -> float:

@@ -8,6 +8,7 @@ import subprocess
 import sys
 import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
+from decimal import Decimal
 from importlib import resources
 from pathlib import Path
 
@@ -404,12 +405,13 @@ def test_one_intersection_per_position_in_evaluate_and_svg(tmp_path, monkeypatch
     # 48 positions, 24 of them full disks: each takes exactly one call
     config = shipped("pocket_bag.conf") + "\n[vgtc]\nradius = 3 cm\np_min = 30 kPa\nmargin = 2 cm\n"
     scenario = parse_config(config)
-    calls = []
+    calls, circles = [], []
     original = vgtc_module.circle_polygon_intersection_area
 
-    def counted(circle, outline):
-        calls.append((circle.center, circle.radius, circle.disk_area))
-        return original(circle, outline)
+    def counted(circle, outline, center=None):
+        calls.append((center if center is not None else circle.center, circle.radius, circle.disk_area))
+        circles.append(circle)
+        return original(circle, outline, center)
 
     monkeypatch.setattr(vgtc_module, "circle_polygon_intersection_area", counted)
     report = evaluate(scenario)
@@ -419,6 +421,8 @@ def test_one_intersection_per_position_in_evaluate_and_svg(tmp_path, monkeypatch
     calls.clear()
     emit_layout_svg(report.layout, scenario.fabric.outline, scenario.vgtc)
     assert calls == expected
+    # every call moves the configured circle itself: nothing is built per position
+    assert len(circles) == 96 and all(circle is scenario.vgtc for circle in circles)
 
 
 def test_svg_deterministic_bytes():
@@ -1004,3 +1008,80 @@ def test_batch_custom_corpus(tmp_path, capsys):
     assert len(lines) == 3
     assert lines[1].endswith("Pass")
     assert "error" in lines[2]
+
+
+# ---------------------------------------------------------------------------
+# whole-pipeline invariants
+
+def with_and_without_circle(name):
+    """A shipped config's text with a [vgtc] section, and the same text without one."""
+    text = shipped(name)
+    start = text.find("[vgtc]")
+    if start < 0:
+        return text + "\n[vgtc]\nradius = 3 cm\np_min = 30 kPa\nmargin = 2 cm\n", text
+    assert text[start:].count("[") == 1  # the last section: cutting it leaves the rest whole
+    return text, text[:start]
+
+
+@pytest.mark.parametrize("fmt", ["human", "structured"])
+@pytest.mark.parametrize("command", ["force", "pressure", "line-loss"])
+@pytest.mark.parametrize("name", ["pocket_bag.conf", "pocket_facing.conf"])
+def test_layout_free_commands_ignore_the_circle(tmp_path, capsys, name, command, fmt):
+    path = tmp_path / name
+    results = []
+    for text in with_and_without_circle(name):
+        path.write_text(text)
+        code = main([command, "--config", str(path), "--format", fmt])
+        results.append((code, *capsys.readouterr()))
+    assert results[0] == results[1]
+    assert results[0][0] == 0 and results[0][1]
+
+
+def _decimal_cm(low, high):
+    # an exact decimal of up to three places, so its text can be shifted rather than multiplied
+    def scaled(places):
+        return st.integers(low * 10**places, high * 10**places).map(lambda n: Decimal(n).scaleb(-places))
+
+    return st.integers(0, 3).flatmap(scaled)
+
+
+@st.composite
+def _pieces_in_cm(draw):
+    """Box corners, radius and margin in cm: a box at the origin or anywhere, margin 0 and r on purpose."""
+    origin = st.just((Decimal(0), Decimal(0)))
+    x0, y0 = draw(st.one_of(origin, st.tuples(_decimal_cm(-50, 50), _decimal_cm(-50, 50))))
+    x1, y1 = x0 + draw(_decimal_cm(2, 60)), y0 + draw(_decimal_cm(2, 60))
+    radius = draw(_decimal_cm(1, 10))
+    margin = draw(st.one_of(st.just(Decimal(0)), st.just(radius), _decimal_cm(0, 10)))
+    return x0, y0, x1, y1, radius, min(margin, (x1 - x0) / 2, (y1 - y0) / 2)
+
+
+def _piece_config(x0, y0, x1, y1, radius, margin, shift):
+    """The piece with its bare lengths written as decimal text shifted by `shift` places."""
+    def text(value):
+        return format(value.scaleb(shift), "f")
+
+    if x0 == y0 == 0:
+        outline = f"length = {text(x1)}\nwidth = {text(y1)}"
+    else:
+        xs, ys = (text(x0), text(x1)), (text(y0), text(y1))
+        outline = f"vertices = {xs[0]}, {ys[0]}; {xs[1]}, {ys[0]}; {xs[1]}, {ys[1]}; {xs[0]}, {ys[1]}"
+    return (
+        ("[units]\nlength = cm\n" if shift == 0 else "")
+        + f"[fabric]\nid = units\n{outline}\nmass = 2.0 g\nfriction = 0.5\npermeability = impermeable\n"
+        + "[cup]\norifice_diameter = 2 mm\ncount = 6\n"
+        + "[line]\ninner_diameter = 5.2 mm\nupstream_velocity = 37.14\n[line]\ninner_diameter = 2 mm\n"
+        + f"[vgtc]\nradius = {text(radius)}\np_min = 37.561 kPa\nmargin = {text(margin)}\n"
+    )
+
+
+@settings(max_examples=60, deadline=None)
+# the shipped facing piece: 26 x 5 cm, radius 4.4 cm, margin 2 cm
+@example(piece=(Decimal(0), Decimal(0), Decimal(26), Decimal(5), Decimal("4.4"), Decimal(2)))
+@given(piece=_pieces_in_cm())
+def test_a_config_in_cm_and_in_m_gives_the_same_report(piece):
+    in_cm = evaluate(parse_config(_piece_config(*piece, shift=0)))
+    in_m = evaluate(parse_config(_piece_config(*piece, shift=-2)))
+    assert in_cm.verdict is in_m.verdict
+    assert (in_cm.layout.cols, in_cm.layout.rows) == (in_m.layout.cols, in_m.layout.rows)
+    assert in_cm.effective_ratios == pytest.approx(in_m.effective_ratios, rel=1e-12, abs=0)

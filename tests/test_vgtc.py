@@ -292,6 +292,50 @@ def test_effective_ratios_never_calls_effective_ratio(monkeypatch):
     assert vgtc.effective_ratios(circle(0.0, 0.0, 0.04), outline, positions) == ratios
 
 
+def box_outline(x0, y0, x1, y1):
+    return Polygon(((x0, y0), (x1, y0), (x1, y1), (x0, y1)))
+
+
+@st.composite
+def disks_on_boxes(draw):
+    # a box, a radius, and a centre anywhere from r outside the box to its
+    # middle, or exactly r from an edge's line (tangent from inside or
+    # outside) or on it
+    x0, y0 = draw(st.floats(min_value=-4.0, max_value=4.0)), draw(st.floats(min_value=-4.0, max_value=4.0))
+    x1 = x0 + draw(st.floats(min_value=1e-3, max_value=4.0))
+    y1 = y0 + draw(st.floats(min_value=1e-3, max_value=4.0))
+    r = draw(st.floats(min_value=1e-3, max_value=2.0))
+    edge = st.sampled_from([-r, 0.0, r])
+    cx = draw(st.one_of(st.floats(min_value=x0 - r, max_value=x1 + r), edge.map(lambda d: x0 + d)))
+    cy = draw(st.one_of(st.floats(min_value=y0 - r, max_value=y1 + r), edge.map(lambda d: y1 + d)))
+    return box_outline(x0, y0, x1, y1), r, (cx, cy)
+
+
+@settings(max_examples=200, deadline=None)
+# full disk: the box contains the disk's bounding square
+@example(scene=(Polygon.rectangle(1.0, 0.5), 0.1, (0.5, 0.25)), home=(0.0, 0.0))
+# tangent to the bottom edge at its midpoint, overhanging the top
+@example(scene=(Polygon.rectangle(1.0, 0.5), 0.375, (0.5, 0.375)), home=(0.0, 0.0))
+# clipped: centred on a corner
+@example(scene=(Polygon.rectangle(1.0, 0.5), 0.1, (1.0, 0.5)), home=(3.0, -2.0))
+# below _SMALL_RADIUS: every edge cut and scaled
+@example(scene=(box_outline(0.0, 0.0, 4e-150, 1e-150), 1e-150, (2e-150, 0.5e-150)), home=(0.0, 0.0))
+# edges longer than 2^16 radii: cut into pieces
+@example(scene=(box_outline(0.0, 0.0, 2e8, 1.0), 1.0, (1e8, 0.5)), home=(0.0, 0.0))
+# a vertex more than the largest float from the centre: summed at half scale
+@example(scene=(Polygon(((-1e308, -0.5), (1e308, -0.5), (0.0, 1e-300))), 1.0, (-0.9e308, 0.0)), home=(0, 0))
+@given(
+    scene=disks_on_boxes(),
+    home=st.tuples(st.floats(min_value=-10.0, max_value=10.0), st.floats(min_value=-10.0, max_value=10.0)),
+)
+def test_intersection_at_a_centre_equals_the_circle_built_there(scene, home):
+    outline, r, at = scene
+    c = circle(*home, r)
+    moved = circle_polygon_intersection_area(c, outline, at)
+    built = circle_polygon_intersection_area(c.replace(center=at), outline)
+    assert moved.hex() == built.hex(), (outline.vertices, r, at, home)
+
+
 # ---------------------------------------------------------------------------
 # full-disk fast path: a disk inside an exact box reads its own area
 
