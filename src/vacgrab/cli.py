@@ -388,12 +388,7 @@ def build_vgtc(doc: ConfigDocument) -> tuple[Vgtc | None, float]:
     if "vgtc" not in doc.sections:
         return None, DEFAULT_EDGE_MARGIN
     sec = doc.sections["vgtc"]
-    circle = _build(
-        Vgtc,
-        sec,
-        pressure_window=_build(PressureWindow, sec),
-        center=(0.0, 0.0),  # evaluate and plan move the circle to each grid position
-    )
+    circle = _build(Vgtc, sec, pressure_window=_build(PressureWindow, sec))
     with sec:  # Scenario's rule, checked here to name the line
         return circle, require_range(_MARGIN.attribute, sec.values.get(_MARGIN.key, DEFAULT_EDGE_MARGIN), 0)
 

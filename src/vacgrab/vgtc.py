@@ -1,8 +1,10 @@
 """Grabbing-circle geometry, edge-pressure inflation, and grid layouts.
 
-A calibrated grabbing circle (center, radius, pressure window) models
-where one and only one fabric layer is reliably picked up. When the
-circle hangs over the fabric edge, only the part of its disk on the
+A calibrated grabbing circle (radius, pressure window) models the
+disk over which one gripper reliably picks up one and only one fabric
+layer. Where a gripper sits is the layout's choice, not the circle's:
+every function that places the disk takes its center from the caller.
+When the disk hangs over the fabric edge, only the part of it on the
 fabric pulls; the effective ratio is that fraction of the disk area.
 The minimum grabbing pressure is inflated by 1/ratio: required force
 is fixed, effective area scales with the ratio, so pressure scales
@@ -10,13 +12,7 @@ inversely. The inflation law is a modeling choice, not a measured
 curve; treat its outputs as conservative. effective_ratios gives the
 ratio at every layout position, and the verdict, the plan listing and
 the SVG shading all read those values; effective_ratio is the same
-rule at one circle's own center. The intersection takes the disk's
-center as an optional third argument, and the radius and disk_area
-from the circle, which do not depend on where it sits. So
-effective_ratios passes the one validated circle and each position
-tuple of the layout straight to circle_polygon_intersection_area: it
-builds nothing per position, and that call is the one Python-level
-call per position.
+rule at one center.
 
 The disk/polygon intersection is exact, at a tangency too. Each edge
 contributes a Green's theorem term: straight pieces inside the disk
@@ -64,23 +60,19 @@ from .model import (
 
 
 class Vgtc(Record):
-    """A grabbing circle: center and radius in fabric-local meters.
+    """A grabbing circle: its radius in meters and its pressure window.
 
     A bench-measured circle is recorded by constructing one: the largest
     radius at which the single-gripper test still picked exactly one
-    layer, with the pressure window observed while doing it. disk_area
-    is computed once at construction, outside the fields.
+    layer, with the pressure window observed while doing it. It has no
+    position; the caller gives the center wherever a disk is placed.
+    disk_area is computed once at construction, outside the fields.
     """
 
-    center: Point
     radius: float
     pressure_window: PressureWindow
 
     def __post_init__(self):
-        x, y = self.center
-        require_range("center", x)
-        require_range("center", y)
-        object.__setattr__(self, "center", (float(x), float(y)))
         require_range("radius", self.radius, 0, above=True)
         disk_area = circular_area(2.0 * self.radius)
         if not 0 < disk_area < math.inf:
@@ -229,24 +221,19 @@ def _split_edge_term(x1: float, y1: float, x2: float, y2: float, r: float) -> fl
     return total
 
 
-def circle_polygon_intersection_area(
-    circle: Vgtc, outline: Polygon, center: Point | None = None
-) -> float:
-    """Exact area of the grabbing disk clipped to the fabric outline.
+def circle_polygon_intersection_area(circle: Vgtc, outline: Polygon, center: Point) -> float:
+    """Exact area of the grabbing disk at center clipped to the fabric outline.
 
-    circle may be any object with a validated center, radius and
-    disk_area. center, a pair of finite floats, places the disk there
-    instead of at circle.center: the radius and disk_area do not depend
-    on the center, so a caller can move one validated circle to many
-    positions without building a circle for each, and the area is the
-    one a circle built at center would get, bit for bit. A circle
-    smaller than _SMALL_RADIUS has every edge cut and scaled
-    (_split_edge_term). A vertex more than the largest float from the
-    center overflows x - cx; then every coordinate and r are halved
-    (exact above the subnormal range), and the sum is redone and scaled
-    back by 4.
+    circle may be any object with a validated radius and disk_area; the
+    caller gives center, a pair of floats. A circle smaller than
+    _SMALL_RADIUS has every edge cut and scaled (_split_edge_term). A
+    vertex more than the largest float from the center overflows
+    x - cx; then every coordinate and r are halved (exact above the
+    subnormal range), and the sum is redone and scaled back by 4. A
+    center that is not finite also ends there, and raises
+    ValidationError.
     """
-    cx, cy = circle.center if center is None else center
+    cx, cy = center
     r = circle.radius
     if outline.box is not None:
         x0, y0, x1, y1 = outline.box
@@ -258,6 +245,8 @@ def circle_polygon_intersection_area(
         for (x1, y1), (x2, y2) in outline.ccw_ring:
             total += edge_term(x1 - cx, y1 - cy, x2 - cx, y2 - cy, r)
     except OverflowError:
+        require_range("center", cx)
+        require_range("center", cy)
         cx, cy, r = 0.5 * cx, 0.5 * cy, 0.5 * r
         total = 0.0
         for (x1, y1), (x2, y2) in outline.ccw_ring:
@@ -269,29 +258,26 @@ def circle_polygon_intersection_area(
     return min(total, cap)
 
 
-def effective_ratio(circle: Vgtc, outline: Polygon) -> float:
-    """Fraction of the grabbing disk on the fabric, in [0, 1]: the intersection is at most disk_area.
+def effective_ratio(circle: Vgtc, outline: Polygon, center: Point) -> float:
+    """Fraction of the grabbing disk at center on the fabric, in [0, 1]: the intersection is at most disk_area.
 
-    circle may be any object with a validated center, radius and
-    disk_area. This is effective_ratios at the circle's own center, so
+    circle may be any object with a validated radius and disk_area; the
+    caller gives center. This is effective_ratios at one position, so
     the ratio rule lives in one place: a full disk's ratio is the one
     shared constant 1.0, the value disk_area / disk_area has.
     """
-    return effective_ratios(circle, outline, (circle.center,))[0]
+    return effective_ratios(circle, outline, (center,))[0]
 
 
 def effective_ratios(circle: Vgtc, outline: Polygon, positions: tuple[Point, ...]) -> tuple[float, ...]:
     """Fraction of the circle's disk on the fabric at each position, in order.
 
-    positions are pairs of floats, as Layout.positions holds them. The
-    radius and disk_area were validated when circle was built and do not
-    depend on the center, so the comprehension passes circle itself and
-    each position tuple as it stands to circle_polygon_intersection_area:
-    nothing is built per position, and that call is the one Python-level
-    call per position. The intersection is looked up once per call
-    through the module global, so a replaced one sees every position.
-    A full disk's ratio is the shared constant 1.0, so a grid of full
-    disks holds one float, not one per position.
+    The caller gives the centers: positions are pairs of floats, as
+    Layout.positions holds them, each passed as it stands to
+    circle_polygon_intersection_area. The intersection is looked up once
+    per call through the module global, so a replaced one sees every
+    position. A full disk's ratio is the shared constant 1.0, so a grid
+    of full disks holds one float, not one per position.
     """
     disk_area = circle.disk_area
     area = circle_polygon_intersection_area

@@ -147,8 +147,8 @@ def test_criterion_6_geometry_monte_carlo():
             cx = rng.uniform(-0.5, rect_w + 0.5)
             cy = rng.uniform(-0.5, rect_h + 0.5)
             r = rng.uniform(0.05, 1.2)
-            circle = Vgtc(center=(cx, cy), radius=r, pressure_window=WINDOW)
-            analytic = circle_polygon_intersection_area(circle, Polygon.rectangle(rect_w, rect_h))
+            circle = Vgtc(radius=r, pressure_window=WINDOW)
+            analytic = circle_polygon_intersection_area(circle, Polygon.rectangle(rect_w, rect_h), (cx, cy))
             mc, se = mc_disk_rect_area(cx, cy, r, rect_w, rect_h, n=1_000_000, seed=31_000 + i)
             assert abs(analytic - mc) <= 3.0 * se + 1e-9, (
                 f"pair {i}: analytic {analytic} vs MC {mc} (se {se})"
@@ -160,7 +160,7 @@ def test_criterion_6_symmetry_cases():
         rect = Polygon.rectangle(1.0, 0.5)
 
         def ratio(cx, cy):
-            return effective_ratio(Vgtc(center=(cx, cy), radius=0.1, pressure_window=WINDOW), rect)
+            return effective_ratio(Vgtc(radius=0.1, pressure_window=WINDOW), rect, (cx, cy))
 
         assert ratio(0.5, 0.25) == pytest.approx(1.0, rel=1e-6)
         assert ratio(0.5, 0.0) == pytest.approx(0.5, rel=1e-6)

@@ -180,7 +180,7 @@ margin = 1.5 cm
     scenario = make_scenario(
         pocket_bag,
         std_line,
-        vgtc=Vgtc(center=(0.0, 0.0), radius=0.044, pressure_window=window),
+        vgtc=Vgtc(radius=0.044, pressure_window=window),
         margin=0.015,
     )
     assert parse_config(text) == scenario
@@ -309,7 +309,7 @@ def test_corpus_rejects_bad_outline():
 
 def layout_fixture():
     outline = Polygon.rectangle(0.26, 0.19)
-    vgtc = Vgtc(center=(0, 0), radius=0.02, pressure_window=PressureWindow(p_min=30_000.0))
+    vgtc = Vgtc(radius=0.02, pressure_window=PressureWindow(p_min=30_000.0))
     layout = generate_layout(outline, 0.03, 0.08)
     return layout, outline, vgtc
 
@@ -326,7 +326,7 @@ def test_svg_unclipped_layout_element_counts():
 
 def test_svg_clipped_corner_circle():
     outline = Polygon.rectangle(0.26, 0.19)
-    vgtc = Vgtc(center=(0, 0), radius=0.05, pressure_window=PressureWindow(p_min=30_000.0))
+    vgtc = Vgtc(radius=0.05, pressure_window=PressureWindow(p_min=30_000.0))
     layout = Layout(xs=(0.02,), ys=(0.02,), spacing=0.05, margin=0.02)
     svg = emit_layout_svg(layout, outline, vgtc).decode()
     assert svg.count('class="effective-shade"') == 1
@@ -335,7 +335,7 @@ def test_svg_clipped_corner_circle():
 
 def test_svg_empty_layout_outline_only():
     outline = Polygon.rectangle(0.26, 0.19)
-    vgtc = Vgtc(center=(0, 0), radius=0.02, pressure_window=PressureWindow(p_min=30_000.0))
+    vgtc = Vgtc(radius=0.02, pressure_window=PressureWindow(p_min=30_000.0))
     layout = Layout(xs=(), ys=(), spacing=0.05, margin=0.02)
     svg = emit_layout_svg(layout, outline, vgtc).decode()
     assert svg.count("<circle") == 0
@@ -346,7 +346,7 @@ def test_svg_empty_layout_outline_only():
 def test_layout_with_one_empty_axis_writes_no_position(xs, ys):
     # each grid row is joined in one step: a row of no columns must not leave its tail behind
     outline = Polygon.rectangle(0.26, 0.19)
-    vgtc = Vgtc(center=(0, 0), radius=0.02, pressure_window=PressureWindow(p_min=30_000.0))
+    vgtc = Vgtc(radius=0.02, pressure_window=PressureWindow(p_min=30_000.0))
     layout = Layout(xs=xs, ys=ys, spacing=0.05, margin=0.02)
     svg = emit_layout_svg(layout, outline, vgtc).decode()
     assert svg.count("<circle") == 0
@@ -360,7 +360,7 @@ def test_svg_holds_at_most_one_copy_of_itself():
     # 57 x 42 grid of full disks: the document is written once into one
     # buffer, so no list of its rows or joined text is held beside it
     outline = Polygon.rectangle(0.6, 0.45)
-    vgtc = Vgtc(center=(0, 0), radius=0.01, pressure_window=PressureWindow(p_min=30_000.0))
+    vgtc = Vgtc(radius=0.01, pressure_window=PressureWindow(p_min=30_000.0))
     layout = generate_layout(outline, 0.02, 0.01)
     assert len(layout.positions) == 2394
     tracemalloc.start()
@@ -375,12 +375,11 @@ def test_svg_holds_at_most_one_copy_of_itself():
 @pytest.mark.parametrize("x, shaded", [(0.02, False), (0.02 - 1e-6, True)], ids=["tangent", "1um-over"])
 def test_svg_shades_a_disk_that_barely_overhangs(x, shaded):
     outline = Polygon.rectangle(0.26, 0.19)
-    vgtc = Vgtc(center=(0, 0), radius=0.02, pressure_window=PressureWindow(p_min=30_000.0))
+    vgtc = Vgtc(radius=0.02, pressure_window=PressureWindow(p_min=30_000.0))
     layout = Layout(xs=(x,), ys=(0.095,), spacing=0.02, margin=0.0)
     svg = emit_layout_svg(layout, outline, vgtc).decode()
     assert svg.count('class="effective-shade"') == int(shaded)
-    moved = Vgtc(center=(x, 0.095), radius=0.02, pressure_window=vgtc.pressure_window)
-    lost = 1.0 - effective_ratio(moved, outline)
+    lost = 1.0 - effective_ratio(vgtc, outline, (x, 0.095))
     assert lost == (pytest.approx(2.1e-7, rel=0.02) if shaded else pytest.approx(0.0, abs=1e-12))
 
 
@@ -408,8 +407,8 @@ def test_one_intersection_per_position_in_evaluate_and_svg(tmp_path, monkeypatch
     calls, circles = [], []
     original = vgtc_module.circle_polygon_intersection_area
 
-    def counted(circle, outline, center=None):
-        calls.append((center if center is not None else circle.center, circle.radius, circle.disk_area))
+    def counted(circle, outline, center):
+        calls.append((center, circle.radius, circle.disk_area))
         circles.append(circle)
         return original(circle, outline, center)
 

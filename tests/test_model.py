@@ -27,8 +27,10 @@ from vacgrab import (
     Vgtc,
     adjusted_min_pressure,
     calibrate_spacing,
+    circle_polygon_intersection_area,
     continuity_velocity,
     convert_units,
+    effective_ratios,
     line_loss_total,
     net_supply_vacuum,
     parallel_flow_split,
@@ -264,7 +266,7 @@ VALID = {
     EnergyHeads: {},
     FlowState: dict(pressure=0.0),
     PressureWindow: dict(p_min=30_000.0),
-    Vgtc: dict(center=(0.0, 0.0), radius=0.02, pressure_window=PressureWindow(p_min=30_000.0)),
+    Vgtc: dict(radius=0.02, pressure_window=PressureWindow(p_min=30_000.0)),
     Layout: dict(xs=(0.0,), ys=(0.0,), spacing=0.1, margin=0.0),
     Scenario: dict(
         fabric=FabricPiece(id="x", outline=Polygon.rectangle(0.1, 0.1), mass=1e-3, friction_coefficient=0.5),
@@ -299,12 +301,21 @@ def test_every_float_field_refuses_nan_and_inf(cls, name, bad):
     assert str(err.value).startswith(f"{name} must be finite")
 
 
-@given(bad=st.sampled_from([math.nan, math.inf, -math.inf]), axis=st.integers(0, 1))
-def test_circle_center_refuses_nan_and_inf(bad, axis):
-    center = (bad, 0.0) if axis == 0 else (0.0, bad)
-    with pytest.raises(ValidationError) as err:
-        Vgtc(**{**VALID[Vgtc], "center": center})
-    assert err.value.field == "center"
+@given(
+    bad=st.sampled_from([math.nan, math.inf, -math.inf]),
+    axis=st.integers(0, 1),
+    radius=st.sampled_from([0.02, 1e-150]),  # integrated in one pass, and cut into pieces
+)
+def test_circle_center_refuses_nan_and_inf(bad, axis, radius):
+    # the caller places the circle; a center that is not finite overflows
+    # x - cx as a far vertex does, and is refused there
+    center = (bad, 0.05) if axis == 0 else (0.1, bad)
+    circle = Vgtc(**{**VALID[Vgtc], "radius": radius})
+    outline = Polygon.rectangle(0.2, 0.1)
+    for call in (circle_polygon_intersection_area, lambda c, o, p: effective_ratios(c, o, (p,))):
+        with pytest.raises(ValidationError, match="center must be finite") as err:
+            call(circle, outline, center)
+        assert err.value.field == "center"
 
 
 _CUP = SuctionCup(orifice_diameter=2e-3)
@@ -575,7 +586,7 @@ REPRS = {
     EnergyHeads: "EnergyHeads(pump_head=0.0, loss_head=0.0, turbine_head=0.0)",
     FlowState: "FlowState(pressure=0.0, velocity=0.0, elevation=0.0, volumetric_flow=0.0)",
     PressureWindow: _WINDOW,
-    Vgtc: f"Vgtc(center=(0.0, 0.0), radius=0.02, pressure_window={_WINDOW})",
+    Vgtc: f"Vgtc(radius=0.02, pressure_window={_WINDOW})",
     Layout: "Layout(xs=(0.0,), ys=(0.0,), spacing=0.1, margin=0.0)",
     Scenario: (
         f"Scenario(fabric={_BAG_PIECE}, motion={_MOTION}, cup=SuctionCup(orifice_diameter=0.002, count=1), "

@@ -31,8 +31,8 @@ from oracles import (
 WINDOW = PressureWindow(p_min=37_561.0)
 
 
-def circle(cx, cy, r):
-    return Vgtc(center=(cx, cy), radius=r, pressure_window=WINDOW)
+def circle(r):
+    return Vgtc(radius=r, pressure_window=WINDOW)
 
 
 # ---------------------------------------------------------------------------
@@ -40,19 +40,19 @@ def circle(cx, cy, r):
 
 def test_interior_circle_full_disk():
     rect = Polygon.rectangle(1.0, 0.5)
-    area = circle_polygon_intersection_area(circle(0.5, 0.25, 0.1), rect)
+    area = circle_polygon_intersection_area(circle(0.1), rect, (0.5, 0.25))
     assert area == pytest.approx(math.pi * 0.01, rel=1e-9)
 
 
 def test_edge_centered_half_disk():
     rect = Polygon.rectangle(1.0, 0.5)
-    area = circle_polygon_intersection_area(circle(0.5, 0.0, 0.1), rect)
+    area = circle_polygon_intersection_area(circle(0.1), rect, (0.5, 0.0))
     assert area == pytest.approx(math.pi * 0.01 / 2, rel=1e-9)
 
 
 def test_corner_centered_quarter_disk():
     rect = Polygon.rectangle(1.0, 0.5)
-    area = circle_polygon_intersection_area(circle(0.0, 0.0, 0.1), rect)
+    area = circle_polygon_intersection_area(circle(0.1), rect, (0.0, 0.0))
     assert area == pytest.approx(math.pi * 0.01 / 4, rel=1e-9)
 
 
@@ -60,35 +60,34 @@ def test_huge_radius_with_an_inf_disk_area_is_refused():
     # float ** raises OverflowError where the square is simply too large; the
     # inf area it stands for is refused, as an area of 0 is
     with pytest.raises(ValidationError, match="radius 1e\\+300 m has a disk area of inf"):
-        circle(0.0, 0.0, 1e300)
+        circle(1e300)
 
 
 def test_disjoint_is_zero():
     rect = Polygon.rectangle(1.0, 0.5)
-    assert circle_polygon_intersection_area(circle(3.0, 3.0, 0.2), rect) == 0.0
+    assert circle_polygon_intersection_area(circle(0.2), rect, (3.0, 3.0)) == 0.0
 
 
 def test_disk_containing_polygon_returns_polygon_area():
     rect = Polygon.rectangle(0.3, 0.2)
-    area = circle_polygon_intersection_area(circle(0.15, 0.1, 5.0), rect)
+    area = circle_polygon_intersection_area(circle(5.0), rect, (0.15, 0.1))
     assert area == pytest.approx(0.06, rel=1e-12)
 
 
 def test_winding_order_does_not_matter():
     ccw = Polygon.rectangle(1.0, 0.5)
     cw = Polygon(tuple(reversed(ccw.vertices)))
-    c = circle(0.15, 0.1, 0.2)
-    assert circle_polygon_intersection_area(c, ccw) == pytest.approx(
-        circle_polygon_intersection_area(c, cw), rel=1e-12
+    c = circle(0.2)
+    assert circle_polygon_intersection_area(c, ccw, (0.15, 0.1)) == pytest.approx(
+        circle_polygon_intersection_area(c, cw, (0.15, 0.1)), rel=1e-12
     )
 
 
 def test_nonconvex_outline():
     # L-shaped piece; disk sits in the notch corner
     ell = Polygon(((0, 0), (2, 0), (2, 1), (1, 1), (1, 2), (0, 2)))
-    c = circle(1.0, 1.0, 0.2)
     # the notch corner exposes three quadrants of the disk
-    assert circle_polygon_intersection_area(c, ell) == pytest.approx(
+    assert circle_polygon_intersection_area(circle(0.2), ell, (1.0, 1.0)) == pytest.approx(
         0.75 * math.pi * 0.04, rel=1e-9
     )
 
@@ -97,7 +96,7 @@ def test_area_against_monte_carlo_spot_checks():
     rect = Polygon.rectangle(1.2, 0.7)
     cases = [(0.3, 0.2, 0.25), (1.15, 0.68, 0.2), (-0.05, 0.35, 0.3), (0.6, 0.35, 0.05)]
     for i, (cx, cy, r) in enumerate(cases):
-        analytic = circle_polygon_intersection_area(circle(cx, cy, r), rect)
+        analytic = circle_polygon_intersection_area(circle(r), rect, (cx, cy))
         mc, se = mc_disk_rect_area(cx, cy, r, 1.2, 0.7, n=200_000, seed=100 + i)
         assert abs(analytic - mc) <= 3 * se + 1e-9
 
@@ -109,8 +108,8 @@ def test_area_against_monte_carlo_spot_checks():
 )
 def test_intersection_bounds(cx, cy, r):
     rect = Polygon.rectangle(1.0, 0.5)
-    c = circle(cx, cy, r)
-    area = circle_polygon_intersection_area(c, rect)
+    c = circle(r)
+    area = circle_polygon_intersection_area(c, rect, (cx, cy))
     assert 0.0 <= area <= min(c.disk_area, rect.area) + 1e-15
 
 
@@ -127,7 +126,7 @@ def test_intersection_bounds(cx, cy, r):
 )
 def test_effective_ratio_rigid_motion_invariant(cx, cy, r, angle, tx, ty):
     rect = Polygon.rectangle(1.0, 0.5)
-    base = effective_ratio(circle(cx, cy, r), rect)
+    base = effective_ratio(circle(r), rect, (cx, cy))
 
     cos_a, sin_a = math.cos(angle), math.sin(angle)
 
@@ -136,7 +135,7 @@ def test_effective_ratio_rigid_motion_invariant(cx, cy, r, angle, tx, ty):
         return (x * cos_a - y * sin_a + tx, x * sin_a + y * cos_a + ty)
 
     moved_rect = Polygon(tuple(move(v) for v in rect.vertices))
-    moved = effective_ratio(Vgtc(center=move((cx, cy)), radius=r, pressure_window=WINDOW), moved_rect)
+    moved = effective_ratio(circle(r), moved_rect, move((cx, cy)))
     assert moved == pytest.approx(base, rel=1e-9, abs=1e-12)
 
 
@@ -147,8 +146,8 @@ def test_area_monotone_along_outward_ray():
     prev = math.inf
     for k in range(60):
         t = k * 0.02
-        c = circle(start[0] + t * direction[0], start[1] + t * direction[1], 0.15)
-        area = circle_polygon_intersection_area(c, rect)
+        centre = (start[0] + t * direction[0], start[1] + t * direction[1])
+        area = circle_polygon_intersection_area(circle(0.15), rect, centre)
         assert area <= prev + 1e-12
         prev = area
 
@@ -163,8 +162,8 @@ DYADIC_BOXES = [(0.0, 0.0, 1.0, 0.5), (0.25, -0.125, 0.75, 0.375), (-1.0, 2.0, -
 def assert_matches_closed_form(box, r, centres):
     x0, y0, x1, y1 = box
     outline = Polygon(((x0, y0), (x1, y0), (x1, y1), (x0, y1)))
-    disk_area = circle(0.0, 0.0, r).disk_area
-    ratios = effective_ratios(circle(0.0, 0.0, r), outline, tuple(centres))
+    disk_area = circle(r).disk_area
+    ratios = effective_ratios(circle(r), outline, tuple(centres))
     for (cx, cy), ratio in zip(centres, ratios):
         expected = disk_rect_area(cx, cy, r, x0, y0, x1, y1) / disk_area
         assert ratio == pytest.approx(expected, rel=0, abs=1e-12), (box, r, cx, cy)
@@ -224,11 +223,11 @@ HALF_STRIP = disk_rect_area(0.0, 0.0, 1.0, -2.0, -0.5, 2.0, 0.0) / math.pi
     ids=["box-3e154", "triangle-2e155", "base-dx-overflows", "base-dx-overflows-tiny-r"],
 )
 def test_edges_whose_squares_overflow_match_the_closed_form(centre, r, outline, expected):
-    assert effective_ratio(circle(*centre, r), outline) == pytest.approx(expected, rel=0, abs=1e-12)
+    assert effective_ratio(circle(r), outline, centre) == pytest.approx(expected, rel=0, abs=1e-12)
 
 
 def rect_ratio(cx, cy, r, x0, y0, x1, y1):
-    return disk_rect_area(cx, cy, r, x0, y0, x1, y1) / circle(0.0, 0.0, r).disk_area
+    return disk_rect_area(cx, cy, r, x0, y0, x1, y1) / circle(r).disk_area
 
 
 @pytest.mark.parametrize(
@@ -249,19 +248,19 @@ def test_long_edges_and_tiny_radii_match_the_closed_form(centre, r, box):
     x0, y0, x1, y1 = box
     outline = Polygon(((x0, y0), (x1, y0), (x1, y1), (x0, y1)))
     expected = rect_ratio(*centre, r, *box)
-    assert effective_ratio(circle(*centre, r), outline) == pytest.approx(expected, rel=0, abs=1e-12)
+    assert effective_ratio(circle(r), outline, centre) == pytest.approx(expected, rel=0, abs=1e-12)
 
 
 def test_a_vertex_beyond_the_largest_float_from_the_centre_is_summed_at_half_scale():
     # x - cx overflows for these vertices; the sum is redone with every
     # coordinate halved, exactly, and scaled back
     far = Polygon(((1e308, 0.0), (1e308, 1.0), (0.9e308, 0.0)))
-    assert circle_polygon_intersection_area(circle(-1e308, 0.0, 1.0), far) == 0.0
+    assert circle_polygon_intersection_area(circle(1.0), far, (-1e308, 0.0)) == 0.0
     # at x = -0.9e308 this triangle spans -0.5 <= y <= -0.45 (its top
     # edge rises 1e-308 across the disk)
     strip = Polygon(((-1e308, -0.5), (1e308, -0.5), (0.0, 1e-300)))
     expected = rect_ratio(0.0, 0.0, 1.0, -2.0, -0.5, 2.0, -0.45)
-    assert effective_ratio(circle(-0.9e308, 0.0, 1.0), strip) == pytest.approx(expected, rel=0, abs=1e-12)
+    assert effective_ratio(circle(1.0), strip, (-0.9e308, 0.0)) == pytest.approx(expected, rel=0, abs=1e-12)
 
 
 @pytest.mark.parametrize("box", DYADIC_BOXES)
@@ -282,58 +281,14 @@ def test_effective_ratios_never_calls_effective_ratio(monkeypatch):
     outline = Polygon.rectangle(0.3, 0.2)
     positions = generate_layout(outline, 0.0, 0.05).positions
     expected = tuple(rect_ratio(x, y, 0.04, 0.0, 0.0, 0.3, 0.2) for x, y in positions)
-    ratios = effective_ratios(circle(0.0, 0.0, 0.04), outline, positions)
+    ratios = effective_ratios(circle(0.04), outline, positions)
     assert ratios == pytest.approx(expected, rel=0, abs=1e-12) and 1.0 in ratios
 
     def refuse(*args):
         raise AssertionError("effective_ratios called effective_ratio")
 
     monkeypatch.setattr(vgtc, "effective_ratio", refuse)
-    assert vgtc.effective_ratios(circle(0.0, 0.0, 0.04), outline, positions) == ratios
-
-
-def box_outline(x0, y0, x1, y1):
-    return Polygon(((x0, y0), (x1, y0), (x1, y1), (x0, y1)))
-
-
-@st.composite
-def disks_on_boxes(draw):
-    # a box, a radius, and a centre anywhere from r outside the box to its
-    # middle, or exactly r from an edge's line (tangent from inside or
-    # outside) or on it
-    x0, y0 = draw(st.floats(min_value=-4.0, max_value=4.0)), draw(st.floats(min_value=-4.0, max_value=4.0))
-    x1 = x0 + draw(st.floats(min_value=1e-3, max_value=4.0))
-    y1 = y0 + draw(st.floats(min_value=1e-3, max_value=4.0))
-    r = draw(st.floats(min_value=1e-3, max_value=2.0))
-    edge = st.sampled_from([-r, 0.0, r])
-    cx = draw(st.one_of(st.floats(min_value=x0 - r, max_value=x1 + r), edge.map(lambda d: x0 + d)))
-    cy = draw(st.one_of(st.floats(min_value=y0 - r, max_value=y1 + r), edge.map(lambda d: y1 + d)))
-    return box_outline(x0, y0, x1, y1), r, (cx, cy)
-
-
-@settings(max_examples=200, deadline=None)
-# full disk: the box contains the disk's bounding square
-@example(scene=(Polygon.rectangle(1.0, 0.5), 0.1, (0.5, 0.25)), home=(0.0, 0.0))
-# tangent to the bottom edge at its midpoint, overhanging the top
-@example(scene=(Polygon.rectangle(1.0, 0.5), 0.375, (0.5, 0.375)), home=(0.0, 0.0))
-# clipped: centred on a corner
-@example(scene=(Polygon.rectangle(1.0, 0.5), 0.1, (1.0, 0.5)), home=(3.0, -2.0))
-# below _SMALL_RADIUS: every edge cut and scaled
-@example(scene=(box_outline(0.0, 0.0, 4e-150, 1e-150), 1e-150, (2e-150, 0.5e-150)), home=(0.0, 0.0))
-# edges longer than 2^16 radii: cut into pieces
-@example(scene=(box_outline(0.0, 0.0, 2e8, 1.0), 1.0, (1e8, 0.5)), home=(0.0, 0.0))
-# a vertex more than the largest float from the centre: summed at half scale
-@example(scene=(Polygon(((-1e308, -0.5), (1e308, -0.5), (0.0, 1e-300))), 1.0, (-0.9e308, 0.0)), home=(0, 0))
-@given(
-    scene=disks_on_boxes(),
-    home=st.tuples(st.floats(min_value=-10.0, max_value=10.0), st.floats(min_value=-10.0, max_value=10.0)),
-)
-def test_intersection_at_a_centre_equals_the_circle_built_there(scene, home):
-    outline, r, at = scene
-    c = circle(*home, r)
-    moved = circle_polygon_intersection_area(c, outline, at)
-    built = circle_polygon_intersection_area(c.replace(center=at), outline)
-    assert moved.hex() == built.hex(), (outline.vertices, r, at, home)
+    assert vgtc.effective_ratios(circle(0.04), outline, positions) == ratios
 
 
 # ---------------------------------------------------------------------------
@@ -377,8 +332,8 @@ def _edge_cases(r):
 def test_fast_path_matches_full_integration_at_edges_and_corners(r):
     box, ring = box_and_ring(X0, Y0, X1, Y1)
     for cx, cy in _edge_cases(r):
-        fast = effective_ratio(circle(cx, cy, r), box)
-        full = effective_ratio(circle(cx, cy, r), ring)
+        fast = effective_ratio(circle(r), box, (cx, cy))
+        full = effective_ratio(circle(r), ring, (cx, cy))
         assert fast == pytest.approx(full, rel=0, abs=1e-12), (cx, cy)
 
 
@@ -396,8 +351,8 @@ def test_fast_path_matches_full_integration_on_clip_like_pieces():
         scattered = [(rng.uniform(x0 - r, x0 + length + r), rng.uniform(y0 - r, y0 + width + r))
                      for _ in range(10)]
         for cx, cy in layout.positions + tuple(scattered):
-            fast = effective_ratio(circle(cx, cy, r), box)
-            full = effective_ratio(circle(cx, cy, r), ring)
+            fast = effective_ratio(circle(r), box, (cx, cy))
+            full = effective_ratio(circle(r), ring, (cx, cy))
             assert fast == pytest.approx(full, rel=0, abs=1e-12), (length, width, r, cx, cy)
             full_disks += fast == 1.0
     assert full_disks > 0
@@ -408,7 +363,7 @@ def test_disk_inside_a_box_skips_the_integration(monkeypatch, winding):
     calls = count_edge_terms(monkeypatch)
     box = Polygon(((X0, Y0), (X1, Y0), (X1, Y1), (X0, Y1))[::winding])
     assert box.signed_area * winding > 0 and box.box == (X0, Y0, X1, Y1)
-    assert effective_ratio(circle(X0 + 0.03, Y0 + 0.03, 0.03), box) == 1.0
+    assert effective_ratio(circle(0.03), box, (X0 + 0.03, Y0 + 0.03)) == 1.0
     assert calls == []
 
 
@@ -424,7 +379,7 @@ def test_near_rectangles_take_the_full_integration(monkeypatch, vertices):
     calls = count_edge_terms(monkeypatch)
     outline = Polygon(vertices)
     assert outline.box is None
-    effective_ratio(circle(0.23, 0.3, 0.02), outline)
+    effective_ratio(circle(0.02), outline, (0.23, 0.3))
     assert len(calls) == 4
 
 
@@ -435,7 +390,7 @@ def test_layout_inside_the_margin_skips_every_integration(monkeypatch, winding):
     calls = count_edge_terms(monkeypatch)
     box = Polygon(((X0, Y0), (X1, Y0), (X1, Y1), (X0, Y1))[::winding])
     layout = generate_layout(box, 0.02, 0.015)
-    ratios = effective_ratios(circle(0.0, 0.0, 0.02), box, layout.positions)
+    ratios = effective_ratios(circle(0.02), box, layout.positions)
     assert len(ratios) == 15 * 11 and set(ratios) == {1.0}
     assert calls == []
 
@@ -472,9 +427,9 @@ def test_polygon_caches_stay_out_of_identity():
 
 def test_ratio_symmetry_cases():
     rect = Polygon.rectangle(1.0, 0.5)
-    assert effective_ratio(circle(0.5, 0.25, 0.1), rect) == pytest.approx(1.0, rel=1e-9)
-    assert effective_ratio(circle(0.5, 0.0, 0.1), rect) == pytest.approx(0.5, rel=1e-9)
-    assert effective_ratio(circle(0.0, 0.0, 0.1), rect) == pytest.approx(0.25, rel=1e-9)
+    assert effective_ratio(circle(0.1), rect, (0.5, 0.25)) == pytest.approx(1.0, rel=1e-9)
+    assert effective_ratio(circle(0.1), rect, (0.5, 0.0)) == pytest.approx(0.5, rel=1e-9)
+    assert effective_ratio(circle(0.1), rect, (0.0, 0.0)) == pytest.approx(0.25, rel=1e-9)
 
 
 def test_adjusted_pressure_identity_and_inflation():
@@ -803,27 +758,27 @@ def test_range_within_the_cutoff_has_no_samples(low):
 
 def test_single_grab_radius_test_builds_circle():
     window = PressureWindow(p_min=37_561.0)
-    c = Vgtc(center=(0.0, 0.0), radius=0.044, pressure_window=window)
+    c = Vgtc(radius=0.044, pressure_window=window)
     assert c.radius == 0.044
     assert c.pressure_window is window
-    assert c.center == (0.0, 0.0)
+    assert Vgtc._fields == ("radius", "pressure_window")
 
 
 def test_single_grab_radius_test_rejects_zero_radius():
     with pytest.raises(ValidationError):
-        Vgtc(center=(0.0, 0.0), radius=0.0, pressure_window=WINDOW)
+        Vgtc(radius=0.0, pressure_window=WINDOW)
 
 
 def test_radius_whose_disk_area_underflows_rejected():
     with pytest.raises(ValidationError, match="radius 1e-170 m has a disk area of 0"):
-        Vgtc(center=(0.0, 0.0), radius=1e-170, pressure_window=WINDOW)
-    assert Vgtc(center=(0.0, 0.0), radius=1e-150, pressure_window=WINDOW).disk_area > 0
+        Vgtc(radius=1e-170, pressure_window=WINDOW)
+    assert Vgtc(radius=1e-150, pressure_window=WINDOW).disk_area > 0
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=str)
 def test_non_finite_radius_and_spacing_rejected(value):
     with pytest.raises(ValidationError, match="radius"):
-        Vgtc(center=(0.0, 0.0), radius=value, pressure_window=WINDOW)
+        Vgtc(radius=value, pressure_window=WINDOW)
     with pytest.raises(ValidationError, match="spacing"):
         Layout(xs=(), ys=(), spacing=value, margin=0.0)
 
@@ -836,7 +791,7 @@ def test_nan_and_negative_margin_rejected(value):
 
 def test_window_ordering_still_enforced():
     with pytest.raises(ValidationError):
-        Vgtc(center=(0.0, 0.0), radius=0.05, pressure_window=PressureWindow(p_min=5.0, p_max=4.0))
+        Vgtc(radius=0.05, pressure_window=PressureWindow(p_min=5.0, p_max=4.0))
 
 
 @settings(max_examples=80, deadline=None)
@@ -856,8 +811,8 @@ def test_layout_positions_and_ratios_follow_its_axes(x0, y0, length, width, marg
     layout = generate_layout(outline, margin, spacing)
     assert (layout.cols, layout.rows) == (len(layout.xs), len(layout.ys))
     assert layout.positions == tuple((x, y) for y in layout.ys for x in layout.xs)
-    ratios = effective_ratios(circle(0.0, 0.0, radius), outline, layout.positions)
-    assert ratios == tuple(effective_ratio(circle(x, y, radius), outline) for x, y in layout.positions)
+    ratios = effective_ratios(circle(radius), outline, layout.positions)
+    assert ratios == tuple(effective_ratio(circle(radius), outline, (x, y)) for x, y in layout.positions)
     assert Layout(xs=(), ys=layout.ys, spacing=spacing, margin=margin).positions == ()
 
 
@@ -881,7 +836,7 @@ def test_layout_ratios_are_mirror_symmetric(x0, y0, length, width, radius, share
     x1, y1 = x0 + length, y0 + width
     outline = Polygon(((x0, y0), (x1, y0), (x1, y1), (x0, y1)))
     layout = generate_layout(outline, margin, spacing)
-    ratios = effective_ratios(circle(0.0, 0.0, radius), outline, layout.positions)
+    ratios = effective_ratios(circle(radius), outline, layout.positions)
     cols, rows = layout.cols, layout.rows
     for j in range(rows):
         for i in range(cols):
@@ -916,6 +871,6 @@ def test_layout_ratios_are_translation_invariant(x0, y0, length, width, radius, 
         c, d = a + length, b + width
         outline = Polygon(((a, b), (c, b), (c, d), (a, d)))
         layout = generate_layout(outline, margin, spacing)
-        ratios.append(effective_ratios(circle(0.0, 0.0, radius), outline, layout.positions))
+        ratios.append(effective_ratios(circle(radius), outline, layout.positions))
     assert len(ratios[0]) == len(ratios[1])
     assert ratios[1] == pytest.approx(ratios[0], rel=0, abs=1e-12)
