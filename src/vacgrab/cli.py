@@ -717,7 +717,7 @@ def emit_layout_svg(layout: Layout, outline: Polygon, vgtc: Vgtc) -> bytes:
         tails = [f'{cy}" {tail}\n' for cy in cys]
         return map(str.encode, (t.join(heads) + t for t in tails))
 
-    for i, ratio in enumerate(effective_ratios(vgtc, outline, layout.positions)):
+    for i, ratio in enumerate(effective_ratios(vgtc, outline, layout)):
         if ratio < 1.0 - 1e-9:
             parts.append(
                 f'<circle class="effective-shade" cx="{cxs[i % layout.cols]}" cy="{cys[i // layout.cols]}" '
@@ -973,11 +973,11 @@ def _cmd_plan(args, doc: ConfigDocument) -> tuple[bytes, list[str]]:
     if args.spacing:
         spacing = _parse_cli_quantity(args.spacing, "length", "--spacing")
     layout = generate_layout(fabric.outline, margin, spacing)
-    ratios = effective_ratios(circle, fabric.outline, layout.positions)
+    ratios = effective_ratios(circle, fabric.outline, layout)
 
     def human() -> str:
         lines = [
-            f"grid          : {layout.cols} cols x {layout.rows} rows = {len(layout.positions)} grippers",
+            f"grid          : {layout.cols} cols x {layout.rows} rows = {layout.cols * layout.rows} grippers",
             f"spacing       : {layout.spacing:.6g} m",
             f"margin        : {layout.margin:.6g} m",
             f"min ratio     : {min(ratios):.4f}",

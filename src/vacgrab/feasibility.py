@@ -174,7 +174,7 @@ def evaluate(scenario: Scenario, consts: PhysicalConstants = PhysicalConstants()
         p_max = window.p_max
         try:
             layout = generate_layout(outline, scenario.margin, circle.radius)
-            ratios = effective_ratios(circle, outline, layout.positions)
+            ratios = effective_ratios(circle, outline, layout)
             # p_min / r is correctly rounded and falls as r rises: min(ratios) sets the demand
             demand = max(demand, adjusted_min_pressure(window, min(ratios)))
         except ValidationError as exc:

@@ -16,9 +16,11 @@ __post_init__, so an instance that exists is valid and finite (Layout's
 axes too), and safe to share across threads; .replace(...) validates
 again. Quantities are checked by require_range, which refuses nan, counts
 by require_count; library functions check arguments before converting.
-A derived value (an area, a polygon's box, a layout's positions) is
+A derived value (an area, a polygon's box, a layout's counts) is
 stored by __post_init__ beside the fields, outside ==, hash and repr;
-only Polygon.ccw_ring waits for its first read (see Polygon).
+only Polygon.ccw_ring waits for its first read (see Polygon), and a
+layout's positions are made as they are read, never stored (see
+vgtc.Layout).
 """
 
 from __future__ import annotations

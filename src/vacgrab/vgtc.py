@@ -27,15 +27,16 @@ every edge of a circle below 2^-200 m are cut into pieces first
 than the largest float from the center is summed at half scale.
 
 A layout is its columns and rows: the x of each column and the y of
-each row. Its positions, row by row, are stored when it is built; the
-emitters format each column and each row once. Layouts exist only for
-outlines that are an exact box (Polygon.box, no tolerance): a
-rectangle given as vertices must list its corners in ring order,
-each edge repeating one coordinate exactly, or come from length and
-width. On a real layout almost every disk lies wholly on the piece.
-So when the outline's box contains the disk's bounding square, the
-intersection is the disk's own area, returned without integrating,
-and the ratio is the shared constant 1.0. The fast path sits inside
+each row, and nothing else is stored. Its positions are made row by
+row as the ratio pass reads them, and the emitters format each column
+and each row once. Layouts exist only for outlines that are an exact
+box (Polygon.box, no tolerance): a rectangle given as vertices must
+list its corners in ring order, each edge repeating one coordinate
+exactly, or come from length and width. On a real layout almost
+every disk lies wholly on the piece. So when the outline's box
+contains the disk's bounding square, the intersection is the disk's
+own area, returned without integrating, and the ratio is the shared
+constant 1.0. The fast path sits inside
 circle_polygon_intersection_area, not in effective_ratios, so every
 caller of the intersection gets it and each layout position still
 makes exactly one intersection call.
@@ -45,6 +46,8 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
+from collections.abc import Iterable, Iterator
+from itertools import chain, repeat
 from math import atan2, fmod, isfinite, sqrt  # by bare name in the per-edge terms: one lookup, not two
 
 from .model import (
@@ -85,10 +88,12 @@ class Vgtc(Record):
 class Layout(Record):
     """A rectangular grid of gripper positions inside a margin inset.
 
-    xs holds the finite x of each column and ys the y of each row. cols
-    and rows are their lengths, and positions is every (x, y), row by
-    row (all of the first row, then the next); all three are stored at
-    construction, outside the fields.
+    xs holds the finite x of each column and ys the y of each row; cols
+    and rows, their lengths, are stored at construction, outside the
+    fields. Nothing else is stored: iterating a layout yields every
+    (x, y), row by row (all of the first row, then the next), each pair
+    made in C as it is read. positions is that sequence as a tuple,
+    built anew on each read.
     """
 
     xs: tuple[float, ...]
@@ -103,7 +108,14 @@ class Layout(Record):
         require_range("margin", self.margin, 0)
         object.__setattr__(self, "cols", len(self.xs))
         object.__setattr__(self, "rows", len(self.ys))
-        object.__setattr__(self, "positions", tuple([(x, y) for y in self.ys for x in self.xs]))
+
+    def __iter__(self) -> Iterator[Point]:
+        # xs once per row, beside each y repeated once per column
+        return zip(self.xs * self.rows, chain.from_iterable(map(repeat, self.ys, repeat(self.cols))))
+
+    @property
+    def positions(self) -> tuple[Point, ...]:
+        return tuple(self)
 
 
 # ---------------------------------------------------------------------------
@@ -230,21 +242,24 @@ def circle_polygon_intersection_area(circle: Vgtc, outline: Polygon, center: Poi
     vertex more than the largest float from the center overflows
     x - cx; then every coordinate and r are halved (exact above the
     subnormal range), and the sum is redone and scaled back by 4. A
-    center that is not finite also ends there, and raises
-    ValidationError.
+    center that is not finite also ends there, and so does an int
+    center that no float holds, which overflows in the box test: both
+    raise ValidationError.
     """
     cx, cy = center
     r = circle.radius
-    if outline.box is not None:
-        x0, y0, x1, y1 = outline.box
-        if x0 <= cx - r and cx + r <= x1 and y0 <= cy - r and cy + r <= y1:
-            return circle.disk_area
-    edge_term = _edge_term if r >= _SMALL_RADIUS else _split_edge_term
-    total = 0.0
     try:
+        if outline.box is not None:
+            x0, y0, x1, y1 = outline.box
+            if x0 <= cx - r and cx + r <= x1 and y0 <= cy - r and cy + r <= y1:
+                return circle.disk_area
+        edge_term = _edge_term if r >= _SMALL_RADIUS else _split_edge_term
+        total = 0.0
         for (x1, y1), (x2, y2) in outline.ccw_ring:
             total += edge_term(x1 - cx, y1 - cy, x2 - cx, y2 - cy, r)
     except OverflowError:
+        # a center the box test overflows on is an int no float holds,
+        # refused here; any other overflow comes from the edge sum
         require_range("center", cx)
         require_range("center", cy)
         cx, cy, r = 0.5 * cx, 0.5 * cy, 0.5 * r
@@ -269,11 +284,11 @@ def effective_ratio(circle: Vgtc, outline: Polygon, center: Point) -> float:
     return effective_ratios(circle, outline, (center,))[0]
 
 
-def effective_ratios(circle: Vgtc, outline: Polygon, positions: tuple[Point, ...]) -> tuple[float, ...]:
+def effective_ratios(circle: Vgtc, outline: Polygon, positions: Iterable[Point]) -> tuple[float, ...]:
     """Fraction of the circle's disk on the fabric at each position, in order.
 
-    The caller gives the centers: positions are pairs of floats, as
-    Layout.positions holds them, each passed as it stands to
+    The caller gives the centers: positions are pairs of floats, such
+    as a Layout yields them, each passed as it stands to
     circle_polygon_intersection_area. The intersection is looked up once
     per call through the module global, so a replaced one sees every
     position. A full disk's ratio is the shared constant 1.0, so a grid
@@ -296,8 +311,10 @@ def adjusted_min_pressure(window: PressureWindow, ratio: float) -> float:
 BOUNDARY_TOL = 1e-9
 
 # Largest grid generate_layout builds: 35x the 28,959 positions of a
-# 2 x 1.5 m piece at 1 cm, far below what a sizing run needs, and small
-# enough that a mistyped spacing fails at once instead of filling memory.
+# 2 x 1.5 m piece at 1 cm, far below what a sizing run needs. A layout
+# stores only its axes, so the cap bounds the work of a ratio pass and
+# the ratios it returns: a mistyped spacing fails at once instead of
+# running for seconds and filling memory with one ratio per position.
 MAX_LAYOUT_POSITIONS = 10**6
 
 # Most scan samples calibrate_spacing accepts: past 2**53 the sample index
@@ -353,8 +370,8 @@ def generate_layout(outline: Polygon, margin: float, spacing: float) -> Layout:
     single centered row or column.
 
     Only outlines with an exact box (Polygon.box) are supported. A grid
-    of more than MAX_LAYOUT_POSITIONS positions is rejected before any
-    is built; one near that size stores all its positions when built.
+    of more than MAX_LAYOUT_POSITIONS positions is rejected before its
+    axes are built; the layout stores only those axes.
     """
     require_range("spacing", spacing, 0, above=True)
     usable_l, usable_w = _usable_span(outline, margin)

@@ -318,6 +318,20 @@ def test_circle_center_refuses_nan_and_inf(bad, axis, radius):
         assert err.value.field == "center"
 
 
+@pytest.mark.parametrize("sign", [1, -1], ids=["plus", "minus"])
+@pytest.mark.parametrize("axis", [0, 1], ids=["x", "y"])
+def test_circle_center_refuses_an_int_no_float_holds(axis, sign):
+    # cx - r overflows in the full-disk box test, before any edge is summed
+    bad = sign * 10**400
+    center = (bad, 0.05) if axis == 0 else (0.1, bad)
+    circle = Vgtc(**VALID[Vgtc])
+    outline = Polygon.rectangle(0.2, 0.1)
+    for call in (circle_polygon_intersection_area, lambda c, o, p: effective_ratios(c, o, (p,))):
+        with pytest.raises(ValidationError, match="center must be finite") as err:
+            call(circle, outline, center)
+        assert err.value.field == "center"
+
+
 _CUP = SuctionCup(orifice_diameter=2e-3)
 _SQUARE = Polygon.rectangle(0.2, 0.2)
 # each range-checked argument of the library functions: (field, call with it set to x)
@@ -626,8 +640,9 @@ def test_equality_and_hash_ignore_cached_extras():
     assert RECORDS[PipeSegment] != (2e-3, 0.0)
 
 
-def test_only_ccw_ring_is_computed_on_read():
-    # every other derived value is stored when its value type is built
+def test_only_ccw_ring_and_layout_positions_are_computed_on_read():
+    # every other derived value is stored when its value type is built;
+    # a layout stores its axes and makes its positions on each read
     lazy, todo = [], list(Record.__subclasses__())
     while todo:
         cls = todo.pop()
@@ -635,7 +650,7 @@ def test_only_ccw_ring_is_computed_on_read():
         if cls.__module__.startswith("vacgrab."):
             lazy += [f"{cls.__name__}.{name}" for name, value in vars(cls).items()
                      if isinstance(value, (property, cached_property))]
-    assert lazy == ["Polygon.ccw_ring"]
+    assert sorted(lazy) == ["Layout.positions", "Polygon.ccw_ring"]
 
 
 def test_required_config_keys():

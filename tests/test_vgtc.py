@@ -1,5 +1,6 @@
 import math
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
@@ -814,6 +815,39 @@ def test_layout_positions_and_ratios_follow_its_axes(x0, y0, length, width, marg
     ratios = effective_ratios(circle(radius), outline, layout.positions)
     assert ratios == tuple(effective_ratio(circle(radius), outline, (x, y)) for x, y in layout.positions)
     assert Layout(xs=(), ys=layout.ys, spacing=spacing, margin=margin).positions == ()
+
+
+AXIS = st.lists(st.one_of(st.sampled_from([0.0, -0.0]), st.floats(allow_nan=False, allow_infinity=False)), max_size=6)
+
+
+def bits(points):
+    return [(type(p), p[0].hex(), p[1].hex()) for p in points]
+
+
+@settings(max_examples=200, deadline=None)
+@example(xs=[0.1, -0.0, 0.3], ys=[0.05])  # a single row
+@example(xs=[-0.0], ys=[0.0, -0.0, 2.5])  # a single column
+@example(xs=[-0.0], ys=[-0.0])
+@example(xs=[], ys=[1.0])
+@given(xs=AXIS, ys=AXIS)
+def test_layout_yields_every_position_row_by_row_bit_for_bit(xs, ys):
+    layout = Layout(xs=xs, ys=ys, spacing=0.1, margin=0.0)
+    expected = tuple([(x, y) for y in layout.ys for x in layout.xs])
+    assert bits(layout) == bits(layout.positions) == bits(expected)
+
+
+def test_layout_stores_only_its_axes():
+    # 197 x 147 = 28,959 positions on the 2 x 1.5 m piece at 1 cm; a
+    # stored (x, y) per position would take about 2 MiB
+    outline = Polygon.rectangle(2.0, 1.5)
+    tracemalloc.start()
+    try:
+        layout = generate_layout(outline, 0.02, 0.01)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert (layout.cols, layout.rows) == (197, 147)
+    assert peak < 64 * 1024
 
 
 @settings(max_examples=100, deadline=None)
