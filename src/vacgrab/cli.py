@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import io
+import os
 import re
 import sys
 from collections.abc import Callable, Iterable, Sequence
@@ -429,6 +430,7 @@ def report_to_dict(report: GraspReport) -> dict:
         **vars(report),
         "layout": _layout_dict(report.layout) if report.layout is not None else None,
         "verdict": report.verdict.value,
+        "effective_ratios": _Floats(report.effective_ratios),
     }
 
 
@@ -481,16 +483,30 @@ def _json_float(value: float) -> str:
     return _JSON_NON_FINITE.get(text, text)
 
 
+class _Floats:
+    """Floats the structured writer lists as they are, with no per-item type check.
+
+    Only for values that are floats by construction, such as the ratios
+    vgtc.effective_ratios builds. The tuple is held, not copied.
+    """
+
+    __slots__ = ("values",)
+
+    def __init__(self, values: tuple[float, ...]) -> None:
+        self.values = values
+
+
 def _write_json(value, pad: str, out: list[str], escape: Callable[[str], str]) -> None:
     """Append `value` to out as json.dumps(value, indent=2) writes it.
 
     pad is a newline followed by the indentation of the line the value
     starts on, and escape is json's C string escaper. Dict keys must be
-    str. A list of finite floats is joined in one step, formatting each
-    distinct value once (a grid of full disks repeats one 1.0), and a
-    Layout is written as its positions, [x, y] pairs row by row,
-    formatting each column's x and each row's y once and joining each
-    row in one step.
+    str. A _Floats is written as a list, formatting each distinct value
+    once (a grid of full disks repeats one 1.0), and a Layout as its
+    positions, [x, y] pairs row by row, formatting each column's x and
+    each row's y once and joining each row in one step. Both append
+    their lists to out in pieces, so only the caller's final join
+    copies their text.
     """
     if isinstance(value, str):
         out.append(escape(value))
@@ -505,22 +521,10 @@ def _write_json(value, pad: str, out: list[str], escape: Callable[[str], str]) -
     elif isinstance(value, float):
         out.append(_json_float(value))
     elif isinstance(value, (list, tuple)):
-        inner = pad + "  "
         if not value:
             out.append("[]")
             return
-        if all(type(item) is float for item in value):
-            texts = dict.fromkeys(value)
-            if 0.0 in texts:  # 0.0 == -0.0, but their texts differ
-                items = map(float.__repr__, value)
-            else:
-                for item in texts:
-                    texts[item] = float.__repr__(item)
-                items = map(texts.__getitem__, value)
-            text = ("," + inner).join(items)
-            if "n" not in text:  # no nan or inf, which json spells NaN and Infinity
-                out.append("[" + inner + text + pad + "]")
-                return
+        inner = pad + "  "
         sep = "[" + inner
         for item in value:
             out.append(sep)
@@ -546,10 +550,28 @@ def _write_json(value, pad: str, out: list[str], escape: Callable[[str], str]) -
             return
         inner = pad + "  "
         cell = inner + "  "
+        sep = "," + inner
         heads = ["[" + cell + _json_float(x) + "," + cell for x in value.xs]
-        tails = [_json_float(y) + inner + "]" for y in value.ys]
-        rows = [(t + "," + inner).join(heads) + t for t in tails]
-        out.append("[" + inner + ("," + inner).join(rows) + pad + "]")
+        out.append("[" + inner)
+        for y in value.ys:
+            tail = _json_float(y) + inner + "]"
+            out += (tail + sep).join(heads), tail, sep
+        out[-1] = pad + "]"
+    elif isinstance(value, _Floats):
+        values = value.values
+        sep = "," + pad + "  "
+        texts = dict.fromkeys(values)
+        for item in texts:
+            texts[item] = sep + float.__repr__(item)
+        # 0.0 == -0.0, but their texts differ; json spells nan and inf NaN and Infinity
+        if not texts or 0.0 in texts or "n" in "".join(texts.values()):
+            _write_json(values, pad, out, escape)
+            return
+        out.append("[")
+        first = len(out)
+        out.extend(map(texts.__getitem__, values))
+        out[first] = out[first][1:]  # no comma before the first item
+        out.append(pad + "]")
     else:
         raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
@@ -717,12 +739,13 @@ def emit_layout_svg(layout: Layout, outline: Polygon, vgtc: Vgtc) -> bytes:
         tails = [f'{cy}" {tail}\n' for cy in cys]
         return map(str.encode, (t.join(heads) + t for t in tails))
 
-    for i, ratio in enumerate(effective_ratios(vgtc, outline, layout)):
-        if ratio < 1.0 - 1e-9:
-            parts.append(
-                f'<circle class="effective-shade" cx="{cxs[i % layout.cols]}" cy="{cys[i // layout.cols]}" '
-                f'r="{r_px}" fill="#7fb3d5" fill-opacity="0.35" clip-path="url(#fabric-clip)"/>'
-            )
+    cols = layout.cols
+    parts += [
+        f'<circle class="effective-shade" cx="{cxs[i % cols]}" cy="{cys[i // cols]}" '
+        f'r="{r_px}" fill="#7fb3d5" fill-opacity="0.35" clip-path="url(#fabric-clip)"/>'
+        for i, ratio in enumerate(effective_ratios(vgtc, outline, layout))
+        if ratio < 1.0 - 1e-9
+    ]
     parts.append("")  # "" ends the header with a newline
     out = io.BytesIO()
     out.write("\n".join(parts).encode())
@@ -992,7 +1015,7 @@ def _cmd_plan(args, doc: ConfigDocument) -> tuple[bytes, list[str]]:
         "human": human,
         "structured": lambda: {
             "layout": _layout_dict(layout),
-            "effective_ratios": ratios,
+            "effective_ratios": _Floats(ratios),
             "radius": circle.radius,
         },
     })
@@ -1060,6 +1083,29 @@ def _cmd_batch(args, doc: None) -> tuple[bytes, list[str]]:
     return emit_batch(entries, args.format), advisories
 
 
+def _write_stdout(output: bytes) -> None:
+    """Write a command's UTF-8 output to stdout and flush it, before any advisory.
+
+    The bytes go to the stream's binary buffer, whatever its encoding; a
+    text-only stream (io.StringIO) gets the decoded text. If the reader
+    has closed the pipe, the rest is dropped and stdout is pointed at
+    os.devnull, so that the flush at exit cannot fail either.
+    """
+    stream = sys.stdout
+    buffer = getattr(stream, "buffer", None)
+    if buffer is None:
+        stream.write(output.decode("utf-8"))
+        return
+    try:
+        stream.flush()  # text written before this goes first
+        buffer.write(output)
+        buffer.flush()
+    except BrokenPipeError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, stream.fileno())
+        os.close(devnull)
+
+
 def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     try:
@@ -1072,7 +1118,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except (ConfigError, ValidationError, UnitError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    sys.stdout.write(output.decode("utf-8"))
+    _write_stdout(output)
     for advisory in advisories:
         print(f"advisory: {advisory}", file=sys.stderr)
     if advisories and getattr(args, "strict", False):

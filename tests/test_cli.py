@@ -40,8 +40,8 @@ from vacgrab.cli import (
     parse_corpus_csv,
 )
 from vacgrab import vgtc as vgtc_module
-from vacgrab.cli import _json_text, _layout_dict
-from vacgrab.feasibility import CorpusEntry
+from vacgrab.cli import _Floats, _json_text, _layout_dict
+from vacgrab.feasibility import CorpusEntry, run_corpus
 from vacgrab.model import SI_UNIT
 from conftest import make_scenario
 
@@ -54,6 +54,17 @@ def shipped(name: str) -> str:
 def bag_config(tmp_path):
     path = tmp_path / "pocket_bag.conf"
     path.write_text(shipped("pocket_bag.conf"))
+    return str(path)
+
+
+@pytest.fixture
+def big_piece_config(tmp_path):
+    # ROADMAP's 2 x 1.5 m piece with a 1 cm circle inside the 2 cm margin:
+    # 197 x 147 = 28,959 positions, every disk wholly on the piece
+    text = shipped("pocket_bag.conf").replace("length = 26 cm", "length = 2 m", 1)
+    path = tmp_path / "big_piece.conf"
+    path.write_text(text.replace("width = 19 cm", "width = 1.5 m", 1)
+                    + "\n[vgtc]\nradius = 1 cm\np_min = 37.561 kPa\nmargin = 2 cm\n")
     return str(path)
 
 
@@ -227,13 +238,13 @@ def test_batch_error_entries_keep_slots(bag_scenario):
 
 
 _JSON_LEAVES = st.none() | st.booleans() | st.integers() | st.floats() | st.text()
+_FLOAT_LISTS = st.lists(st.floats()) | st.lists(st.sampled_from([1.0, 0.5, 0.0, -0.0, math.nan, math.inf]))
 _JSON_TREES = st.recursive(
     _JSON_LEAVES,
     lambda children: (
         st.lists(children)
         | st.lists(children).map(tuple)
-        | st.lists(st.floats())  # all floats: the joined path, or its fallback on nan/inf
-        | st.lists(st.sampled_from([1.0, 0.5, 0.0, -0.0, math.nan, math.inf]))  # repeated objects
+        | _FLOAT_LISTS  # the second with repeated objects
         | st.dictionaries(st.text(), children)
     ),
     max_leaves=40,
@@ -250,8 +261,28 @@ _JSON_TREES = st.recursive(
 @example([0.0, -0.0, 0.0])  # equal keys with different texts
 @example([-0.0, -0.0])
 @example([0.5, math.nan, 0.5, math.nan])  # one nan object twice
+@example([1.0, 1])  # equal int, bool and float items keep their own texts
+@example([1, 1.0, True])
+@example([0, 0.0, -0.0, False])
 def test_json_writer_matches_json_dumps(tree):
     assert _json_text(tree) == json.dumps(tree, indent=2) + "\n"
+
+
+# the ratios check and plan write: floats by construction, listed with no type check
+@settings(max_examples=150)
+@given(values=_FLOAT_LISTS, depth=st.integers(0, 2))
+@example(values=[], depth=0)
+@example(values=[-0.0, 1e-7, 1e22, 0.1], depth=1)
+@example(values=[1.0, math.nan, math.inf, -math.inf], depth=0)
+@example(values=[1.0] * 50, depth=1)  # one shared object, formatted once
+@example(values=[0.0, -0.0, 0.0], depth=0)  # equal keys with different texts
+@example(values=[-0.0, -0.0], depth=2)
+@example(values=[0.5, math.nan, 0.5, math.nan], depth=0)  # one nan object twice
+def test_json_writer_float_list_matches_json_dumps(values, depth):
+    typed, plain = _Floats(tuple(values)), values
+    for _ in range(depth):
+        typed, plain = {"effective_ratios": typed, "n": len(values)}, {"effective_ratios": plain, "n": len(values)}
+    assert _json_text(typed) == json.dumps(plain, indent=2) + "\n"
 
 
 # finite floats only: a Layout refuses nan and inf
@@ -269,6 +300,27 @@ def test_json_writer_grid_matches_json_dumps(xs, ys, depth):
     for _ in range(depth):
         grid, pairs = {"positions": grid, "rows": len(ys)}, {"positions": pairs, "rows": len(ys)}
     assert _json_text(grid) == json.dumps(pairs, indent=2) + "\n"
+
+
+def test_structured_check_at_full_scale_matches_json_dumps(big_piece_config, capsysbinary):
+    assert main(["check", "--config", big_piece_config, "--format", "structured"]) == 0
+    out = capsysbinary.readouterr().out
+    report = evaluate(parse_config(Path(big_piece_config).read_text()))
+    layout = report.layout
+    assert (layout.cols, layout.rows) == (197, 147)
+    plain = {
+        **vars(report),
+        "layout": {
+            "positions": [[x, y] for x, y in layout.positions],
+            "spacing": layout.spacing,
+            "margin": layout.margin,
+            "rows": layout.rows,
+            "cols": layout.cols,
+        },
+        "verdict": report.verdict.value,
+        "effective_ratios": list(report.effective_ratios),
+    }
+    assert out == (json.dumps(plain, indent=2) + "\n").encode()
 
 
 # ---------------------------------------------------------------------------
@@ -803,6 +855,40 @@ def run_cli(*argv):
         [sys.executable, "-m", "vacgrab", *argv],
         capture_output=True, text=True, timeout=30, env=env,
     )
+
+
+def test_stdout_gets_the_utf8_report_whatever_its_encoding(tmp_path):
+    corpus = tmp_path / "u.csv"
+    corpus.write_text("a,b,c,d,e,f,g,h\n项1,Pocket Bag,x,y,6,26cm x 19cm,-55kPa,Pass\n", encoding="utf-8")
+    env = dict(os.environ, PYTHONPATH=str(Path(vacgrab.__file__).parents[1]), PYTHONIOENCODING="ascii")
+    run = subprocess.run(
+        [sys.executable, "-m", "vacgrab", "batch", "--corpus", str(corpus)],
+        capture_output=True, timeout=30, env=env,
+    )
+    assert run.returncode == 0
+    assert run.stdout == emit_batch(run_corpus(parse_corpus_csv(corpus.read_text("utf-8"))))
+    assert "项".encode() in run.stdout
+
+
+@pytest.mark.parametrize(
+    "argv, config",
+    [(["force"], "bag_config"), (["check", "--format", "structured"], "big_piece_config")],
+    ids=["force", "structured-check-28959"],
+)
+def test_a_closed_pipe_ends_the_command_quietly(argv, config, request):
+    env = dict(os.environ, PYTHONPATH=str(Path(vacgrab.__file__).parents[1]))
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # the reader has gone before the child writes
+    try:
+        run = subprocess.run(
+            [sys.executable, "-m", "vacgrab", *argv, "--config", request.getfixturevalue(config)],
+            stdout=write_end, stderr=subprocess.PIPE, text=True, timeout=30, env=env,
+        )
+    finally:
+        os.close(write_end)
+    assert run.returncode == 0
+    assert "Traceback" not in run.stderr
+    assert "Exception ignored" not in run.stderr
 
 
 def test_start_up_imports_neither_typing_nor_importlib_resources():
