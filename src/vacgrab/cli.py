@@ -773,47 +773,49 @@ def parse_corpus_csv(text: str) -> list[CorpusRow]:
 
     reader = csv.reader(io.StringIO(text))
     try:
-        header = next(reader)
-    except StopIteration:
-        raise ConfigError("corpus file is empty; a header row is required") from None
-    if len(header) != CORPUS_COLUMN_COUNT:
-        raise ConfigError(
-            f"corpus header has {len(header)} columns, expected {CORPUS_COLUMN_COUNT}"
-        )
-    rows: list[CorpusRow] = []
-    for line_no, record in enumerate(reader, start=2):
-        if not record or all(not cell.strip() for cell in record):
-            continue
-        if len(record) != CORPUS_COLUMN_COUNT:
+        header = next(reader, None)
+        if header is None:
+            raise ConfigError("corpus file is empty; a header row is required")
+        if len(header) != CORPUS_COLUMN_COUNT:
             raise ConfigError(
-                f"expected {CORPUS_COLUMN_COUNT} columns, got {len(record)}", line_no
+                f"corpus header has {len(header)} columns, expected {CORPUS_COLUMN_COUNT}"
             )
-        lot, application, code, material, grippers, outline, supply, result = (
-            cell.strip() for cell in record
-        )
-        m = _OUTLINE_RE.match(outline)
-        if not m:
-            raise ConfigError(f"cannot parse outline {_echo(outline)}", line_no)
-        s = _SUPPLY_RE.match(supply)
-        if not s:
-            raise ConfigError(f"cannot parse supply pressure {_echo(supply)}", line_no)
-        try:
-            count = _parse_count(grippers)  # +-inf past 309 digits: SuctionCup makes it an error entry
-        except ValueError:
-            raise ConfigError(f"gripper count {_echo(grippers)} is not an integer", line_no) from None
-        rows.append(
-            CorpusRow(
-                lot=lot,
-                application=application,
-                fabric_code=code,
-                material=material,
-                gripper_count=count,
-                length_m=convert_units(float(m.group(1)), "cm", "m"),
-                width_m=convert_units(float(m.group(2)), "cm", "m"),
-                supply_pressure=abs(convert_units(float(s.group(1)), s.group(2), "Pa")),
-                expected="Pass" if "pass" in result.casefold() else "Fail",
+        rows: list[CorpusRow] = []
+        for line_no, record in enumerate(reader, start=2):
+            if not record or all(not cell.strip() for cell in record):
+                continue
+            if len(record) != CORPUS_COLUMN_COUNT:
+                raise ConfigError(
+                    f"expected {CORPUS_COLUMN_COUNT} columns, got {len(record)}", line_no
+                )
+            lot, application, code, material, grippers, outline, supply, result = (
+                cell.strip() for cell in record
             )
-        )
+            m = _OUTLINE_RE.match(outline)
+            if not m:
+                raise ConfigError(f"cannot parse outline {_echo(outline)}", line_no)
+            s = _SUPPLY_RE.match(supply)
+            if not s:
+                raise ConfigError(f"cannot parse supply pressure {_echo(supply)}", line_no)
+            try:
+                count = _parse_count(grippers)  # +-inf past 309 digits: SuctionCup makes it an error entry
+            except ValueError:
+                raise ConfigError(f"gripper count {_echo(grippers)} is not an integer", line_no) from None
+            rows.append(
+                CorpusRow(
+                    lot=lot,
+                    application=application,
+                    fabric_code=code,
+                    material=material,
+                    gripper_count=count,
+                    length_m=convert_units(float(m.group(1)), "cm", "m"),
+                    width_m=convert_units(float(m.group(2)), "cm", "m"),
+                    supply_pressure=abs(convert_units(float(s.group(1)), s.group(2), "Pa")),
+                    expected="Pass" if "pass" in result.casefold() else "Fail",
+                )
+            )
+    except csv.Error as exc:  # a field over the reader's limit; a NUL byte before Python 3.11
+        raise ConfigError(f"cannot read corpus: {exc}", reader.line_num) from None
     return rows
 
 
@@ -1088,10 +1090,13 @@ def _write_stdout(output: bytes) -> None:
 
     The bytes go to the stream's binary buffer, whatever its encoding; a
     text-only stream (io.StringIO) gets the decoded text. If the reader
-    has closed the pipe, the rest is dropped and stdout is pointed at
-    os.devnull, so that the flush at exit cannot fail either.
+    has closed the pipe, the rest is dropped. Any other write error, or
+    no stdout at all, raises ConfigError. After an error stdout is
+    pointed at os.devnull, so that the flush at exit cannot fail either.
     """
     stream = sys.stdout
+    if stream is None:
+        raise ConfigError("cannot write output: stdout is closed")
     buffer = getattr(stream, "buffer", None)
     if buffer is None:
         stream.write(output.decode("utf-8"))
@@ -1100,10 +1105,12 @@ def _write_stdout(output: bytes) -> None:
         stream.flush()  # text written before this goes first
         buffer.write(output)
         buffer.flush()
-    except BrokenPipeError:
+    except OSError as exc:
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, stream.fileno())
         os.close(devnull)
+        if not isinstance(exc, BrokenPipeError):
+            raise ConfigError(f"cannot write output: {exc.strerror}") from exc
 
 
 def main(argv: Sequence[str] | None = None) -> int:
@@ -1112,13 +1119,13 @@ def main(argv: Sequence[str] | None = None) -> int:
         args = parser.parse_args(argv)
         doc = None if args.config is None else parse_document(_read_text(args.config, "config"))
         output, advisories = args.run(args, doc)
+        _write_stdout(output)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
     except (ConfigError, ValidationError, UnitError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    _write_stdout(output)
     for advisory in advisories:
         print(f"advisory: {advisory}", file=sys.stderr)
     if advisories and getattr(args, "strict", False):

@@ -20,11 +20,11 @@ integrate as origin triangles (shoelace), pieces outside along the arc
 their chord shadows (r^2/2 * wrapped angle), and an edge whose line
 only touches the circle is all arc: a tangent point is never an inside
 piece. Summed over a CCW boundary this gives the intersection area to
-floating-point accuracy for any simple polygon, convex or not. An edge
-longer than 2^16 radii, one so far out that its squares overflow, and
-every edge of a circle below 2^-200 m are cut into pieces first
-(_split_edge_term): the term is additive along an edge. A vertex more
-than the largest float from the center is summed at half scale.
+floating-point accuracy for any simple polygon, convex or not. Its
+domain is a radius of at least 2^-200 m and edges of at most 2^16
+radii whose squares are finite about the center: a disk that has to be
+integrated outside it is refused with ValidationError, not computed.
+A disk wholly on an exact box needs no integration, at any scale.
 
 A layout is its columns and rows: the x of each column and the y of
 each row, and nothing else is stored. Its positions are made row by
@@ -123,16 +123,14 @@ class Layout(Record):
 
 _TWO_PI = 2.0 * math.pi
 
-# An edge longer than 2^16 radii (a > _LONG_EDGE2 * r^2) is cut into
-# pieces: b*b and 4*a*c cancel in disc, so a 2e6-radius edge is 7e-12
-# off and past 7e7 radii the crossing is lost. Golden, shipped and
-# bench edges are at most a few hundred radii, so none of them is cut.
+# The domain of the integration. An edge longer than 2^16 radii
+# (a > _LONG_EDGE2 * r^2) would lose its crossings: b*b and 4*a*c cancel
+# in disc, so a 2e6-radius edge is 7e-12 off and past 7e7 radii the
+# crossing is gone. Below _SMALL_RADIUS, disc (of the order of a*r^2)
+# would underflow, and a crossing edge would read as one arc; from
+# 2^-200 m up it keeps full precision for edges down to 2^-100 radii.
+# Golden, shipped and bench edges are at most a few hundred radii.
 _LONG_EDGE2 = 2.0**32
-
-# Below this radius every edge is cut and scaled: disc is of the order
-# of a*r^2, which at a tiny r underflows, so a crossing edge reads as
-# one arc. From 2^-200 up it keeps full precision for edges down to
-# 2^-100 radii long; shorter ones move a ratio by less than 2^-100.
 _SMALL_RADIUS = 2.0**-200
 
 
@@ -155,9 +153,10 @@ def _edge_term(x1: float, y1: float, x2: float, y2: float, r: float) -> float:
     enters the disk, so the edge is one arc: a tangent point is never
     an inside piece. A line that crosses it is cut at its roots strictly
     inside (0, 1), in order; each piece whose midpoint lies in the disk
-    is a triangle, each other one an arc. An edge longer than 2^16 r,
-    or whose disc is not finite, goes to _split_edge_term; disc is
-    finite only when a, b and c are. r is at least _SMALL_RADIUS here.
+    is a triangle, each other one an arc. An edge longer than 2^16 r, or
+    whose disc is not finite (a, b and c are finite only when it is),
+    lies outside the domain and raises OverflowError, which
+    circle_polygon_intersection_area refuses.
     """
     dx = x2 - x1
     dy = y2 - y1
@@ -165,13 +164,14 @@ def _edge_term(x1: float, y1: float, x2: float, y2: float, r: float) -> float:
     if a == 0.0:
         return 0.0
     r2 = r * r
-    if a > _LONG_EDGE2 * r2:  # disc would cancel: cut the edge
-        return _split_edge_term(x1, y1, x2, y2, r)
+    if a > _LONG_EDGE2 * r2:
+        length = math.hypot(dx, dy)
+        raise OverflowError(f"an edge of {length:.4g} m is longer than 2^16 radii ({65536.0 * r:.4g} m)")
     b = 2.0 * (x1 * dx + y1 * dy)
     c = x1 * x1 + y1 * y1 - r2
     disc = b * b - 4.0 * a * c
-    if not isfinite(disc):  # b or c overflowed: a far edge
-        return _split_edge_term(x1, y1, x2, y2, r)
+    if not isfinite(disc):
+        raise OverflowError("an edge lies too far from the center for its squares to be finite")
     ax = x1 + 0.0 * dx
     ay = y1 + 0.0 * dy
     if not disc > 0.0:
@@ -194,57 +194,17 @@ def _edge_term(x1: float, y1: float, x2: float, y2: float, r: float) -> float:
     return total
 
 
-def _split_edge_term(x1: float, y1: float, x2: float, y2: float, r: float) -> float:
-    """_edge_term of an edge too long, too far or too small for its arithmetic, summed over pieces of it.
-
-    It takes an edge longer than 2^16 r, one whose squares overflow,
-    and every edge of a circle smaller than _SMALL_RADIUS. Green's
-    theorem is additive along an edge, so the edge is cut in halves at
-    0.5 * x1 + 0.5 * x2 (and the same for y), which cannot overflow. A
-    piece whose bounding box misses the square [-r, r]^2 lies outside
-    the disk and is one arc. A piece that comes near the disk is cut
-    again until it is no longer than r on either axis; then its
-    coordinates lie within 2r of the center, and scaled by the power of
-    two that brings r into [0.5, 1) they give _edge_term finite,
-    well-conditioned terms, scaled back by its square. At most three
-    pieces per level come near the disk, over at most about 1,560
-    levels (from an extent of 2^1025 down to the smallest r whose disk
-    area is positive). A coordinate that is not finite (a vertex more
-    than the largest float from the center) raises OverflowError, which
-    circle_polygon_intersection_area answers at half scale.
-    """
-    if not all(map(isfinite, (x1, y1, x2, y2))):
-        raise OverflowError("a vertex lies more than the largest float from the center")
-    e = math.frexp(r)[1]
-    r2 = r * r
-    total = 0.0
-    pieces = [(x1, y1, x2, y2)]
-    while pieces:
-        x1, y1, x2, y2 = pieces.pop()
-        if x1 > r < x2 or x1 < -r > x2 or y1 > r < y2 or y1 < -r > y2:
-            total += _arc(x1, y1, x2, y2, r2)
-        elif abs(x2 - x1) <= r and abs(y2 - y1) <= r:
-            x1, y1, x2, y2, s = (math.ldexp(v, -e) for v in (x1, y1, x2, y2, r))
-            total += math.ldexp(_edge_term(x1, y1, x2, y2, s), 2 * e)
-        else:
-            mx = 0.5 * x1 + 0.5 * x2
-            my = 0.5 * y1 + 0.5 * y2
-            pieces += ((x1, y1, mx, my), (mx, my, x2, y2))
-    return total
-
-
 def circle_polygon_intersection_area(circle: Vgtc, outline: Polygon, center: Point) -> float:
     """Exact area of the grabbing disk at center clipped to the fabric outline.
 
     circle may be any object with a validated radius and disk_area; the
-    caller gives center, a pair of floats. A circle smaller than
-    _SMALL_RADIUS has every edge cut and scaled (_split_edge_term). A
-    vertex more than the largest float from the center overflows
-    x - cx; then every coordinate and r are halved (exact above the
-    subnormal range), and the sum is redone and scaled back by 4. A
-    center that is not finite also ends there, and so does an int
-    center that no float holds, which overflows in the box test: both
-    raise ValidationError.
+    caller gives center, a pair of floats. A disk wholly on an exact box
+    returns its own area at any scale. Any other disk is integrated edge
+    by edge, within the domain of a radius of at least 2^-200 m and
+    edges of at most 2^16 radii whose squares are finite about the
+    center; outside it, ValidationError names the radius and the limit.
+    A center that is not finite, or an int center that no float holds
+    (it overflows in the box test), is refused first, as center.
     """
     cx, cy = center
     r = circle.radius
@@ -253,20 +213,17 @@ def circle_polygon_intersection_area(circle: Vgtc, outline: Polygon, center: Poi
             x0, y0, x1, y1 = outline.box
             if x0 <= cx - r and cx + r <= x1 and y0 <= cy - r and cy + r <= y1:
                 return circle.disk_area
-        edge_term = _edge_term if r >= _SMALL_RADIUS else _split_edge_term
+        if r < _SMALL_RADIUS:
+            raise OverflowError("a disk that is integrated needs a radius of at least 2^-200 m")
         total = 0.0
         for (x1, y1), (x2, y2) in outline.ccw_ring:
-            total += edge_term(x1 - cx, y1 - cy, x2 - cx, y2 - cy, r)
-    except OverflowError:
-        # a center the box test overflows on is an int no float holds,
-        # refused here; any other overflow comes from the edge sum
+            total += _edge_term(x1 - cx, y1 - cy, x2 - cx, y2 - cy, r)
+    except OverflowError as exc:
+        # a center that is not finite ends here too: refused as such first
         require_range("center", cx)
         require_range("center", cy)
-        cx, cy, r = 0.5 * cx, 0.5 * cy, 0.5 * r
-        total = 0.0
-        for (x1, y1), (x2, y2) in outline.ccw_ring:
-            total += edge_term(0.5 * x1 - cx, 0.5 * y1 - cy, 0.5 * x2 - cx, 0.5 * y2 - cy, r)
-        total *= 4.0
+        message = f"radius {r:.4g} m is outside the exact intersection's domain: {exc}"
+        raise ValidationError(message, "radius") from None
     cap = min(circle.disk_area, outline.area)
     if total < 1e-14 * cap:  # rounding residue of a disjoint pair
         return 0.0

@@ -891,6 +891,49 @@ def test_a_closed_pipe_ends_the_command_quietly(argv, config, request):
     assert "Exception ignored" not in run.stderr
 
 
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_a_full_stdout_exits_two_with_one_error_line(bag_config):
+    env = dict(os.environ, PYTHONPATH=str(Path(vacgrab.__file__).parents[1]))
+    with open("/dev/full", "wb") as full:
+        run = subprocess.run(
+            [sys.executable, "-m", "vacgrab", "force", "--config", bag_config],
+            stdout=full, stderr=subprocess.PIPE, text=True, timeout=30, env=env,
+        )
+    assert run.returncode == 2
+    assert run.stderr == "error: cannot write output: No space left on device\n"
+
+
+def test_a_closed_stdout_exits_two_with_one_error_line(bag_config):
+    # the shell closes fd 1 before Python starts, so sys.stdout is None
+    env = dict(os.environ, PYTHONPATH=str(Path(vacgrab.__file__).parents[1]))
+    run = subprocess.run(
+        ["sh", "-c", 'exec "$0" "$@" >&-', sys.executable, "-m", "vacgrab", "force", "--config", bag_config],
+        stderr=subprocess.PIPE, text=True, timeout=30, env=env,
+    )
+    assert run.returncode == 2
+    assert run.stderr == "error: cannot write output: stdout is closed\n"
+
+
+@pytest.mark.parametrize("command", ["check", "plan"])
+def test_an_edge_longer_than_2_to_the_16_radii_is_refused(tmp_path, command):
+    # a 100 m x 5 mm strip under a 1 mm circle at margin 0: every disk
+    # overhangs, and the 100 m edges are 1e5 radii long
+    text = shipped("pocket_facing.conf")
+    for old, new in (("length = 26", "length = 100 m"), ("width = 5", "width = 5 mm"),
+                     ("radius = 4.4", "radius = 1 mm"), ("margin = 2", "margin = 0")):
+        assert old in text
+        text = text.replace(old, new, 1)
+    config = tmp_path / "strip.conf"
+    config.write_text(text)
+    result = run_cli(command, "--config", str(config))
+    prefix = "error: layout stage: " if command == "check" else "error: "
+    assert (result.returncode, result.stdout) == (2, "")
+    assert result.stderr == (
+        f"{prefix}radius 0.001 m is outside the exact intersection's domain: "
+        "an edge of 100 m is longer than 2^16 radii (65.54 m)\n"
+    )
+
+
 def test_start_up_imports_neither_typing_nor_importlib_resources():
     # -S: no site hooks, which may load any of them before vacgrab does;
     # json and csv wait for structured output and corpus files
@@ -945,6 +988,25 @@ def test_non_utf8_file_exit_two(tmp_path, command):
     assert result.returncode == 2
     assert "Traceback" not in result.stderr
     assert result.stderr.startswith(f"error: cannot read {what} {str(path)!r}: not UTF-8 text")
+
+
+def test_a_corpus_field_over_the_csv_limit_exits_two(tmp_path):
+    path = tmp_path / "wide.csv"
+    path.write_text("a,b,c,d,e,f,g,h\n1,Pocket Bag,x," + "y" * 131_073 + ",6,26cm x 19cm,-55kPa,Pass\n")
+    with pytest.raises(ConfigError, match=r"^line 2: cannot read corpus: field larger than field limit"):
+        parse_corpus_csv(path.read_text())
+    result = run_cli("batch", "--corpus", str(path))
+    assert (result.returncode, result.stdout) == (2, "")
+    assert result.stderr.startswith("error: line 2: cannot read corpus: ") and result.stderr.count("\n") == 1
+
+
+def test_a_nul_byte_in_a_corpus_never_ends_in_a_traceback(tmp_path):
+    # before Python 3.11 the csv reader refuses a NUL byte; from 3.11 it is a character
+    path = tmp_path / "nul.csv"
+    path.write_text("a,b,c,d,e,f,g,h\n1,Pocket\0Bag,x,y,6,26cm x 19cm,-55kPa,Pass\n")
+    result = run_cli("batch", "--corpus", str(path))
+    assert result.returncode == (0 if sys.version_info >= (3, 11) else 2)
+    assert "Traceback" not in result.stderr
 
 
 def test_bom_config_reads_like_the_file_without_it(tmp_path, bag_config):

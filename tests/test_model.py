@@ -304,11 +304,12 @@ def test_every_float_field_refuses_nan_and_inf(cls, name, bad):
 @given(
     bad=st.sampled_from([math.nan, math.inf, -math.inf]),
     axis=st.integers(0, 1),
-    radius=st.sampled_from([0.02, 1e-150]),  # integrated in one pass, and cut into pieces
+    radius=st.sampled_from([0.02, 1e-150]),  # in the intersection's domain, and below 2^-200 m
 )
 def test_circle_center_refuses_nan_and_inf(bad, axis, radius):
     # the caller places the circle; a center that is not finite overflows
-    # x - cx as a far vertex does, and is refused there
+    # x - cx as a far vertex does, and is refused there, before a radius
+    # outside the intersection's domain is
     center = (bad, 0.05) if axis == 0 else (0.1, bad)
     circle = Vgtc(**{**VALID[Vgtc], "radius": radius})
     outline = Polygon.rectangle(0.2, 0.1)

@@ -170,17 +170,22 @@ def assert_matches_closed_form(box, r, centres):
         assert ratio == pytest.approx(expected, rel=0, abs=1e-12), (box, r, cx, cy)
 
 
-@pytest.mark.parametrize("box", DYADIC_BOXES)
-def test_ratios_match_the_closed_form_at_tangencies_edges_and_corners(box):
+def edge_rig_centres(box, r):
     # the x and y of: a side's line -r and +r (tangent from outside and
     # inside), the side itself (centre on an edge or a corner) and the
     # middle (tangent at an edge's midpoint); with a radius of half a side
     # the middle is also tangent to both sides
     x0, y0, x1, y1 = box
+    xs = (x0 - r, x0, x0 + r, 0.5 * (x0 + x1), x1 - r, x1, x1 + r)
+    ys = (y0 - r, y0, y0 + r, 0.5 * (y0 + y1), y1 - r, y1, y1 + r)
+    return [(cx, cy) for cx in xs for cy in ys]
+
+
+@pytest.mark.parametrize("box", DYADIC_BOXES)
+def test_ratios_match_the_closed_form_at_tangencies_edges_and_corners(box):
+    x0, y0, x1, y1 = box
     for r in (0.0625, 0.25, 0.375, 0.5 * (x1 - x0), 0.5 * (y1 - y0)):
-        xs = (x0 - r, x0, x0 + r, 0.5 * (x0 + x1), x1 - r, x1, x1 + r)
-        ys = (y0 - r, y0, y0 + r, 0.5 * (y0 + y1), y1 - r, y1, y1 + r)
-        assert_matches_closed_form(box, r, [(cx, cy) for cx in xs for cy in ys])
+        assert_matches_closed_form(box, r, edge_rig_centres(box, r))
 
 
 @pytest.mark.parametrize("box", DYADIC_BOXES)
@@ -203,28 +208,37 @@ def test_layout_ratios_match_the_closed_form_where_rounding_meets_a_tangency():
 
 
 # ---------------------------------------------------------------------------
-# edges so long that their squares overflow: each is cut into pieces
+# the domain of the exact intersection: a radius of at least 2^-200 m and
+# edges of at most 2^16 radii whose squares are finite about the centre;
+# a disk that has to be integrated outside it is refused, never summed
 
-# share of the unit disk at the origin within -0.5 <= y <= 0; the strip |y| <= 0.5 holds twice that
-HALF_STRIP = disk_rect_area(0.0, 0.0, 1.0, -2.0, -0.5, 2.0, 0.0) / math.pi
+REFUSED = r"^radius .* m is outside the exact intersection's domain: "
+
+
+def assert_refused(r, outline, centre):
+    for call in (circle_polygon_intersection_area, effective_ratio):
+        with pytest.raises(ValidationError, match=REFUSED) as err:
+            call(circle(r), outline, centre)
+        assert err.value.field == "radius"
+        assert f"radius {r:.4g} m" in str(err.value)
 
 
 @pytest.mark.parametrize(
-    "centre, r, outline, expected",
+    "centre, r, outline",
     [
         # a 3e154 x 1 m box: its long edges square to more than the largest float
-        ((1.5e154, 0.5), 1.0, Polygon.rectangle(3e154, 1.0), 2.0 * HALF_STRIP),
+        ((1.5e154, 0.5), 1.0, Polygon.rectangle(3e154, 1.0)),
         # a 2e155 m triangle whose apex is 1e-100 above the centre
-        ((0.0, 0.0), 1.0, Polygon(((-1e155, -0.5), (1e155, -0.5), (0.0, 1e-100))), HALF_STRIP),
+        ((0.0, 0.0), 1.0, Polygon(((-1e155, -0.5), (1e155, -0.5), (0.0, 1e-100)))),
         # a base whose dx itself overflows
-        ((0.0, 0.0), 1.0, Polygon(((-1e308, -0.5), (1e308, -0.5), (0.0, 1e-300))), HALF_STRIP),
-        # the same strip at radius 1e-150: the cut pieces are scaled up to integrate
-        ((0.0, 0.0), 1e-150, Polygon(((-1e308, -0.5e-150), (1e308, -0.5e-150), (0.0, 1e-300))), HALF_STRIP),
+        ((0.0, 0.0), 1.0, Polygon(((-1e308, -0.5), (1e308, -0.5), (0.0, 1e-300)))),
+        # the same strip at radius 1e-150
+        ((0.0, 0.0), 1e-150, Polygon(((-1e308, -0.5e-150), (1e308, -0.5e-150), (0.0, 1e-300)))),
     ],
     ids=["box-3e154", "triangle-2e155", "base-dx-overflows", "base-dx-overflows-tiny-r"],
 )
-def test_edges_whose_squares_overflow_match_the_closed_form(centre, r, outline, expected):
-    assert effective_ratio(circle(r), outline, centre) == pytest.approx(expected, rel=0, abs=1e-12)
+def test_edges_whose_squares_overflow_are_refused(centre, r, outline):
+    assert_refused(r, outline, centre)
 
 
 def rect_ratio(cx, cy, r, x0, y0, x1, y1):
@@ -234,46 +248,69 @@ def rect_ratio(cx, cy, r, x0, y0, x1, y1):
 @pytest.mark.parametrize(
     "centre, r, box",
     [
-        # a 2e8 x 1 m box: disc of its long edges cancels to 0
+        # a 2e8 x 1 m box: disc of its long edges would cancel to 0
         ((1e8, 0.5), 1.0, (0.0, 0.0, 2e8, 1.0)),
-        # 2e6 radii: still integrated in one piece, the ratio was 7e-12 off
+        # 2e6 radii: integrated in one piece, the ratio would be 7e-12 off
         ((1e6, 0.5), 1.0, (0.0, 0.0, 2e6, 1.0)),
         # 1e20 radii: a 1e-20 m circle centred on the unit square's bottom edge
         ((0.5, 0.0), 1e-20, (0.0, 0.0, 1.0, 1.0)),
-        # a 1e-150 m circle: disc underflows on every crossing edge
+        # a 1e-150 m circle: disc would underflow on every crossing edge
         ((2e-150, 0.5e-150), 1e-150, (0.0, 0.0, 4e-150, 1e-150)),
+        # one ulp past 2^16 radii
+        ((0.5, 0.0), 1.0, (0.0, 0.0, math.nextafter(65536.0, math.inf), 1.0)),
+        # one ulp below 2^-200 m, on a box whose edges are a few radii
+        ((2e-60, 0.0), math.nextafter(2.0**-200, 0.0), (0.0, 0.0, 4e-60, 1e-60)),
     ],
-    ids=["box-2e8", "box-2e6", "radius-1e-20", "radius-1e-150"],
+    ids=["box-2e8", "box-2e6", "radius-1e-20", "radius-1e-150", "edge-past-2^16", "radius-below-2^-200"],
 )
-def test_long_edges_and_tiny_radii_match_the_closed_form(centre, r, box):
+def test_long_edges_and_tiny_radii_are_refused(centre, r, box):
     x0, y0, x1, y1 = box
-    outline = Polygon(((x0, y0), (x1, y0), (x1, y1), (x0, y1)))
-    expected = rect_ratio(*centre, r, *box)
-    assert effective_ratio(circle(r), outline, centre) == pytest.approx(expected, rel=0, abs=1e-12)
+    assert_refused(r, Polygon(((x0, y0), (x1, y0), (x1, y1), (x0, y1))), centre)
 
 
-def test_a_vertex_beyond_the_largest_float_from_the_centre_is_summed_at_half_scale():
-    # x - cx overflows for these vertices; the sum is redone with every
-    # coordinate halved, exactly, and scaled back
+def test_a_vertex_beyond_the_largest_float_from_the_centre_is_refused():
+    # x - cx overflows for these vertices
     far = Polygon(((1e308, 0.0), (1e308, 1.0), (0.9e308, 0.0)))
-    assert circle_polygon_intersection_area(circle(1.0), far, (-1e308, 0.0)) == 0.0
-    # at x = -0.9e308 this triangle spans -0.5 <= y <= -0.45 (its top
-    # edge rises 1e-308 across the disk)
+    assert_refused(1.0, far, (-1e308, 0.0))
     strip = Polygon(((-1e308, -0.5), (1e308, -0.5), (0.0, 1e-300)))
-    expected = rect_ratio(0.0, 0.0, 1.0, -2.0, -0.5, 2.0, -0.45)
-    assert effective_ratio(circle(1.0), strip, (-0.9e308, 0.0)) == pytest.approx(expected, rel=0, abs=1e-12)
+    assert_refused(1.0, strip, (-0.9e308, 0.0))
 
 
-@pytest.mark.parametrize("box", DYADIC_BOXES)
-def test_edges_with_finite_squares_are_never_split(monkeypatch, box):
-    # unless longer than 2^16 radii or of a circle below 2^-200 m: these
-    # edges are integrated in one pass, bit for bit
-    calls = []
-    monkeypatch.setattr(vgtc, "_split_edge_term", lambda *a: calls.append(a) or math.nan)
-    x0, y0, x1, y1 = box
-    outline = Polygon(((x0, y0), (x1, y0), (x1, y1), (x0, y1)))
-    assert_matches_closed_form(box, 0.1875, generate_layout(outline, 0.0, 0.1875).positions)
-    assert calls == []
+def test_full_disks_need_no_domain():
+    # a disk wholly on an exact box is its own area at any length and radius
+    assert effective_ratio(circle(1.0), Polygon.rectangle(3e154, 4.0), (1.5e154, 2.0)) == 1.0
+    assert effective_ratio(circle(1e-150), Polygon.rectangle(4e-150, 2e-150), (2e-150, 1e-150)) == 1.0
+
+
+@pytest.mark.parametrize("r", [1.0, 0.0625, 2.0**-199])
+def test_edges_of_2_to_the_16_radii_match_the_closed_form(r):
+    # just inside the domain: a box whose long sides are exactly 2^16 radii
+    for box in ((0.0, 0.0, 65536.0 * r, r), (-32768.0 * r, 2.0 * r, 32768.0 * r, 65538.0 * r)):
+        assert_matches_closed_form(box, r, edge_rig_centres(box, r))
+
+
+def test_random_edges_of_2_to_the_16_radii_match_the_closed_form():
+    # radii, corners and centres on a 2^-20 m grid: every difference and
+    # square below is exact, so the long sides are 2^16 radii to the bit
+    rng = random.Random(16)
+
+    def grid(low, high):
+        return math.ldexp(rng.randint(math.ceil(low * 2**20), math.floor(high * 2**20)), -20)
+
+    for _ in range(300):
+        r = grid(0.001, 0.1)
+        length, width = 65536.0 * r, grid(0.5 * r, 4.0 * r)
+        x0, y0 = grid(-1.0, 1.0), grid(-1.0, 1.0)
+        centre = (x0 + grid(-r, length + r), y0 + grid(-r, width + r))
+        assert_matches_closed_form((x0, y0, x0 + length, y0 + width), r, [centre])
+
+
+@pytest.mark.parametrize("box", [(0.0, 0.0, 4.0, 1.0), (-1.0, -1.0, 1.0, 1.0), (0.25, -3.0, 0.75, 5.0)])
+def test_a_radius_of_2_to_the_minus_199_matches_the_closed_form(box):
+    # just inside the domain: box and centres are scaled by r exactly
+    r = 2.0**-199
+    box = tuple(v * r for v in box)
+    assert_matches_closed_form(box, r, edge_rig_centres(box, r))
 
 
 def test_effective_ratios_never_calls_effective_ratio(monkeypatch):
