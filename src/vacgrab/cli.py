@@ -7,11 +7,14 @@ Config grammar (full reference in the README):
 
 Quantities take an optional unit suffix (g, kg, mm, cm, m, kPa, Pa,
 bar, L/min); bare numbers are SI unless a [units] section overrides
-the default unit for that dimension. Unknown sections or keys are
-fatal so unit-suffix typos surface instead of silently parsing as
-something else, and every value is parsed when the file is read,
-whichever sections a command uses. The [line] section may repeat; each
-occurrence is one hose segment, ordered from generator to cup.
+the default unit for that dimension. Units resolve through the table
+of conversion factors that model builds at import: one lookup per
+value, and the same float as the value times the ratio of the two
+units' SI factors. Unknown sections or keys are fatal so unit-suffix
+typos surface instead of silently parsing as something else, and
+every value is parsed when the file is read, whichever sections a
+command uses. The [line] section may repeat; each occurrence is one
+hose segment, ordered from generator to cup.
 
 Exit codes: 0 success, 1 usage error, 2 validation/config error,
 3 advisory escalated by --strict.
@@ -84,6 +87,7 @@ _SECTION_RE = re.compile(r"\[([a-z_]+)\]")
 _KEY_RE = re.compile(r"[a-z_][a-z0-9_]*")
 _INTEGER_RE = re.compile(r"([-+]?)0*(\d+)")
 _FLOAT_DIGITS = sys.float_info.max_10_exp + 1  # digits of the largest float
+_FLOAT_MAX = sys.float_info.max
 
 
 class ConfigField(Record):
@@ -142,18 +146,28 @@ CONFIG_FIELDS = (
     *(ConfigField("units", dim, str) for dim in SI_UNIT),  # default unit for bare numbers
 )
 
-# section -> key -> field, and (section, the attribute a ValidationError names) -> key
+# section -> key -> field, header line -> section, and (section, the attribute a
+# ValidationError names) -> key
 _SECTIONS = {
     section: {f.key: f for f in CONFIG_FIELDS if f.section == section}
     for section in dict.fromkeys(f.section for f in CONFIG_FIELDS)
 }
+_HEADERS = {f"[{section}]": section for section in _SECTIONS}
 _KEY_OF_FIELD = {(f.section, f.attribute): f.key for f in CONFIG_FIELDS}
+# (section, target) -> (key, attribute, required) of each field that sets the target, in table order
+_BUILDS = {
+    (section, target): tuple((f.key, f.attribute, f.required) for f in fields.values() if f.target is target)
+    for section, fields in _SECTIONS.items()
+    for target in dict.fromkeys(f.target for f in fields.values())
+}
 
 
 class _Section:
     """A section's header line, its entries key -> (text, line) and their parsed
     values. Inside `with section:` a ValidationError becomes a ConfigError at its
-    field's key line, else the header's."""
+    field's key line, else the header's: the one that fault() returns."""
+
+    __slots__ = ("name", "line", "entries", "values")
 
     def __init__(self, name: str, line: int):
         self.name, self.line = name, line
@@ -165,8 +179,11 @@ class _Section:
 
     def __exit__(self, kind, exc, traceback):
         if isinstance(exc, ValidationError):
-            entry = self.entries.get(_KEY_OF_FIELD.get((self.name, exc.field)))
-            raise ConfigError(str(exc), entry[1] if entry else self.line) from exc
+            raise self.fault(exc) from exc
+
+    def fault(self, exc: ValidationError) -> ConfigError:
+        entry = self.entries.get(_KEY_OF_FIELD.get((self.name, exc.field)))
+        return ConfigError(str(exc), entry[1] if entry else self.line)
 
 
 class ConfigDocument:
@@ -194,18 +211,21 @@ def parse_document(text: str) -> ConfigDocument:
     """
     doc, sections = ConfigDocument({}, []), []
     current: _Section | None = None
+    declared: dict[str, ConfigField] = {}
+    entries: dict[str, tuple[str, int]] = {}
     for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
+        line = raw.partition("#")[0].strip()
         if not line:
             continue
-        if line.startswith("["):
-            m = _SECTION_RE.fullmatch(line)
-            if not m:
-                raise ConfigError(f"malformed section header {_echo(line)}", line_no)
-            name = m.group(1)
-            if name not in _SECTIONS:
-                raise ConfigError(f"unknown section [{_clip(name)}]", line_no)
-            current = _Section(name=name, line=line_no)
+        if line[0] == "[":
+            name = _HEADERS.get(line)  # a known header is well formed
+            if name is None:
+                m = _SECTION_RE.fullmatch(line)
+                if not m:
+                    raise ConfigError(f"malformed section header {_echo(line)}", line_no)
+                raise ConfigError(f"unknown section [{_clip(m.group(1))}]", line_no)
+            current = _Section(name, line_no)
+            declared, entries = _SECTIONS[name], current.entries
             sections.append(current)
             if name == "line":
                 doc.line_sections.append(current)
@@ -216,18 +236,19 @@ def parse_document(text: str) -> ConfigDocument:
             continue
         if current is None:
             raise ConfigError(f"key outside any section: {_echo(line)}", line_no)
-        if "=" not in line:
+        key, equals, value = line.partition("=")
+        if not equals:
             raise ConfigError(f"expected 'key = value', got {_echo(line)}", line_no)
-        key, value = (part.strip() for part in line.split("=", 1))
-        if not _KEY_RE.fullmatch(key):
-            raise ConfigError(f"malformed key {_echo(key)}", line_no)
-        if key not in _SECTIONS[current.name]:
+        key, value = key.rstrip(), value.lstrip()  # the line is stripped already
+        if key not in declared:  # every declared key is well formed
+            if not _KEY_RE.fullmatch(key):
+                raise ConfigError(f"malformed key {_echo(key)}", line_no)
             raise ConfigError(f"unknown key {_echo(key)} in [{current.name}]", line_no)
-        if key in current.entries:
+        if key in entries:
             raise ConfigError(f"duplicate key {key!r} in [{current.name}]", line_no)
         if not value:
             raise ConfigError(f"empty value for {key!r}", line_no)
-        current.entries[key] = (value, line_no)
+        entries[key] = (value, line_no)
 
     units: dict[str, str] = {}
     for dim, (value, line_no) in doc.get("units").entries.items():
@@ -237,28 +258,24 @@ def parse_document(text: str) -> ConfigDocument:
             raise ConfigError(str(exc), line_no) from exc
         units[dim] = value
     for section in sections:  # in file order, so the first bad value is reported
-        declared = _SECTIONS[section.name]
-        section.values = {
-            key: _parse_value(declared[key].kind, key, value, units, line_no)
-            for key, (value, line_no) in section.entries.items()
-        }
+        declared, values = _SECTIONS[section.name], section.values
+        for key, (value, line_no) in section.entries.items():
+            values[key] = _parse_value(declared[key].kind, key, value, units, line_no)
     return doc
 
 
 def _parse_quantity(text: str, kind, units: dict[str, str], key: str, line_no: int | None) -> float:
     m = _NUMBER_RE.match(text.strip())
-    if not m:
+    if m is None:
         raise ConfigError(f"{key}: cannot parse a number from {_echo(text)}", line_no)
-    value = float(m.group(1))
-    suffix = m.group(2).strip()
+    number, suffix = m.groups()  # the suffix is stripped: \s* takes its left, strip() its right
     if kind is float:
         if suffix:
             raise ConfigError(f"{key}: unexpected unit {_echo(suffix)} on a bare number", line_no)
-        return value
-    if suffix == "":
-        suffix = units.get(kind, SI_UNIT[kind])
+        return float(number)
+    si = SI_UNIT[kind]
     try:
-        return convert_units(value, suffix, SI_UNIT[kind])
+        return convert_units(float(number), suffix or units.get(kind, si), si)
     except UnitError as exc:
         raise ConfigError(f"{key}: {exc}", line_no) from exc
 
@@ -296,37 +313,45 @@ def _parse_value(kind, key: str, text: str, units: dict[str, str], line_no: int)
         except ValueError:
             choices = ", ".join(m.value for m in kind)
             raise ConfigError(f"{key}: expected one of {choices}, got {_echo(text)}", line_no) from None
-    if not abs(value) <= sys.float_info.max:  # overflowed to inf, or an int no float can hold
+    if not abs(value) <= _FLOAT_MAX:  # overflowed to inf, or an int no float can hold
         raise ConfigError(f"{key}: {_echo(text.strip())} is out of range", line_no)
     return value
 
 
 def _parse_vertices(text: str, units: dict[str, str], key: str, line_no: int) -> Polygon:
-    points = []
+    coords = []  # x0, y0, x1, y1, ...
     for pair in text.split(";"):
         pair = pair.strip()
         if not pair:
             continue
-        coords = pair.split(",")
-        if len(coords) != 2:
+        xy = pair.split(",")
+        if len(xy) != 2:
             raise ConfigError(f"{key}: expected 'x, y' pairs, got {_echo(pair)}", line_no)
-        points.append(tuple(_parse_value("length", key, c, units, line_no) for c in coords))
+        for c in xy:  # each checked as _parse_value checks a quantity, before the next is read
+            value = _parse_quantity(c, "length", units, key, line_no)
+            if not abs(value) <= _FLOAT_MAX:
+                raise ConfigError(f"{key}: {_echo(c.strip())} is out of range", line_no)
+            coords.append(value)
+    coords = iter(coords)  # once read to the end, it lets the list go before the polygon is checked
     try:
-        return Polygon(tuple(points))
+        return Polygon(tuple(zip(coords, coords)))
     except ValidationError as exc:
         raise ConfigError(f"{key}: {exc}", line_no) from exc
 
 
 def _build(target: type, sec: _Section, **given):
     """`target` from one section's parsed values; keys left out keep its defaults."""
-    for field in _SECTIONS[sec.name].values():
-        if field.target is target and field.attribute not in given:
-            if field.key in sec.values:
-                given[field.attribute] = sec.values[field.key]
-            elif field.required:
-                raise ConfigError(f"missing key {field.key!r} in [{sec.name}]", sec.line)
-    with sec:
+    values = sec.values
+    for key, attribute, required in _BUILDS[sec.name, target]:
+        if attribute not in given:
+            if key in values:
+                given[attribute] = values[key]
+            elif required:
+                raise ConfigError(f"missing key {key!r} in [{sec.name}]", sec.line)
+    try:  # as `with sec:` does, without its two calls
         return target(**given)
+    except ValidationError as exc:
+        raise sec.fault(exc) from exc
 
 
 def build_fabric(doc: ConfigDocument) -> FabricPiece:
@@ -997,8 +1022,11 @@ def _cmd_plan(args, doc: ConfigDocument) -> tuple[bytes, list[str]]:
     spacing = circle.radius
     if args.spacing:
         spacing = _parse_cli_quantity(args.spacing, "length", "--spacing")
-    layout = generate_layout(fabric.outline, margin, spacing)
-    ratios = effective_ratios(circle, fabric.outline, layout)
+    try:  # named as evaluate names it for check
+        layout = generate_layout(fabric.outline, margin, spacing)
+        ratios = effective_ratios(circle, fabric.outline, layout)
+    except ValidationError as exc:
+        raise ValidationError(f"layout stage: {exc}") from exc
 
     def human() -> str:
         lines = [

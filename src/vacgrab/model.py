@@ -29,6 +29,7 @@ import enum
 import math
 import sys
 from functools import cached_property
+from itertools import product
 
 
 class ValidationError(ValueError):
@@ -68,10 +69,20 @@ SI_UNIT = {"mass": "kg", "length": "m", "pressure": "Pa", "flow": "m3/s"}
 _FLOAT_MAX = sys.float_info.max
 
 
+# every accepted unit name, aliases included -> its (dimension, factor)
+_UNITS = {**_UNIT_TABLE, **{alias: _UNIT_TABLE[unit] for alias, unit in _UNIT_ALIASES.items()}}
+
+# (from name, to name) -> factor_from / factor_to, for every same-dimension pair
+_FACTORS = {
+    (a, b): factor_a / factor_b
+    for (a, (dim_a, factor_a)), (b, (dim_b, factor_b)) in product(_UNITS.items(), repeat=2)
+    if dim_a == dim_b
+}
+
+
 def _lookup_unit(name: str) -> tuple[str, float]:
-    unit = _UNIT_ALIASES.get(name, name)
     try:
-        return _UNIT_TABLE[unit]
+        return _UNITS[name]
     except KeyError:
         raise UnitError(f"unknown unit {_echo(name)}") from None
 
@@ -85,16 +96,20 @@ def convert_units(value: float, from_unit: str, to_unit: str) -> float:
     """Convert a value between two units of the same dimension.
 
     Supported: mass g/kg, length mm/cm/m, pressure kPa/Pa/bar, flow
-    L/min and m3/s. A pair that mixes dimensions raises UnitError
-    naming both units.
+    L/min and m3/s. A pair resolves through a table built at import; its
+    factor is the one the two units' SI factors give, so every result is
+    value * (factor_from / factor_to), bit for bit. A name the table lacks
+    raises UnitError naming it; a pair that mixes dimensions raises
+    UnitError naming both units.
     """
-    dim_from, factor_from = _lookup_unit(from_unit)
-    dim_to, factor_to = _lookup_unit(to_unit)
-    if dim_from != dim_to:
+    try:
+        factor = _FACTORS[from_unit, to_unit]
+    except KeyError:
+        dim_from, dim_to = _lookup_unit(from_unit)[0], _lookup_unit(to_unit)[0]
         raise UnitError(
             f"cannot convert {_echo(from_unit)} ({dim_from}) to {_echo(to_unit)} ({dim_to})"
-        )
-    return value * (factor_from / factor_to)
+        ) from None
+    return value * factor
 
 
 def circular_area(diameter: float) -> float:
@@ -292,7 +307,8 @@ class Polygon(Record):
         ends = verts[1:] + verts[:1]  # edge i runs from verts[i] to ends[i]
         total = 0.0
         for p, q in zip(verts, ends):
-            _require(p != q, "polygon has a zero-length edge")
+            if p == q:
+                raise ValidationError("polygon has a zero-length edge")
             total += p[0] * q[1] - q[0] * p[1]
         object.__setattr__(self, "signed_area", 0.5 * total)
         area = require_range("area", abs(self.signed_area), 0, above=True)  # an inf or nan vertex fails

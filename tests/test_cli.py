@@ -13,7 +13,7 @@ from importlib import resources
 from pathlib import Path
 
 import pytest
-from hypothesis import HealthCheck, example, given, settings, strategies as st
+from hypothesis import HealthCheck, assume, example, given, settings, strategies as st
 
 import vacgrab
 from vacgrab import (
@@ -38,6 +38,7 @@ from vacgrab.cli import (
     main,
     parse_config,
     parse_corpus_csv,
+    parse_document,
 )
 from vacgrab import vgtc as vgtc_module
 from vacgrab.cli import _Floats, _json_text, _layout_dict
@@ -155,6 +156,80 @@ def test_vertices_outline_parses():
     )
     scenario = parse_config(text)
     assert scenario.fabric.outline.area == pytest.approx(0.26 * 0.19, rel=1e-12)
+
+
+# unit suffix -> factor to the SI unit, per dimension ("" takes the default)
+_SUFFIXES = {
+    "length": {"mm": 1e-3, "cm": 1e-2, "m": 1.0},
+    "mass": {"g": 1e-3, "kg": 1.0},
+    "pressure": {"kPa": 1e3, "Pa": 1.0, "bar": 1e5},
+    "flow": {"L/min": 1.0 / 60_000.0, "m3/s": 1.0, "m³/s": 1.0},
+}
+# number text as the grammar reads it, kept small enough that no product overflows
+_DIGITS = st.text("0123456789", min_size=1, max_size=6)
+_NUMBER_TEXT = st.builds(
+    "{}{}{}".format,
+    st.sampled_from(["", "-", "+"]),
+    st.one_of(_DIGITS, st.builds("{}.".format, _DIGITS), st.builds("{}.{}".format, _DIGITS, _DIGITS),
+              st.builds(".{}".format, _DIGITS)),
+    st.one_of(st.just(""), st.builds("{}{}".format, st.sampled_from(["e", "E", "e-", "E+"]), st.integers(0, 30))),
+)
+
+
+@st.composite
+def _quantities(draw, dimension, default):
+    """(value text, the exact SI float it must parse to), with or without a suffix;
+    a bare number is in the default unit."""
+    number = draw(_NUMBER_TEXT)
+    suffix = draw(st.sampled_from(["", *_SUFFIXES[dimension]]))
+    space = draw(st.sampled_from(["", " ", "\t "])) if suffix else ""
+    return f"{number}{space}{suffix}", float(number) * _SUFFIXES[dimension][suffix or default]
+
+
+@settings(max_examples=200)
+@given(data=st.data(), default=st.sampled_from([None, "mm", "cm", "m"]))
+def test_values_and_vertices_parse_to_one_product(data, default):
+    # the four quantities of a rectangle outline, then one value of each dimension and a bare number
+    length = default or "m"
+    corners = [data.draw(_quantities("length", length)) for _ in range(4)]
+    (x0, ex0), (y0, ey0), (x1, ex1), (y1, ey1) = corners
+    assume(ex0 != ex1 and ey0 != ey1)
+    mass, radius = data.draw(_quantities("mass", "kg")), data.draw(_quantities("length", length))
+    p_min, flow = data.draw(_quantities("pressure", "Pa")), data.draw(_quantities("flow", "m3/s"))
+    friction = data.draw(_NUMBER_TEXT)
+    text = (
+        ("" if default is None else f"[units]\nlength = {default}\n")
+        + f"[fabric]\nvertices = {x0}, {y0}; {x1},{y0} ;{x1}, {y1}; {x0} , {y1}\nmass = {mass[0]}\n"
+        + f"friction = {friction}\n[generator]\nsupply_flow_rate = {flow[0]}\n"
+        + f"[vgtc]\nradius = {radius[0]}\np_min = {p_min[0]}\n"
+    )
+    doc = parse_document(text)
+    fabric, vgtc = doc.sections["fabric"].values, doc.sections["vgtc"].values
+    assert repr(fabric["vertices"].vertices) == repr(((ex0, ey0), (ex1, ey0), (ex1, ey1), (ex0, ey1)))
+    assert repr(fabric["mass"]) == repr(mass[1])
+    assert repr(fabric["friction"]) == repr(float(friction))
+    assert repr(doc.sections["generator"].values["supply_flow_rate"]) == repr(flow[1])
+    assert repr((vgtc["radius"], vgtc["p_min"])) == repr((radius[1], p_min[1]))
+
+
+def test_every_declared_key_is_well_formed():
+    # parse_document tries the section's table first, so no declared key may be malformed
+    assert all(re.fullmatch(r"[a-z_][a-z0-9_]*", field.key) for field in CONFIG_FIELDS)
+
+
+@pytest.mark.parametrize("key, message", [
+    ("Mass", "malformed key 'Mass'"),  # unknown too: malformed comes first
+    ("1mass", "malformed key '1mass'"),
+    ("mass-2", "malformed key 'mass-2'"),
+    ("p min", "malformed key 'p min'"),
+    ("", "malformed key ''"),
+    ("massa", "unknown key 'massa' in [fabric]"),
+    ("radius", "unknown key 'radius' in [fabric]"),
+])
+def test_a_malformed_key_is_reported_before_an_unknown_one(key, message):
+    with pytest.raises(ConfigError) as err:
+        parse_document(f"[fabric]\nid = a\n{key} = 1\n")
+    assert str(err.value) == f"line 3: {message}"
 
 
 def test_scenario_echo_round_trip(pocket_bag, std_line):
@@ -659,8 +734,8 @@ def test_near_box_outline_exit_two(tmp_path, capsys, edit, command):
     assert main([command[0], "--config", config, *command[1:]]) == 2
     out, err = capsys.readouterr()
     assert out == ""
-    # check names the stage it failed in: "error: layout stage: ..."
-    assert err.startswith("error: ")
+    # check and plan name the stage they failed in: "error: layout stage: ..."
+    assert err.startswith("error: layout stage: " if command[0] != "calibrate" else "error: ")
     assert err.endswith(" layout generation needs an axis-aligned rectangular outline\n")
 
 
@@ -926,10 +1001,9 @@ def test_an_edge_longer_than_2_to_the_16_radii_is_refused(tmp_path, command):
     config = tmp_path / "strip.conf"
     config.write_text(text)
     result = run_cli(command, "--config", str(config))
-    prefix = "error: layout stage: " if command == "check" else "error: "
     assert (result.returncode, result.stdout) == (2, "")
     assert result.stderr == (
-        f"{prefix}radius 0.001 m is outside the exact intersection's domain: "
+        "error: layout stage: radius 0.001 m is outside the exact intersection's domain: "
         "an edge of 100 m is longer than 2^16 radii (65.54 m)\n"
     )
 
@@ -968,7 +1042,8 @@ def test_plan_oversized_layout_exit_two(facing_config, spacing):
     result = run_cli("plan", "--config", facing_config, "--spacing", spacing)
     assert result.returncode == 2
     assert "Traceback" not in result.stderr
-    assert "positions" in result.stderr
+    assert result.stderr.startswith("error: layout stage: spacing ")
+    assert "positions exceed the 1000000 a layout may hold" in result.stderr
 
 
 def test_plan_radius_whose_disk_area_underflows_exit_two(tmp_path):

@@ -2,6 +2,7 @@ import dataclasses
 import itertools
 import math
 import random
+import struct
 import sys
 from functools import cached_property
 
@@ -78,6 +79,47 @@ def test_cross_dimension_pair_is_named():
     with pytest.raises(UnitError) as err:
         convert_units(1.0, "kPa", "kg")
     assert "kPa" in str(err.value) and "kg" in str(err.value)
+
+
+# every accepted unit name, the alias too -> (dimension, factor to the SI unit)
+_UNITS = {
+    "g": ("mass", 1e-3), "kg": ("mass", 1.0),
+    "mm": ("length", 1e-3), "cm": ("length", 1e-2), "m": ("length", 1.0),
+    "kPa": ("pressure", 1e3), "Pa": ("pressure", 1.0), "bar": ("pressure", 1e5),
+    "L/min": ("flow", 1.0 / 60_000.0), "m3/s": ("flow", 1.0), "m³/s": ("flow", 1.0),
+}
+_SAME_DIMENSION = [(a, b) for a in _UNITS for b in _UNITS if _UNITS[a][0] == _UNITS[b][0]]
+_CROSS_DIMENSION = [(a, b) for a in _UNITS for b in _UNITS if _UNITS[a][0] != _UNITS[b][0]]
+
+
+def test_the_unit_names_are_the_supported_ones_and_the_alias():
+    supported = {name for dim in ("mass", "length", "pressure", "flow") for name in supported_units(dim)}
+    assert supported | {"m³/s"} == set(_UNITS)
+
+
+@given(value=st.floats() | st.integers(-(2**1023), 2**1023))
+def test_a_same_dimension_conversion_is_one_product_bit_for_bit(value):
+    for a, b in _SAME_DIMENSION:
+        expected = value * (_UNITS[a][1] / _UNITS[b][1])
+        assert struct.pack("<d", convert_units(value, a, b)) == struct.pack("<d", expected), (a, b)
+
+
+@pytest.mark.parametrize("a, b", _CROSS_DIMENSION)
+def test_a_cross_dimension_pair_names_both_units_and_dimensions(a, b):
+    with pytest.raises(UnitError) as err:
+        convert_units(1.0, a, b)
+    assert str(err.value) == f"cannot convert {a!r} ({_UNITS[a][0]}) to {b!r} ({_UNITS[b][0]})"
+
+
+@pytest.mark.parametrize("a, b, named", [
+    ("furlong", "m", "'furlong'"), ("m", "furlong", "'furlong'"), ("furlong", "kPa", "'furlong'"),
+    ("ft", "yd", "'ft'"), ("", "m", "''"), ("M", "m", "'M'"), ("kpa", "Pa", "'kpa'"), ("m3/s ", "m3/s", "'m3/s '"),
+    ("x" * 50, "m", "'" + "x" * 40 + "...'"),
+])
+def test_an_unknown_unit_is_named_before_the_dimensions_are_compared(a, b, named):
+    with pytest.raises(UnitError) as err:
+        convert_units(1.0, a, b)
+    assert str(err.value) == f"unknown unit {named}"
 
 
 _UNIT_PAIRS = [
