@@ -33,12 +33,14 @@ from itertools import product
 from . import statics
 from .feasibility import (
     DEFAULT_EDGE_MARGIN,
+    LAYOUT_STAGE,
     CorpusEntry,
     CorpusRow,
     GraspReport,
     Scenario,
     cup_demand,
     evaluate,
+    layout_stage,
     line_supply,
     run_corpus,
 )
@@ -62,9 +64,9 @@ from .model import (
     convert_units,
     require_range,
 )
-from .vgtc import Layout, Vgtc, calibrate_spacing, effective_ratios, generate_layout
+from .vgtc import Layout, Vgtc, calibrate_spacing, effective_ratios
 # not called here: bench/vgbench/trace.py resolves and patches these names
-from .vgtc import circle_polygon_intersection_area, effective_ratio  # noqa: F401
+from .vgtc import circle_polygon_intersection_area, effective_ratio, generate_layout  # noqa: F401
 
 
 class ConfigError(ValueError):
@@ -165,7 +167,7 @@ _BUILDS = {
 class _Section:
     """A section's header line, its entries key -> (text, line) and their parsed
     values. Inside `with section:` a ValidationError becomes a ConfigError at its
-    field's key line, else the header's: the one that fault() returns."""
+    field's key line, else the header's."""
 
     __slots__ = ("name", "line", "entries", "values")
 
@@ -179,11 +181,8 @@ class _Section:
 
     def __exit__(self, kind, exc, traceback):
         if isinstance(exc, ValidationError):
-            raise self.fault(exc) from exc
-
-    def fault(self, exc: ValidationError) -> ConfigError:
-        entry = self.entries.get(_KEY_OF_FIELD.get((self.name, exc.field)))
-        return ConfigError(str(exc), entry[1] if entry else self.line)
+            entry = self.entries.get(_KEY_OF_FIELD.get((self.name, exc.field)))
+            raise ConfigError(str(exc), entry[1] if entry else self.line) from exc
 
 
 class ConfigDocument:
@@ -348,10 +347,8 @@ def _build(target: type, sec: _Section, **given):
                 given[attribute] = values[key]
             elif required:
                 raise ConfigError(f"missing key {key!r} in [{sec.name}]", sec.line)
-    try:  # as `with sec:` does, without its two calls
+    with sec:
         return target(**given)
-    except ValidationError as exc:
-        raise sec.fault(exc) from exc
 
 
 def build_fabric(doc: ConfigDocument) -> FabricPiece:
@@ -1022,11 +1019,7 @@ def _cmd_plan(args, doc: ConfigDocument) -> tuple[bytes, list[str]]:
     spacing = circle.radius
     if args.spacing:
         spacing = _parse_cli_quantity(args.spacing, "length", "--spacing")
-    try:  # named as evaluate names it for check
-        layout = generate_layout(fabric.outline, margin, spacing)
-        ratios = effective_ratios(circle, fabric.outline, layout)
-    except ValidationError as exc:
-        raise ValidationError(f"layout stage: {exc}") from exc
+    layout, ratios = layout_stage(circle, fabric.outline, margin, spacing)
 
     def human() -> str:
         lines = [
@@ -1066,7 +1059,10 @@ def _cmd_calibrate(args, doc: ConfigDocument) -> tuple[bytes, list[str]]:
     step = _parse_cli_quantity(args.step, "length", "--step")
     if args.margin:
         margin = _parse_cli_quantity(args.margin, "length", "--margin")
-    intervals = calibrate_spacing(fabric.outline, margin, args.target_count, (low, high), step)
+    try:  # the layout stage's grids, counted without being built
+        intervals = calibrate_spacing(fabric.outline, margin, args.target_count, (low, high), step)
+    except ValidationError as exc:
+        raise ValidationError(LAYOUT_STAGE + str(exc)) from exc
 
     def human() -> str:
         if not intervals:

@@ -8,10 +8,11 @@ The pipeline per scenario:
    (conservative) and shared across the bank;
 2. line_supply: line loss over the bore changes, net vacuum at the cup
    and the line's advisories (`pressure` and `line-loss` run these too);
-3. with a calibrated grabbing circle: gripper layout, per-position
-   effective ratios (vgtc.effective_ratios, the values `plan` lists
-   and the layout SVG shades by) and edge-inflated minimum pressures;
-4. the verdict.
+3. with a calibrated grabbing circle, layout_stage: the gripper layout
+   and its effective ratios (vgtc.effective_ratios, the values `plan`
+   lists and the SVG shades by), then edge-inflated minimum pressures;
+4. the verdict. Each stage names its own errors, whichever command runs
+   it: line_supply prefixes LINE_LOSS_STAGE, layout_stage LAYOUT_STAGE.
 
 Verdict rules: Fail when the net supply cannot cover the largest
 pressure demand. Otherwise air-impermeable fabric passes outright
@@ -58,6 +59,8 @@ MASS_BY_APPLICATION = {
 DEFAULT_FRICTION = 0.5
 DEFAULT_EDGE_MARGIN = 0.02  # m
 DEFAULT_ORIFICE_DIAMETER = 2e-3  # m
+LINE_LOSS_STAGE = "line-loss stage: "
+LAYOUT_STAGE = "layout stage: "
 # the corpus rig's fixed parts: frozen Records, so every row's scenario shares them
 REFERENCE_MOTION = MotionProfile()
 REFERENCE_LINE = (PipeSegment(inner_diameter=2e-3),)
@@ -135,7 +138,10 @@ def line_supply(
     supply. The signed per-step delta_p values are in the steps.
     """
     advisories: list[str] = []
-    loss, steps = pneumatics.line_loss_total(line, upstream_velocity, consts)
+    try:
+        loss, steps = pneumatics.line_loss_total(line, upstream_velocity, consts)
+    except ValidationError as exc:
+        raise ValidationError(LINE_LOSS_STAGE + str(exc)) from exc
     for i, step in enumerate(steps, start=1):
         if step.mach_advisory:
             advisories.append(
@@ -154,31 +160,29 @@ def line_supply(
     return loss, steps, net, advisories
 
 
+def layout_stage(circle: Vgtc, outline: Polygon, margin: float, spacing: float) -> tuple[Layout, tuple[float, ...]]:
+    """The grid at `spacing` inside `margin` and each position's effective ratio."""
+    try:
+        layout = generate_layout(outline, margin, spacing)
+        return layout, effective_ratios(circle, outline, layout)
+    except ValidationError as exc:
+        raise ValidationError(LAYOUT_STAGE + str(exc)) from exc
+
+
 def evaluate(scenario: Scenario, consts: PhysicalConstants = PhysicalConstants()) -> GraspReport:
     """Run the full grasp-feasibility pipeline for one scenario."""
     force, req_single, req_shared = cup_demand(scenario.fabric, scenario.motion, scenario.cup, consts)
-    try:
-        loss, _, net, advisories = line_supply(
-            scenario.line, scenario.upstream_velocity, scenario.generator, consts
-        )
-    except ValidationError as exc:
-        raise ValidationError(f"line-loss stage: {exc}") from exc
+    loss, _, net, advisories = line_supply(scenario.line, scenario.upstream_velocity, scenario.generator, consts)
 
     layout: Layout | None = None
     ratios: tuple[float, ...] = ()
     demand = req_single
     p_max = None
-    if scenario.vgtc is not None:
-        circle, outline = scenario.vgtc, scenario.fabric.outline
-        window = circle.pressure_window
-        p_max = window.p_max
-        try:
-            layout = generate_layout(outline, scenario.margin, circle.radius)
-            ratios = effective_ratios(circle, outline, layout)
-            # p_min / r is correctly rounded and falls as r rises: min(ratios) sets the demand
-            demand = max(demand, adjusted_min_pressure(window, min(ratios)))
-        except ValidationError as exc:
-            raise ValidationError(f"layout stage: {exc}") from exc
+    if (circle := scenario.vgtc) is not None:
+        layout, ratios = layout_stage(circle, scenario.fabric.outline, scenario.margin, circle.radius)
+        p_max = circle.pressure_window.p_max
+        # p_min / r is correctly rounded and falls as r rises: min(ratios) sets the demand
+        demand = max(demand, adjusted_min_pressure(circle.pressure_window, min(ratios)))
 
     permeable = scenario.fabric.permeability is Permeability.AIR_PERMEABLE
     verdict = Verdict.PASS

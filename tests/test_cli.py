@@ -734,9 +734,20 @@ def test_near_box_outline_exit_two(tmp_path, capsys, edit, command):
     assert main([command[0], "--config", config, *command[1:]]) == 2
     out, err = capsys.readouterr()
     assert out == ""
-    # check and plan name the stage they failed in: "error: layout stage: ..."
-    assert err.startswith("error: layout stage: " if command[0] != "calibrate" else "error: ")
-    assert err.endswith(" layout generation needs an axis-aligned rectangular outline\n")
+    # each command names the stage it failed in, in the same words
+    assert err == "error: layout stage: layout generation needs an axis-aligned rectangular outline\n"
+
+
+@pytest.mark.parametrize("margin", ["-1cm", "-1e-300 m"])
+def test_negative_margin_reads_alike_in_plan_and_calibrate(facing_config, capsys, margin):
+    errors = []
+    for command in (["plan"], ["calibrate", "--target-count", "6"]):
+        assert main([command[0], "--config", facing_config, *command[1:], f"--margin={margin}"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        errors.append(err)
+    assert errors[0] == errors[1]
+    assert errors[0].startswith("error: layout stage: margin must be finite and >= 0, got -")
 
 
 @pytest.mark.parametrize(
@@ -1095,9 +1106,7 @@ def test_bom_config_reads_like_the_file_without_it(tmp_path, bag_config):
     assert parse_config(text) == parse_config(path.read_bytes()) == parse_config(shipped("pocket_bag.conf"))
 
 
-@pytest.mark.parametrize(
-    "command, prefix", [("check", "line-loss stage: "), ("line-loss", "")], ids=["check", "line-loss"]
-)
+@pytest.mark.parametrize("command", ["check", "line-loss"])
 @pytest.mark.parametrize(
     "velocity, bores, delta",
     [
@@ -1106,7 +1115,7 @@ def test_bom_config_reads_like_the_file_without_it(tmp_path, bag_config):
     ],
     ids=["inf-minus-inf", "nan"],
 )
-def test_undefined_line_loss_exit_two(tmp_path, command, prefix, velocity, bores, delta):
+def test_undefined_line_loss_exit_two(tmp_path, command, velocity, bores, delta):
     text = shipped("pocket_bag.conf")
     lines = [f"[line]\ninner_diameter = {bore}\n" for bore in bores]
     lines[0] += f"upstream_velocity = {velocity}\n"
@@ -1116,7 +1125,7 @@ def test_undefined_line_loss_exit_two(tmp_path, command, prefix, velocity, bores
     assert result.returncode == 2
     assert "Traceback" not in result.stderr
     assert result.stderr == (
-        f"error: {prefix}line step 1: pressure change {delta} Pa is not finite, "
+        f"error: line-loss stage: line step 1: pressure change {delta} Pa is not finite, "
         "so the line loss is undefined\n"
     )
 

@@ -1,4 +1,5 @@
 import math
+from importlib import resources
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -21,6 +22,8 @@ from vacgrab import (
     run_corpus,
     scenario_from_row,
 )
+from vacgrab.cli import parse_config
+from vacgrab.feasibility import layout_stage
 from conftest import make_scenario
 
 
@@ -121,6 +124,14 @@ def test_stage_labels_on_errors(pocket_bag):
     )
     with pytest.raises(ValidationError, match="layout stage"):
         evaluate(scenario)
+    with pytest.raises(ValidationError, match="^layout stage: layout generation needs an axis-aligned"):
+        layout_stage(scenario.vgtc, tri_fabric.outline, scenario.margin, scenario.vgtc.radius)
+    # on a valid config the stage is the layout and ratios that evaluate reports
+    facing = parse_config(resources.files("vacgrab").joinpath("data/pocket_facing.conf").read_text("utf-8"))
+    report = evaluate(facing)
+    assert layout_stage(facing.vgtc, facing.fabric.outline, facing.margin, facing.vgtc.radius) == (
+        report.layout, report.effective_ratios
+    )
 
 
 # ---------------------------------------------------------------------------
