@@ -701,8 +701,12 @@ def emit_layout_svg(layout: Layout, outline: Polygon, vgtc: Vgtc) -> bytes:
 
     A position whose effective ratio (vgtc.effective_ratios, the ratios
     check and plan report) is below 1 - 1e-9 additionally gets its
-    effective (clipped) area shaded. Each column's x and each row's y
-    are formatted once, and each row of circles is joined in one step.
+    effective (clipped) area shaded. Each family of circles (shades,
+    then rings, then dots) sits in one <g> that states the family's
+    fill and stroke once; every <circle> keeps only its class, cx, cy
+    and r, one a line, and each shade its own clip-path. A family with
+    no element writes no group. Each column's x and each row's y are
+    formatted once, and each row of circles is joined in one step.
     The document is written once, in order, into one bytes buffer: the
     header and shading encoded in one piece, then each row of circles
     as it is made, so no second copy of it is ever held. Output is
@@ -755,26 +759,28 @@ def emit_layout_svg(layout: Layout, outline: Polygon, vgtc: Vgtc) -> bytes:
 
     def circles(head: str, tail: str) -> Iterable[bytes]:
         """One encoded string per row: its elements, head, cx, cy, tail, one a line."""
-        if not cxs:  # a row of no elements would still print its tail
-            return ()
         heads = [f'{head} cx="{cx}" cy="' for cx in cxs]
         tails = [f'{cy}" {tail}\n' for cy in cys]
         return map(str.encode, (t.join(heads) + t for t in tails))
 
     cols = layout.cols
-    parts += [
+    shades = [
         f'<circle class="effective-shade" cx="{cxs[i % cols]}" cy="{cys[i // cols]}" '
-        f'r="{r_px}" fill="#7fb3d5" fill-opacity="0.35" clip-path="url(#fabric-clip)"/>'
+        f'r="{r_px}" clip-path="url(#fabric-clip)"/>'
         for i, ratio in enumerate(effective_ratios(vgtc, outline, layout))
         if ratio < 1.0 - 1e-9
     ]
+    if shades:
+        parts += ['<g fill="#7fb3d5" fill-opacity="0.35">', *shades, "</g>"]
     parts.append("")  # "" ends the header with a newline
     out = io.BytesIO()
     out.write("\n".join(parts).encode())
-    out.writelines(circles(
-        '<circle class="vgtc-ring"', f'r="{r_px}" fill="none" stroke="#2e6da4" stroke-width="1.2"/>'
-    ))
-    out.writelines(circles('<circle class="grip-dot"', 'r="3" fill="#c0392b"/>'))
+    if cxs and cys:  # no position, no group; and a row of no columns would still print its tail
+        out.write(b'<g fill="none" stroke="#2e6da4" stroke-width="1.2">\n')
+        out.writelines(circles('<circle class="vgtc-ring"', f'r="{r_px}"/>'))
+        out.write(b'</g>\n<g fill="#c0392b">\n')
+        out.writelines(circles('<circle class="grip-dot"', 'r="3"/>'))
+        out.write(b"</g>\n")
     out.write(b"</svg>\n")
     return out.getvalue()  # the buffer itself, not a copy of it
 

@@ -7,6 +7,7 @@ import re
 import subprocess
 import sys
 import tracemalloc
+import xml.etree.ElementTree as ET
 from contextlib import redirect_stderr, redirect_stdout
 from decimal import Decimal
 from importlib import resources
@@ -447,6 +448,7 @@ def test_svg_unclipped_layout_element_counts():
     assert svg.count('class="vgtc-ring"') == len(layout.positions)
     assert svg.count('class="grip-dot"') == len(layout.positions)
     assert svg.count('class="effective-shade"') == 0
+    assert "fill-opacity" not in svg and svg.count("<g") == 2  # no shade group: rings, then dots
     assert svg.startswith("<?xml")
     assert "</svg>" in svg
 
@@ -467,6 +469,7 @@ def test_svg_empty_layout_outline_only():
     svg = emit_layout_svg(layout, outline, vgtc).decode()
     assert svg.count("<circle") == 0
     assert svg.count('class="fabric"') == 1
+    assert "<g" not in svg  # no group is written around no element
 
 
 @pytest.mark.parametrize("xs, ys", [((), (0.1,)), ((0.1,), ())], ids=["no-cols", "no-rows"])
@@ -477,6 +480,7 @@ def test_layout_with_one_empty_axis_writes_no_position(xs, ys):
     layout = Layout(xs=xs, ys=ys, spacing=0.05, margin=0.02)
     svg = emit_layout_svg(layout, outline, vgtc).decode()
     assert svg.count("<circle") == 0
+    assert "<g" not in svg
     assert svg.endswith('stroke-dasharray="6 4"/>\n</svg>\n')
     text = _json_text({"layout": _layout_dict(layout)})  # as structured plan and check write it
     assert '\n    "positions": [],\n' in text
@@ -497,6 +501,60 @@ def test_svg_holds_at_most_one_copy_of_itself():
     finally:
         tracemalloc.stop()
     assert peak <= 1.25 * len(svg)
+
+
+def test_svg_states_each_style_once_not_per_position():
+    # the grid of test_svg_holds_at_most_one_copy_of_itself: fill and stroke sit
+    # on one group per family, so each position costs a ring and a dot of
+    # class and geometry only (about 119 bytes); a style written on every
+    # circle would cost about 182
+    outline = Polygon.rectangle(0.6, 0.45)
+    vgtc = Vgtc(radius=0.01, pressure_window=PressureWindow(p_min=30_000.0))
+    layout = generate_layout(outline, 0.02, 0.01)
+    positions = len(layout.positions)
+    assert positions == 2394
+    assert len(emit_layout_svg(layout, outline, vgtc)) <= 125 * positions
+
+
+SVG_NS = "{http://www.w3.org/2000/svg}"
+# each family of circles, in drawing order: its class, its group's style and
+# the attributes each of its circles carries
+SVG_FAMILIES = (
+    ("effective-shade", {"fill": "#7fb3d5", "fill-opacity": "0.35"}, ["class", "cx", "cy", "r", "clip-path"]),
+    ("vgtc-ring", {"fill": "none", "stroke": "#2e6da4", "stroke-width": "1.2"}, ["class", "cx", "cy", "r"]),
+    ("grip-dot", {"fill": "#c0392b"}, ["class", "cx", "cy", "r"]),
+)
+
+
+def test_svg_groups_each_family_under_its_style():
+    # pocket_bag.conf with a 3 cm circle: 48 positions, the 24 on the border shaded
+    scenario = parse_config(shipped("pocket_bag.conf") + "\n[vgtc]\nradius = 3 cm\np_min = 30 kPa\nmargin = 2 cm\n")
+    report = evaluate(scenario)
+    outline, circle, layout = scenario.fabric.outline, scenario.vgtc, report.layout
+    root = ET.fromstring(emit_layout_svg(layout, outline, circle))
+    groups = root.findall(f"{SVG_NS}g")
+    assert len(groups) == 3
+    for group, (name, style, attributes) in zip(groups, SVG_FAMILIES):
+        assert group.attrib == style
+        assert len(group) > 0
+        for element in group:
+            assert element.tag == f"{SVG_NS}circle"
+            assert list(element.attrib) == attributes  # in the order written
+            assert element.get("class") == name
+    assert not root.findall(f"{SVG_NS}circle")  # no circle outside a group
+    shades, rings, dots = ([(c.get("cx"), c.get("cy")) for c in group] for group in groups)
+    # the emitter's mapping: 1000 units per metre, 20 of padding, y upwards
+    xs, ys = zip(*outline.vertices)
+    x_min, y_max = min(xs) - circle.radius, max(ys) + circle.radius
+    centres = [
+        (f"{20 + (x - x_min) * 1000:.2f}", f"{20 + (y_max - y) * 1000:.2f}") for x, y in layout.positions
+    ]
+    assert len(centres) == 48
+    assert rings == dots == centres
+    assert shades == [c for c, ratio in zip(centres, report.effective_ratios) if ratio < 1.0 - 1e-9]
+    assert len(shades) == 24
+    assert {c.get("r") for c in groups[1]} == {"30.00"}
+    assert all(c.get("clip-path") == "url(#fabric-clip)" for c in groups[0])
 
 
 @pytest.mark.parametrize("x, shaded", [(0.02, False), (0.02 - 1e-6, True)], ids=["tangent", "1um-over"])

@@ -16,6 +16,7 @@ import io
 import json
 import os
 import sys
+import xml.etree.ElementTree as ET
 from contextlib import redirect_stderr, redirect_stdout
 from importlib import resources
 from pathlib import Path
@@ -163,6 +164,13 @@ def test_golden_output(case, recorded, tmp_path, monkeypatch):
     assert result == recorded[case]
     for svg in _svg_outputs(CASES[case], result):
         assert (tmp_path / svg).read_bytes() == (GOLDEN / svg).read_bytes()
+
+
+def test_golden_svgs_parse_as_xml():
+    svgs = sorted(GOLDEN.glob("*.svg"))
+    assert len(svgs) == 4
+    for path in svgs:
+        assert ET.parse(path).getroot().tag == "{http://www.w3.org/2000/svg}svg"
 
 
 def record() -> None:
