@@ -45,11 +45,11 @@ from .feasibility import (
     run_corpus,
 )
 from .model import (
+    AMBIENT,
     FabricPiece,
     LoadCase,
     MotionProfile,
     Permeability,
-    PhysicalConstants,
     PipeSegment,
     Polygon,
     PressureWindow,
@@ -326,11 +326,8 @@ def _parse_vertices(text: str, units: dict[str, str], key: str, line_no: int) ->
         xy = pair.split(",")
         if len(xy) != 2:
             raise ConfigError(f"{key}: expected 'x, y' pairs, got {_echo(pair)}", line_no)
-        for c in xy:  # each checked as _parse_value checks a quantity, before the next is read
-            value = _parse_quantity(c, "length", units, key, line_no)
-            if not abs(value) <= _FLOAT_MAX:
-                raise ConfigError(f"{key}: {_echo(c.strip())} is out of range", line_no)
-            coords.append(value)
+        for c in xy:  # each checked before the next is read
+            coords.append(_parse_value("length", key, c, units, line_no))
     coords = iter(coords)  # once read to the end, it lets the list go before the polygon is checked
     try:
         return Polygon(tuple(zip(coords, coords)))
@@ -948,8 +945,8 @@ def _write_svg(path: str, svg: bytes) -> None:
 
 
 def _cmd_force(args, doc: ConfigDocument) -> tuple[bytes, list[str]]:
-    fabric, motion, consts = build_fabric(doc), build_motion(doc), PhysicalConstants()
-    force = statics.holding_force(fabric, motion, consts)
+    fabric, motion = build_fabric(doc), build_motion(doc)
+    force = statics.holding_force(fabric, motion)
     return _render(args.format, args.command, {
         "human": lambda: (
             f"load case     : {motion.load_case.value}\n"
@@ -961,7 +958,7 @@ def _cmd_force(args, doc: ConfigDocument) -> tuple[bytes, list[str]]:
             "inputs": {
                 "mass": fabric.mass,
                 "friction": fabric.friction_coefficient,
-                "gravity": consts.gravity,
+                "gravity": AMBIENT.gravity,
                 "acceleration": motion.acceleration,
                 "safety_factor": motion.safety_factor,
             },
@@ -1115,14 +1112,20 @@ def _cmd_batch(args, doc: None) -> tuple[bytes, list[str]]:
     return emit_batch(entries, args.format), advisories
 
 
+def _to_devnull(stream) -> None:
+    """Point a stream's descriptor at os.devnull, so that the flush at exit cannot fail either."""
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, stream.fileno())
+    os.close(devnull)
+
+
 def _write_stdout(output: bytes) -> None:
     """Write a command's UTF-8 output to stdout and flush it, before any advisory.
 
     The bytes go to the stream's binary buffer, whatever its encoding; a
-    text-only stream (io.StringIO) gets the decoded text. If the reader
-    has closed the pipe, the rest is dropped. Any other write error, or
-    no stdout at all, raises ConfigError. After an error stdout is
-    pointed at os.devnull, so that the flush at exit cannot fail either.
+    text-only stream (io.StringIO) gets the decoded text. A write error
+    points stdout at os.devnull: if the reader has closed the pipe, the
+    rest is dropped; any other error, or no stdout, raises ConfigError.
     """
     stream = sys.stdout
     if stream is None:
@@ -1136,11 +1139,23 @@ def _write_stdout(output: bytes) -> None:
         buffer.write(output)
         buffer.flush()
     except OSError as exc:
-        devnull = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(devnull, stream.fileno())
-        os.close(devnull)
+        _to_devnull(stream)
         if not isinstance(exc, BrokenPipeError):
             raise ConfigError(f"cannot write output: {exc.strerror}") from exc
+
+
+def _finish(code: int, diagnostics: list[str]) -> int:
+    """Print each diagnostic line to stderr and return the exit code.
+
+    No stderr, or a write error, loses the lines but not the code or stdout.
+    """
+    if sys.stderr is not None:
+        try:
+            for line in diagnostics:
+                print(line, file=sys.stderr)
+        except OSError:
+            _to_devnull(sys.stderr)
+    return code
 
 
 def main(argv: Sequence[str] | None = None) -> int:
@@ -1151,16 +1166,10 @@ def main(argv: Sequence[str] | None = None) -> int:
         output, advisories = args.run(args, doc)
         _write_stdout(output)
     except UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 1
+        return _finish(1, [f"usage error: {exc}"])
     except (ConfigError, ValidationError, UnitError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    for advisory in advisories:
-        print(f"advisory: {advisory}", file=sys.stderr)
-    if advisories and getattr(args, "strict", False):
-        return 3
-    return 0
+        return _finish(2, [f"error: {exc}"])
+    return _finish(3 if advisories and getattr(args, "strict", False) else 0, [f"advisory: {a}" for a in advisories])
 
 
 if __name__ == "__main__":

@@ -21,6 +21,7 @@ not a risk). Air-permeable fabric passes only inside a known pressure
 window; above the window it is PassWithMultiLayerRisk, and without a
 calibrated window maximum it is Uncalibrated.
 
+Every stage runs at model.AMBIENT: no scenario sets g or rho.
 Evaluations are pure and deterministic; corpus rows are independent,
 so a batch may run them in any order without changing the output
 ordering, and one bad row never aborts the rest.
@@ -37,7 +38,6 @@ from .model import (
     FabricPiece,
     MotionProfile,
     Permeability,
-    PhysicalConstants,
     PipeSegment,
     Polygon,
     Record,
@@ -113,23 +113,15 @@ class GraspReport:
     advisories: tuple[str, ...]
 
 
-def cup_demand(
-    fabric: FabricPiece,
-    motion: MotionProfile,
-    cup: SuctionCup,
-    consts: PhysicalConstants = PhysicalConstants(),
-) -> tuple[float, float, float]:
+def cup_demand(fabric: FabricPiece, motion: MotionProfile, cup: SuctionCup) -> tuple[float, float, float]:
     """Holding force (N) and the vacuum (Pa) it needs on one cup and shared across the bank."""
-    force = statics.holding_force(fabric, motion, consts)
+    force = statics.holding_force(fabric, motion)
     single = statics.required_pressure(force, cup)
     return force, single, statics.required_pressure(statics.per_gripper_force(force, cup), cup)
 
 
 def line_supply(
-    line: Sequence[PipeSegment],
-    upstream_velocity: float,
-    generator: VacuumGenerator,
-    consts: PhysicalConstants = PhysicalConstants(),
+    line: Sequence[PipeSegment], upstream_velocity: float, generator: VacuumGenerator
 ) -> tuple[float, list[pneumatics.LineLossResult], pneumatics.NetSupplyResult, list[str]]:
     """The line loss applied to the supply, its steps, the net vacuum at the cup and the line's advisories.
 
@@ -139,7 +131,7 @@ def line_supply(
     """
     advisories: list[str] = []
     try:
-        loss, steps = pneumatics.line_loss_total(line, upstream_velocity, consts)
+        loss, steps = pneumatics.line_loss_total(line, upstream_velocity)
     except ValidationError as exc:
         raise ValidationError(LINE_LOSS_STAGE + str(exc)) from exc
     for i, step in enumerate(steps, start=1):
@@ -169,10 +161,10 @@ def layout_stage(circle: Vgtc, outline: Polygon, margin: float, spacing: float) 
         raise ValidationError(LAYOUT_STAGE + str(exc)) from exc
 
 
-def evaluate(scenario: Scenario, consts: PhysicalConstants = PhysicalConstants()) -> GraspReport:
+def evaluate(scenario: Scenario) -> GraspReport:
     """Run the full grasp-feasibility pipeline for one scenario."""
-    force, req_single, req_shared = cup_demand(scenario.fabric, scenario.motion, scenario.cup, consts)
-    loss, _, net, advisories = line_supply(scenario.line, scenario.upstream_velocity, scenario.generator, consts)
+    force, req_single, req_shared = cup_demand(scenario.fabric, scenario.motion, scenario.cup)
+    loss, _, net, advisories = line_supply(scenario.line, scenario.upstream_velocity, scenario.generator)
 
     layout: Layout | None = None
     ratios: tuple[float, ...] = ()

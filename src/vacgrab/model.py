@@ -375,6 +375,10 @@ class PhysicalConstants(Record):
         require_range("air_density", self.air_density, 0, above=True)
 
 
+# the one state the sizing pipeline runs at; only the energy-balance API takes another
+AMBIENT = PhysicalConstants()
+
+
 class FabricPiece(Record):
     """One cut fabric piece to be grasped."""
 

@@ -19,7 +19,8 @@ a velocity exceeds MACH_ADVISORY_VELOCITY so callers can surface an
 honest warning instead of silently trusting the arithmetic.
 
 Head terms are meters of fluid column; conversion to Pa uses rho*g of
-the working air from PhysicalConstants.
+the working air. The energy-balance functions take it as `consts`
+(default model.AMBIENT); line_loss_total always runs at AMBIENT.
 
 Numeric arguments are checked with model.require_range (counts with
 model.require_count): finite, in their domain, never nan.
@@ -33,6 +34,7 @@ import math
 from collections.abc import Sequence
 
 from .model import (
+    AMBIENT,
     EnergyHeads,
     FlowState,
     PhysicalConstants,
@@ -86,7 +88,7 @@ def constriction_pressure_drop(
     upstream: PipeSegment,
     downstream: PipeSegment,
     v1: float,
-    consts: PhysicalConstants = PhysicalConstants(),
+    consts: PhysicalConstants = AMBIENT,
 ) -> LineLossResult:
     """Pressure drop across a bore change at equal elevation.
 
@@ -112,7 +114,7 @@ def bernoulli_balance(
     state1: FlowState,
     state2: FlowState,
     heads: EnergyHeads = EnergyHeads(),
-    consts: PhysicalConstants = PhysicalConstants(),
+    consts: PhysicalConstants = AMBIENT,
 ) -> float:
     """Signed energy residual between two stations, in Pa.
 
@@ -141,7 +143,7 @@ def solve_pressure_from_balance(
     unknown_velocity: float,
     unknown_elevation: float,
     heads: EnergyHeads = EnergyHeads(),
-    consts: PhysicalConstants = PhysicalConstants(),
+    consts: PhysicalConstants = AMBIENT,
 ) -> float:
     """Station-2 pressure that balances the energy equation exactly."""
     require_range("unknown_velocity", unknown_velocity, 0)
@@ -192,12 +194,8 @@ def parallel_flow_split(
     return flows
 
 
-def line_loss_total(
-    segments: Sequence[PipeSegment],
-    upstream_velocity: float,
-    consts: PhysicalConstants = PhysicalConstants(),
-) -> tuple[float, list[LineLossResult]]:
-    """Summed constriction drop over consecutive segment pairs.
+def line_loss_total(segments: Sequence[PipeSegment], upstream_velocity: float) -> tuple[float, list[LineLossResult]]:
+    """Summed constriction drop over consecutive segment pairs, in AMBIENT air.
 
     The velocity entering the first segment is given; velocities in
     later segments follow from continuity. A single-segment line has no
@@ -210,7 +208,7 @@ def line_loss_total(
     details: list[LineLossResult] = []
     v = require_range("upstream_velocity", upstream_velocity, 0, math.inf)
     for up, down in zip(segments, segments[1:]):
-        step = constriction_pressure_drop(up, down, v, consts)
+        step = constriction_pressure_drop(up, down, v)
         details.append(step)
         v = step.downstream_velocity
     deltas = [d.delta_p for d in details]

@@ -3,6 +3,7 @@
 Two load cases are modeled. A plate lift pulls the piece straight up:
 force = m * (g + a) * S. A friction lift must also defeat sliding and
 divides by the friction coefficient: force = (m / mu) * (g + a) * S.
+g is model.AMBIENT.gravity; no input changes it.
 Which case fits a given pick is a modeling choice; nothing here
 guesses. The MotionProfile selector decides, and callers wanting the
 conservative number use the friction case (never smaller for mu <= 1).
@@ -17,15 +18,11 @@ from __future__ import annotations
 
 import math
 
-from .model import FabricPiece, LoadCase, MotionProfile, PhysicalConstants, SuctionCup, require_range
+from .model import AMBIENT, FabricPiece, LoadCase, MotionProfile, SuctionCup, require_range
 
 
-def holding_force(
-    fabric: FabricPiece,
-    motion: MotionProfile,
-    consts: PhysicalConstants = PhysicalConstants(),
-) -> float:
-    """Holding force in N for motion.load_case.
+def holding_force(fabric: FabricPiece, motion: MotionProfile) -> float:
+    """Holding force in N for motion.load_case, at AMBIENT gravity.
 
     A plate lift needs m*(g+a)*S; when friction carries the piece the
     mass is divided by the friction coefficient: (m/mu)*(g+a)*S.
@@ -33,7 +30,7 @@ def holding_force(
     mass = fabric.mass
     if motion.load_case is LoadCase.FRICTION_LIFT:
         mass = mass / fabric.friction_coefficient
-    return mass * (consts.gravity + motion.acceleration) * motion.safety_factor
+    return mass * (AMBIENT.gravity + motion.acceleration) * motion.safety_factor
 
 
 def required_pressure(force: float, cup: SuctionCup) -> float:

@@ -3,18 +3,18 @@ import pytest
 from vacgrab import (
     FabricPiece,
     MotionProfile,
-    PhysicalConstants,
     PipeSegment,
     Polygon,
     Scenario,
     SuctionCup,
     VacuumGenerator,
 )
+from vacgrab.model import AMBIENT
 
 
 @pytest.fixture
 def consts():
-    return PhysicalConstants()
+    return AMBIENT
 
 
 @pytest.fixture

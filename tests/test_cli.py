@@ -1058,6 +1058,47 @@ def test_a_closed_stdout_exits_two_with_one_error_line(bag_config):
     assert run.stderr == "error: cannot write output: stdout is closed\n"
 
 
+def _run_with_stderr(argv, sink):
+    """`python -m vacgrab argv` with stderr full, on a pipe nobody reads, or closed before start."""
+    env = dict(os.environ, PYTHONPATH=str(Path(vacgrab.__file__).parents[1]))
+    command = [sys.executable, "-m", "vacgrab", *argv]
+    if sink == "fd-2-closed":
+        return subprocess.run(command, stdout=subprocess.PIPE, timeout=30, env=env, preexec_fn=lambda: os.close(2))
+    if sink == "dev-full":
+        with open("/dev/full", "wb") as full:
+            return subprocess.run(command, stdout=subprocess.PIPE, stderr=full, timeout=30, env=env)
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # the reader has gone before the child writes
+    try:
+        return subprocess.run(command, stdout=subprocess.PIPE, stderr=write_end, timeout=30, env=env)
+    finally:
+        os.close(write_end)
+
+
+@pytest.mark.parametrize("sink", [
+    pytest.param("dev-full", marks=pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")),
+    "closed-reader-pipe",
+    "fd-2-closed",
+])
+@pytest.mark.parametrize("argv, code", [  # CONFIG stands for pocket_bag.conf
+    (["check", "--config", "CONFIG"], 0),
+    (["check", "--strict", "--config", "CONFIG"], 3),
+    (["check", "--format", "structured", "--config", "CONFIG"], 0),
+    (["check", "--config", "missing.conf"], 2),
+    (["no-such-command"], 1),
+], ids=["check", "strict", "structured", "missing-config", "unknown-command"])
+def test_an_unwritable_stderr_keeps_the_exit_code_and_stdout(argv, code, sink, bag_config):
+    # the diagnostics are lost, but they neither change the code nor spill into stdout
+    argv = [bag_config if arg == "CONFIG" else arg for arg in argv]
+    normal = run_cli(*argv)
+    run = _run_with_stderr(argv, sink)
+    assert (normal.returncode, run.returncode) == (code, code)
+    assert normal.stderr  # every case has a diagnostic to lose
+    assert run.stdout == normal.stdout.encode()
+    if "structured" in argv:
+        json.loads(run.stdout)
+
+
 @pytest.mark.parametrize("command", ["check", "plan"])
 def test_an_edge_longer_than_2_to_the_16_radii_is_refused(tmp_path, command):
     # a 100 m x 5 mm strip under a 1 mm circle at margin 0: every disk

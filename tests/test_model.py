@@ -1,4 +1,6 @@
 import dataclasses
+import importlib
+import inspect
 import itertools
 import math
 import random
@@ -152,6 +154,25 @@ def test_constants_defaults():
 def test_constants_must_be_positive(kwargs):
     with pytest.raises(ValidationError):
         PhysicalConstants(**kwargs)
+
+
+@pytest.mark.parametrize("module, name, takes_consts", [
+    ("statics", "holding_force", False),
+    ("feasibility", "cup_demand", False),
+    ("feasibility", "line_supply", False),
+    ("feasibility", "evaluate", False),
+    ("pneumatics", "line_loss_total", False),
+    ("pneumatics", "constriction_pressure_drop", True),
+    ("pneumatics", "bernoulli_balance", True),
+    ("pneumatics", "solve_pressure_from_balance", True),
+])
+def test_only_the_energy_balance_takes_consts(module, name, takes_consts):
+    # sizing runs at model.AMBIENT; only the paper's energy balance is checked at other states
+    params = inspect.signature(getattr(importlib.import_module(f"vacgrab.{module}"), name)).parameters
+    if takes_consts:
+        assert params["consts"].default is vacgrab.model.AMBIENT
+    else:
+        assert "consts" not in params
 
 
 def test_fabric_requires_positive_mass():

@@ -264,8 +264,8 @@ def test_parallel_split_sums_exactly(total, n):
 # ---------------------------------------------------------------------------
 # whole-line loss
 
-def test_line_loss_two_segments(consts):
-    total, steps = line_loss_total([SUPPLY_PIPE, CUP_PIPE], 37.14, consts)
+def test_line_loss_two_segments():
+    total, steps = line_loss_total([SUPPLY_PIPE, CUP_PIPE], 37.14)
     assert total == pytest.approx(37_018, abs=500)
     assert len(steps) == 1
 
@@ -276,9 +276,9 @@ def test_line_loss_single_segment_is_free():
     assert steps == []
 
 
-def test_line_loss_chains_velocity(consts):
+def test_line_loss_chains_velocity():
     middle = PipeSegment(inner_diameter=4.0e-3)
-    total, steps = line_loss_total([SUPPLY_PIPE, middle, CUP_PIPE], 10.0, consts)
+    total, steps = line_loss_total([SUPPLY_PIPE, middle, CUP_PIPE], 10.0)
     assert steps[1].upstream_velocity == pytest.approx(steps[0].downstream_velocity, rel=1e-15)
     assert total == pytest.approx(math.fsum(s.delta_p for s in steps), rel=1e-15)
 
