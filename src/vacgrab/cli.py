@@ -857,6 +857,12 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):  # argparse default exits 2; we reserve 2 for validation
         raise UsageError(message)
 
+    def print_help(self, file=None):
+        # argparse swallows a write error; stdout help fails like any command's output
+        if file is not None:
+            return super().print_help(file)
+        _write_stdout(self.format_help().encode("utf-8"))
+
 
 def _parse_cli_quantity(text: str, kind: str, flag: str) -> float:
     try:

@@ -14,13 +14,15 @@ demand" free of sign-convention bugs.
 Every value type is a frozen Record that validates its invariants in
 __post_init__, so an instance that exists is valid and finite (Layout's
 axes too), and safe to share across threads; .replace(...) validates
-again. Quantities are checked by require_range, which refuses nan, counts
-by require_count; library functions check arguments before converting.
-A derived value (an area, a polygon's box, a layout's counts) is
-stored by __post_init__ beside the fields, outside ==, hash and repr;
-only Polygon.ccw_ring waits for its first read (see Polygon), and a
-layout's positions are made as they are read, never stored (see
-vgtc.Layout).
+again. Polygon.rectangle is the one constructor that skips it: it
+validates its two lengths and stores the values __post_init__ would
+store for that ring directly. Quantities are checked by require_range,
+which refuses nan, counts by require_count; library functions check
+arguments before converting. A derived value (an area, a polygon's
+box, a layout's counts) is stored beside the fields, outside ==, hash
+and repr; only Polygon.ccw_ring waits for its first read (see
+Polygon), and a layout's positions are made as they are read, never
+stored (see vgtc.Layout).
 """
 
 from __future__ import annotations
@@ -289,6 +291,10 @@ class Polygon(Record):
     alternate horizontal and vertical. No tolerance: a corner off by
     1e-10 m is no box, and has box None. A box skips the sweep.
 
+    rectangle(length, width) validates its two lengths, then stores the
+    same vertices, signed_area, area and box that construction from its
+    four corners would, directly: that ring needs none of the checks.
+
     Simplicity: edges sorted by smaller x are swept (Shamos & Hoey 1976);
     only non-adjacent pairs overlapping in x and y reach the segment test,
     near linear on star-like outlines and O(n²) in the worst case.
@@ -336,10 +342,26 @@ class Polygon(Record):
 
     @classmethod
     def rectangle(cls, length: float, width: float) -> "Polygon":
-        """Axis-aligned rectangle with one corner at the origin."""
-        require_range("length", length, 0, above=True)
-        require_range("width", width, 0, above=True)
-        return cls(((0.0, 0.0), (length, 0.0), (length, width), (0.0, width)))
+        """Axis-aligned rectangle with one corner at the origin.
+
+        Its two sides are validated, then the values __post_init__ would
+        store for the ring (0, 0), (L, 0), (L, W), (0, W) are stored
+        directly: the shoelace sum of that ring is 0 + L*W + L*W + 0, and
+        its box is (0, 0, L, W). An area that underflows to 0 or
+        overflows is refused, as area, exactly as there.
+        """
+        length = float(require_range("length", length, 0, above=True))
+        width = float(require_range("width", width, 0, above=True))
+        lw = length * width
+        signed_area = 0.5 * (lw + lw)
+        area = require_range("area", signed_area, 0, above=True)
+        self = object.__new__(cls)
+        _set = object.__setattr__
+        _set(self, "vertices", ((0.0, 0.0), (length, 0.0), (length, width), (0.0, width)))
+        _set(self, "signed_area", signed_area)
+        _set(self, "area", area)
+        _set(self, "box", (0.0, 0.0, length, width))
+        return self
 
     @cached_property
     def ccw_ring(self) -> tuple[tuple[Point, Point], ...]:

@@ -48,7 +48,7 @@ import math
 from bisect import bisect_left
 from collections.abc import Iterable, Iterator
 from itertools import chain, repeat
-from math import atan2, fmod, isfinite, sqrt  # by bare name in the per-edge terms: one lookup, not two
+from math import atan2, floor, fmod, inf, isfinite, sqrt  # by bare name in the edge terms and probes: one lookup, not two
 
 from .model import (
     Point,
@@ -386,12 +386,16 @@ def calibrate_spacing(
     samples: the matching samples form one contiguous run. The end of
     the samples comes from the quotient (high - 1e-12 - low) / step,
     searched upward from just below there, then bisected (_sample_end).
-    bisect_left then finds the first sample with count <= target_count
-    and the first with count < target_count: O(log(samples)) count
-    evaluations, and no layout is built. The result is [(first, last)]
-    of that run, or [] when no sample matches -- a valid answer: no
-    spacing in range reproduces the target. A margin that leaves no
-    usable area fits no grid at any spacing, so it also yields [].
+    Each probe is one call that returns minus the count, so bisect_left
+    finds the first sample with count <= target_count directly. If that
+    sample is past the end or its count is not the target, no sample
+    matches: an unmatched target costs that one bisection plus one
+    probe. Else a second bisection, from the next sample on, finds the
+    first with count < target_count. That is O(log(samples)) probes,
+    and no layout is built. The result is [(first, last)] of the run,
+    or [] when no sample matches -- a valid answer: no spacing in range
+    reproduces the target. A margin that leaves no usable area fits no
+    grid at any spacing, so it also yields [].
 
     Raises ValidationError for a target_count that is no integer from 1
     to the largest float, a negative or non-finite margin, an outline
@@ -411,13 +415,17 @@ def calibrate_spacing(
     except _NoUsableArea:
         return []
 
-    def count(k: int) -> int | float:
+    span_l, span_w = usable_l + BOUNDARY_TOL, usable_w + BOUNDARY_TOL
+
+    def minus_count(k: int) -> int | float:
+        # minus the grid count at s_k, each axis by _axis_count's own expression
         s = low + k * step
-        return _axis_count(usable_l, s) * _axis_count(usable_w, s)
+        q, r = span_l / s, span_w / s
+        return -((floor(q) + 1 if q < inf else inf) * (floor(r) + 1 if r < inf else inf))
 
     samples = range(1, _sample_end(low, high, step))
-    first = bisect_left(samples, True, key=lambda k: count(k) <= target_count)
-    stop = bisect_left(samples, True, first, key=lambda k: count(k) < target_count)
-    if first == stop:
+    first = bisect_left(samples, -target_count, key=minus_count)
+    if first == len(samples) or minus_count(samples[first]) != -target_count:
         return []
+    stop = bisect_left(samples, 1 - target_count, first + 1, key=minus_count)
     return [(low + samples[first] * step, low + samples[stop - 1] * step)]

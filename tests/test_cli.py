@@ -1058,6 +1058,53 @@ def test_a_closed_stdout_exits_two_with_one_error_line(bag_config):
     assert run.stderr == "error: cannot write output: stdout is closed\n"
 
 
+_HELP_ARGVS = pytest.mark.parametrize("argv", [["--help"], ["check", "--help"]], ids=["main", "check"])
+
+
+def _run_help(argv, sink):
+    """`python -m vacgrab argv` at 80 columns, stdout on a pipe, full, closed, or a pipe nobody reads."""
+    env = dict(os.environ, PYTHONPATH=str(Path(vacgrab.__file__).parents[1]), COLUMNS="80")
+    command = [sys.executable, "-m", "vacgrab", *argv]
+    if sink == "pipe":
+        return subprocess.run(command, capture_output=True, timeout=30, env=env)
+    if sink == "dev-full":
+        with open("/dev/full", "wb") as full:
+            return subprocess.run(command, stdout=full, stderr=subprocess.PIPE, timeout=30, env=env)
+    if sink == "fd-1-closed":
+        return subprocess.run(["sh", "-c", 'exec "$0" "$@" >&-', *command], stderr=subprocess.PIPE, timeout=30, env=env)
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # the reader has gone before the child writes
+    try:
+        return subprocess.run(command, stdout=write_end, stderr=subprocess.PIPE, timeout=30, env=env)
+    finally:
+        os.close(write_end)
+
+
+@_HELP_ARGVS
+def test_help_goes_to_stdout_as_argparse_formats_it(argv, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    text = io.StringIO()
+    with redirect_stdout(text), pytest.raises(SystemExit) as exit_:
+        main(argv)
+    assert exit_.value.code == 0
+    assert text.getvalue().startswith("usage: vacgrab ")
+    run = _run_help(argv, "pipe")
+    assert (run.returncode, run.stdout, run.stderr) == (0, text.getvalue().encode(), b"")
+
+
+@_HELP_ARGVS
+@pytest.mark.parametrize("sink, code, stderr", [
+    pytest.param("dev-full", 2, b"error: cannot write output: No space left on device\n",
+                 marks=pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")),
+    ("fd-1-closed", 2, b"error: cannot write output: stdout is closed\n"),
+    ("closed-reader-pipe", 0, b""),
+], ids=["dev-full", "fd-1-closed", "closed-reader-pipe"])
+def test_help_on_an_unwritable_stdout_fails_like_any_output(argv, sink, code, stderr):
+    # argparse would swallow the write error and exit 0, or send the help to stderr
+    run = _run_help(argv, sink)
+    assert (run.returncode, run.stderr) == (code, stderr)
+
+
 def _run_with_stderr(argv, sink):
     """`python -m vacgrab argv` with stderr full, on a pipe nobody reads, or closed before start."""
     env = dict(os.environ, PYTHONPATH=str(Path(vacgrab.__file__).parents[1]))

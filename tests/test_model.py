@@ -9,7 +9,7 @@ import sys
 from functools import cached_property
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 import vacgrab.model
 from vacgrab import (
@@ -575,6 +575,52 @@ def test_axis_aligned_rectangle_detection():
     assert Polygon.rectangle(1, 2).box == (0.0, 0.0, 1.0, 2.0)
     tilted = Polygon(((0, 0), (1, 0.2), (0.8, 1.2), (-0.2, 1)))
     assert tilted.box is None
+
+
+def _general_rectangle(length, width):
+    """What Polygon.rectangle stores: its two sides checked, then the four corners validated as any outline."""
+    vacgrab.model.require_range("length", length, 0, above=True)
+    vacgrab.model.require_range("width", width, 0, above=True)
+    return Polygon(((0, 0), (length, 0), (length, width), (0, width)))
+
+
+def _built_or_refused(make, length, width):
+    try:
+        polygon = make(length, width)
+    except ValidationError as exc:
+        return "refused", str(exc), exc.field
+    # repr tells signed zeros apart; ccw_ring is read after the rest, as a cached value
+    return repr((polygon.vertices, polygon.signed_area, polygon.area, polygon.box, polygon.ccw_ring)), polygon
+
+
+_SIDES = st.one_of(
+    st.floats(),  # nan, infinities, subnormals and negatives among them
+    st.floats(min_value=1e-205, max_value=1e-195),  # a pair whose area underflows to 0
+    st.floats(min_value=1e153, max_value=1e155),  # L*W finite, 2*L*W not
+    st.floats(min_value=1e195, max_value=1e205),
+    st.integers(min_value=-3, max_value=2**1100),
+    st.sampled_from([0, True, False, -1, 2**1100, 5e-324, math.nan, math.inf, -math.inf]),
+)
+
+
+@settings(max_examples=400)
+@given(length=_SIDES, width=_SIDES)
+@example(length=1e-200, width=1e-200)
+@example(length=1e154, width=1e154)
+@example(length=1e200, width=1e200)
+@example(length=2**1100, width=1)
+@example(length=True, width=0.5)
+@example(length=5e-324, width=1.0)
+@example(length=0.26, width=math.inf)
+def test_rectangle_stores_what_the_general_constructor_would(length, width):
+    fast = _built_or_refused(Polygon.rectangle, length, width)
+    general = _built_or_refused(_general_rectangle, length, width)
+    assert fast[0] == general[0]
+    if fast[0] == "refused":
+        assert fast[1:] == general[1:]
+    else:
+        assert fast[1] == general[1]
+        assert hash(fast[1]) == hash(general[1])
 
 
 def _construct(vertices):

@@ -1,6 +1,7 @@
 import math
 import random
 import tracemalloc
+from bisect import bisect_left
 
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
@@ -746,6 +747,23 @@ def test_calibrate_never_builds_a_layout(monkeypatch):
     rect = Polygon.rectangle(0.26, 0.19)
     assert calibrate_spacing(rect, 0.02, 6, (0.01, 0.15), 0.001)
     assert calibrate_spacing(rect, 0.2, 6, (0.01, 0.15), 0.001) == []  # no usable area
+
+
+@pytest.mark.parametrize("target, calls, expected", [
+    (8, 2, []),  # table1 row 6: the sample end, then the first count <= 8 holds 6, so no run
+    (6, 3, [(0.076, 0.11)]),  # the sample end, the run's first sample, then its end
+])
+def test_calibrate_bisects_once_for_an_unmatched_target(monkeypatch, target, calls, expected):
+    searches = []
+
+    def counting(*args, **kwargs):
+        searches.append(args)
+        return bisect_left(*args, **kwargs)
+
+    monkeypatch.setattr(vgtc, "bisect_left", counting)
+    intervals = calibrate_spacing(Polygon.rectangle(0.26, 0.19), 0.02, target, (0.01, 0.15), 0.001)
+    assert intervals == expected
+    assert len(searches) == calls
 
 
 def _doubling_end(low, high, step):
