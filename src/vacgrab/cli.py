@@ -28,7 +28,8 @@ import os
 import re
 import sys
 from collections.abc import Callable, Iterable, Sequence
-from itertools import product
+from itertools import groupby, product
+from operator import countOf
 
 from . import statics
 from .feasibility import (
@@ -506,7 +507,8 @@ class _Floats:
     """Floats the structured writer lists as they are, with no per-item type check.
 
     Only for values that are floats by construction, such as the ratios
-    vgtc.effective_ratios builds. The tuple is held, not copied.
+    vgtc.effective_ratios builds. The tuple is held, not copied, and the
+    writer formats each run of equal values once (_write_json).
     """
 
     __slots__ = ("values",)
@@ -520,12 +522,17 @@ def _write_json(value, pad: str, out: list[str], escape: Callable[[str], str]) -
 
     pad is a newline followed by the indentation of the line the value
     starts on, and escape is json's C string escaper. Dict keys must be
-    str. A _Floats is written as a list, formatting each distinct value
-    once (a grid of full disks repeats one 1.0), and a Layout as its
-    positions, [x, y] pairs row by row, formatting each column's x and
-    each row's y once and joining each row in one step. Both append
-    their lists to out in pieces, so only the caller's final join
-    copies their text.
+    str. A _Floats is written as a list, one piece per run of equal
+    consecutive values: itertools.groupby finds the runs and
+    operator.countOf counts each one in C, and the run's value is
+    formatted once and repeated by string multiplication, so a grid of
+    full disks, one 1.0 repeated, is one piece with no Python step per
+    value. A run of 0.0 or -0.0 (equal, but spelled differently), or of
+    nan or inf, sends the whole list to the generic list writer. A
+    Layout is written as its positions, [x, y] pairs row by row,
+    formatting each column's x and each row's y once and joining each
+    row in one step. Both append their lists to out in pieces, so only
+    the caller's final join copies their text.
     """
     if isinstance(value, str):
         out.append(escape(value))
@@ -578,19 +585,19 @@ def _write_json(value, pad: str, out: list[str], escape: Callable[[str], str]) -
         out[-1] = pad + "]"
     elif isinstance(value, _Floats):
         values = value.values
-        sep = "," + pad + "  "
-        texts = dict.fromkeys(values)
-        for item in texts:
-            texts[item] = sep + float.__repr__(item)
-        # 0.0 == -0.0, but their texts differ; json spells nan and inf NaN and Infinity
-        if not texts or 0.0 in texts or "n" in "".join(texts.values()):
-            _write_json(values, pad, out, escape)
-            return
-        out.append("[")
         first = len(out)
-        out.extend(map(texts.__getitem__, values))
-        out[first] = out[first][1:]  # no comma before the first item
-        out.append(pad + "]")
+        sep = "," + pad + "  "
+        lead = "[" + pad + "  "
+        for item, run in groupby(values):
+            text = float.__repr__(item)
+            # 0.0 == -0.0 share a run, but their texts differ; json spells nan and inf NaN and Infinity
+            if item == 0.0 or "n" in text:
+                del out[first:]
+                _write_json(values, pad, out, escape)
+                return
+            out.append(lead + text + (sep + text) * (countOf(run, item) - 1))
+            lead = sep
+        out.append(pad + "]" if len(out) > first else "[]")
     else:
         raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
@@ -698,7 +705,11 @@ def emit_layout_svg(layout: Layout, outline: Polygon, vgtc: Vgtc) -> bytes:
 
     A position whose effective ratio (vgtc.effective_ratios, the ratios
     check and plan report) is below 1 - 1e-9 additionally gets its
-    effective (clipped) area shaded. Each family of circles (shades,
+    effective (clipped) area shaded. The ratios come from one
+    intersection call per position; a grid whose ratios are all 1.0,
+    found by a count made in C, has no shade and takes no Python step
+    per position, and any other grid is scanned position by position
+    against the threshold. Each family of circles (shades,
     then rings, then dots) sits in one <g> that states the family's
     fill and stroke once; every <circle> keeps only its class, cx, cy
     and r, one a line, and each shade its own clip-path. A family with
@@ -761,12 +772,14 @@ def emit_layout_svg(layout: Layout, outline: Polygon, vgtc: Vgtc) -> bytes:
         return map(str.encode, (t.join(heads) + t for t in tails))
 
     cols = layout.cols
-    shades = [
+    ratios = effective_ratios(vgtc, outline, layout)
+    shades = [] if ratios.count(1.0) == len(ratios) else [
         f'<circle class="effective-shade" cx="{cxs[i % cols]}" cy="{cys[i // cols]}" '
         f'r="{r_px}" clip-path="url(#fabric-clip)"/>'
-        for i, ratio in enumerate(effective_ratios(vgtc, outline, layout))
+        for i, ratio in enumerate(ratios)
         if ratio < 1.0 - 1e-9
     ]
+    del ratios  # not held while the rings and dots are written
     if shades:
         parts += ['<g fill="#7fb3d5" fill-opacity="0.35">', *shades, "</g>"]
     parts.append("")  # "" ends the header with a newline

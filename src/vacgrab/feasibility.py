@@ -240,6 +240,8 @@ def scenario_from_row(row: CorpusRow) -> Scenario:
     generator is set to that magnitude over a lossless single-segment
     line. Masses come from the reference pieces keyed by application.
     """
+    if not isinstance(row.application, str):
+        raise ValidationError(f"application must be text, got {_echo(row.application)}", "application")
     key = row.application.strip().casefold()
     if key not in MASS_BY_APPLICATION:
         raise ValidationError(

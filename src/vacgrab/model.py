@@ -151,12 +151,17 @@ def require_range(name: str, value, low=-_FLOAT_MAX, high=_FLOAT_MAX, *, above=F
 
     Else raise ValidationError for field `name`. The default bounds, the
     largest floats, refuse ±inf, so the value must be finite; high=math.inf
-    lets +inf through. An int no float holds and nan fail whatever the bounds.
+    lets +inf through. An int no float holds and nan fail whatever the bounds,
+    and so does a value that does not compare with numbers (a str, None, a
+    complex): its TypeError is caught, so a valid value pays no type test.
     """
-    if (low < value if above else low <= value) and value <= high:
-        if -_FLOAT_MAX <= value <= _FLOAT_MAX or not isinstance(value, int):
-            return value
-        raise ValidationError(f"{name} must fit in a float, got {_echo(value)}", name)
+    try:
+        if (low < value if above else low <= value) and value <= high:
+            if -_FLOAT_MAX <= value <= _FLOAT_MAX or not isinstance(value, int):
+                return value
+            raise ValidationError(f"{name} must fit in a float, got {_echo(value)}", name)
+    except TypeError:
+        raise ValidationError(f"{name} must be a real number, got {_echo(value)}", name) from None
     lo = "" if low == -_FLOAT_MAX else f" and {'>' if above else '>='} {low}"
     hi = "" if high >= _FLOAT_MAX else f" and <= {high}"
     rule = ("" if high == math.inf else "finite") + lo + hi

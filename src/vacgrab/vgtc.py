@@ -39,7 +39,9 @@ own area, returned without integrating, and the ratio is the shared
 constant 1.0. The fast path sits inside
 circle_polygon_intersection_area, not in effective_ratios, so every
 caller of the intersection gets it and each layout position still
-makes exactly one intersection call.
+makes exactly one intersection call. effective_ratios then tells a
+grid of full disks by one count in C and repeats the one 1.0, with no
+Python step per position.
 """
 
 from __future__ import annotations
@@ -248,12 +250,18 @@ def effective_ratios(circle: Vgtc, outline: Polygon, positions: Iterable[Point])
     as a Layout yields them, each passed as it stands to
     circle_polygon_intersection_area. The intersection is looked up once
     per call through the module global, so a replaced one sees every
-    position. A full disk's ratio is the shared constant 1.0, so a grid
-    of full disks holds one float, not one per position.
+    position, and map makes its calls in C, one per position, in order.
+    A full disk's ratio is the shared constant 1.0, so a grid of full
+    disks holds one float, not one per position. When every area is
+    disk_area (a count made in C, which finds the full disks' shared
+    area object by identity), the ratios are that one 1.0 repeated, with
+    no Python step per position; else each area takes the rule below.
     """
     disk_area = circle.disk_area
-    area = circle_polygon_intersection_area
-    return tuple([1.0 if (a := area(circle, outline, p)) == disk_area else a / disk_area for p in positions])
+    areas = list(map(circle_polygon_intersection_area, repeat(circle), repeat(outline), positions))
+    if areas.count(disk_area) == len(areas):
+        return (1.0,) * len(areas)
+    return tuple([1.0 if a == disk_area else a / disk_area for a in areas])
 
 
 def adjusted_min_pressure(window: PressureWindow, ratio: float) -> float:

@@ -344,10 +344,22 @@ def test_json_writer_matches_json_dumps(tree):
     assert _json_text(tree) == json.dumps(tree, indent=2) + "\n"
 
 
+# ratios as a grid has them, in runs of one value: the shared 1.0, 0.0 and
+# -0.0 (equal, spelled differently), one nan object, inf, any float
+_RUN_VALUES = st.sampled_from([1.0, 0.0, -0.0, math.nan, math.inf, -math.inf]) | st.floats()
+_FLOAT_RUNS = st.lists(st.tuples(_RUN_VALUES, st.integers(1, 300)), max_size=6).map(
+    lambda runs: [value for value, length in runs for _ in range(length)]
+)
+
+
 # the ratios check and plan write: floats by construction, listed with no type check
-@settings(max_examples=150)
-@given(values=_FLOAT_LISTS, depth=st.integers(0, 2))
+@settings(max_examples=300)
+@given(values=_FLOAT_LISTS | _FLOAT_RUNS, depth=st.integers(0, 2))
 @example(values=[], depth=0)
+@example(values=[1.0] * 40 + [0.5] + [1.0] * 40, depth=1)
+@example(values=[0.0] * 3 + [-0.0] * 2 + [1.0], depth=2)  # one run, two spellings
+@example(values=[1.0] * 5 + [math.nan] * 7, depth=0)  # one nan object, one run
+@example(values=[0.25] * 4 + [math.inf] * 2, depth=1)
 @example(values=[-0.0, 1e-7, 1e22, 0.1], depth=1)
 @example(values=[1.0, math.nan, math.inf, -math.inf], depth=0)
 @example(values=[1.0] * 50, depth=1)  # one shared object, formatted once
@@ -378,13 +390,10 @@ def test_json_writer_grid_matches_json_dumps(xs, ys, depth):
     assert _json_text(grid) == json.dumps(pairs, indent=2) + "\n"
 
 
-def test_structured_check_at_full_scale_matches_json_dumps(big_piece_config, capsysbinary):
-    assert main(["check", "--config", big_piece_config, "--format", "structured"]) == 0
-    out = capsysbinary.readouterr().out
-    report = evaluate(parse_config(Path(big_piece_config).read_text()))
+def plain_report(report) -> dict:
+    """What structured check writes, as plain lists and dicts for json.dumps."""
     layout = report.layout
-    assert (layout.cols, layout.rows) == (197, 147)
-    plain = {
+    return {
         **vars(report),
         "layout": {
             "positions": [[x, y] for x, y in layout.positions],
@@ -396,7 +405,35 @@ def test_structured_check_at_full_scale_matches_json_dumps(big_piece_config, cap
         "verdict": report.verdict.value,
         "effective_ratios": list(report.effective_ratios),
     }
-    assert out == (json.dumps(plain, indent=2) + "\n").encode()
+
+
+def test_structured_check_at_full_scale_matches_json_dumps(big_piece_config, capsysbinary):
+    assert main(["check", "--config", big_piece_config, "--format", "structured"]) == 0
+    out = capsysbinary.readouterr().out
+    report = evaluate(parse_config(Path(big_piece_config).read_text()))
+    assert (report.layout.cols, report.layout.rows) == (197, 147)
+    assert out == (json.dumps(plain_report(report), indent=2) + "\n").encode()
+
+
+def test_clipped_grid_at_scale_matches_json_dumps_and_shades_its_border(tmp_path, capsysbinary):
+    # an 80 x 60 cm piece with a 1 cm circle at margin 0: 81 x 61 = 4,941
+    # positions, the 280 on the border of the grid overhanging the piece
+    text = shipped("pocket_bag.conf").replace("length = 26 cm", "length = 80 cm", 1)
+    config = tmp_path / "clipped.conf"
+    config.write_text(text.replace("width = 19 cm", "width = 60 cm", 1)
+                      + "\n[vgtc]\nradius = 1 cm\np_min = 37.561 kPa\nmargin = 0 cm\n")
+    svg_path = tmp_path / "layout.svg"
+    assert main(["check", "--config", str(config), "--format", "structured", "--svg", str(svg_path)]) == 0
+    out = capsysbinary.readouterr().out
+    report = evaluate(parse_config(config.read_text()))
+    assert (report.layout.cols, report.layout.rows) == (81, 61)
+    assert out == (json.dumps(plain_report(report), indent=2) + "\n").encode()
+    svg = svg_path.read_text()
+    rings = re.findall(r'class="vgtc-ring" (cx="[^"]*" cy="[^"]*")', svg)  # in position order
+    shaded = re.findall(r'class="effective-shade" (cx="[^"]*" cy="[^"]*")', svg)
+    assert len(rings) == len(report.effective_ratios) == 4941
+    assert shaded == [center for center, ratio in zip(rings, report.effective_ratios) if ratio < 1.0 - 1e-9]
+    assert len(shaded) == 280
 
 
 # ---------------------------------------------------------------------------

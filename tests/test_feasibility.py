@@ -340,6 +340,28 @@ def test_run_corpus_isolates_bad_rows():
     assert sum(e.report is not None for e in entries) == 11
 
 
+@pytest.mark.parametrize("field, named", [
+    ("application", "application"),
+    ("length_m", "length"),
+    ("width_m", "width"),
+    ("supply_pressure", "max_vacuum"),
+])
+@pytest.mark.parametrize("bad", ["0.26", None, 1j], ids=["str", "None", "complex"])
+def test_run_corpus_keeps_every_entry_past_a_mistyped_row(field, named, bad):
+    rows = [make_row(lot="1"), make_row(lot="bad", **{field: bad}), make_row(lot="3")]
+    entries = run_corpus(rows)
+    assert [(e.index, e.label) for e in entries] == [(0, "1"), (1, "bad"), (2, "3")]
+    assert entries[0].report is not None and entries[2].report is not None
+    assert entries[1].report is None and named in entries[1].error
+
+
+@pytest.mark.parametrize("bad", [None, 1j, 26], ids=["None", "complex", "int"])
+def test_scenario_from_row_refuses_an_application_that_is_no_text(bad):
+    with pytest.raises(ValidationError, match="^application must be text, got ") as err:
+        scenario_from_row(make_row(application=bad))
+    assert err.value.field == "application"
+
+
 def test_run_corpus_preserves_order():
     rows = [make_row(lot=str(i)) for i in range(5)]
     entries = run_corpus(rows)

@@ -364,6 +364,25 @@ def test_every_float_field_refuses_nan_and_inf(cls, name, bad):
     assert str(err.value).startswith(f"{name} must be finite")
 
 
+NOT_REAL = [
+    pytest.param(cls, name, bad, id=f"{cls.__name__}.{name}-{label}")
+    for cls, name in FLOAT_FIELDS
+    for label, bad in (("str", "1"), ("None", None), ("complex", 1j))
+    if not (bad is None and cls.__annotations__[name].endswith("| None"))  # PressureWindow.p_max may be None
+]
+
+
+@pytest.mark.parametrize("cls, name, bad", NOT_REAL)
+def test_every_float_field_refuses_a_value_that_is_no_real_number(cls, name, bad):
+    # VacuumGenerator.max_vacuum, Vgtc.radius, PressureWindow.p_min and FabricPiece.mass among them
+    value = (bad,) if cls.__annotations__[name].startswith("tuple") else bad
+    with pytest.raises(ValidationError) as err:
+        cls(**{**VALID[cls], name: value})
+    assert err.value.field == name
+    assert str(err.value) == f"{name} must be a real number, got {bad!r}"
+
+
+
 @given(
     bad=st.sampled_from([math.nan, math.inf, -math.inf]),
     axis=st.integers(0, 1),

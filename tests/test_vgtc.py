@@ -316,7 +316,7 @@ def test_a_radius_of_2_to_the_minus_199_matches_the_closed_form(box):
 
 def test_effective_ratios_never_calls_effective_ratio(monkeypatch):
     # 35 positions, the 20 on the border overhanging: one intersection call
-    # each, straight from the comprehension
+    # each, straight from the ratio pass
     outline = Polygon.rectangle(0.3, 0.2)
     positions = generate_layout(outline, 0.0, 0.05).positions
     expected = tuple(rect_ratio(x, y, 0.04, 0.0, 0.0, 0.3, 0.2) for x, y in positions)
@@ -870,6 +870,55 @@ def test_layout_positions_and_ratios_follow_its_axes(x0, y0, length, width, marg
     ratios = effective_ratios(circle(radius), outline, layout.positions)
     assert ratios == tuple(effective_ratio(circle(radius), outline, (x, y)) for x, y in layout.positions)
     assert Layout(xs=(), ys=layout.ys, spacing=spacing, margin=margin).positions == ()
+
+
+def comprehension_ratios(circle, outline, positions):
+    # the ratio pass as one comprehension, one intersection call and one rule step per position
+    disk_area = circle.disk_area
+    area = circle_polygon_intersection_area
+    return tuple([1.0 if (a := area(circle, outline, p)) == disk_area else a / disk_area for p in positions])
+
+
+@settings(max_examples=100, deadline=None)
+@example(x0=0.0, y0=0.0, length=0.5, width=0.25, radius=0.0625, share=0.0, spacing=0.0625)  # margin 0
+@example(x0=0.0, y0=0.0, length=0.5, width=0.25, radius=0.0625, share=1.0, spacing=0.0625)  # tangent rings
+@example(x0=0.1, y0=0.2, length=0.26, width=0.19, radius=0.01, share=2.0, spacing=0.01)  # every disk full
+@given(
+    x0=st.floats(-1.0, 1.0),
+    y0=st.floats(-1.0, 1.0),
+    length=st.floats(0.05, 1.0),
+    width=st.floats(0.05, 1.0),
+    radius=st.floats(0.002, 0.2),
+    share=st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 2.0)),
+    spacing=st.floats(0.02, 0.5),
+)
+def test_ratio_pass_matches_the_comprehension_bit_for_bit(x0, y0, length, width, radius, share, spacing):
+    # margin 0, a radius above the margin (share below 1) and rings
+    # tangent to the sides (share 1) are drawn on purpose
+    margin = share * radius
+    assume(2.0 * margin < min(length, width))
+    x1, y1 = x0 + length, y0 + width
+    outline = Polygon(((x0, y0), (x1, y0), (x1, y1), (x0, y1)))
+    layout = generate_layout(outline, margin, spacing)
+    c = circle(radius)
+    ratios = effective_ratios(c, outline, layout)
+    assert [r.hex() for r in ratios] == [r.hex() for r in comprehension_ratios(c, outline, layout)]
+    assert len({id(r) for r in ratios if r == 1.0}) <= 1  # every full disk shares one 1.0
+    original = vgtc.circle_polygon_intersection_area
+    centres = []
+
+    def counted(circle, outline, center):
+        centres.append(center)
+        return original(circle, outline, center)
+
+    vgtc.circle_polygon_intersection_area = counted
+    try:
+        for positions in (layout, (p for p in layout)):  # a one-shot generator too
+            centres.clear()
+            assert effective_ratios(c, outline, positions) == ratios
+            assert centres == list(layout.positions)  # one call per position, in layout order
+    finally:
+        vgtc.circle_polygon_intersection_area = original
 
 
 AXIS = st.lists(st.one_of(st.sampled_from([0.0, -0.0]), st.floats(allow_nan=False, allow_infinity=False)), max_size=6)
