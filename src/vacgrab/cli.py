@@ -22,7 +22,6 @@ Exit codes: 0 success, 1 usage error, 2 validation/config error,
 
 from __future__ import annotations
 
-import argparse
 import io
 import os
 import re
@@ -433,8 +432,15 @@ CSV_COLUMNS = ("id", "force_N", "req_pressure_Pa", "loss_Pa", "net_Pa", "gripper
 
 
 def _layout_dict(layout: Layout) -> dict:
+    """A layout as its axes: the x of each column and the y of each row.
+
+    Its positions are every (x, y) row by row, [[x, y] for y in ys for x
+    in xs], in the order of the report's effective_ratios; the axes are
+    the layout's own tuples, not copies, listed by the generic writer.
+    """
     return {
-        "positions": layout,
+        "xs": layout.xs,
+        "ys": layout.ys,
         "spacing": layout.spacing,
         "margin": layout.margin,
         "rows": layout.rows,
@@ -528,11 +534,9 @@ def _write_json(value, pad: str, out: list[str], escape: Callable[[str], str]) -
     formatted once and repeated by string multiplication, so a grid of
     full disks, one 1.0 repeated, is one piece with no Python step per
     value. A run of 0.0 or -0.0 (equal, but spelled differently), or of
-    nan or inf, sends the whole list to the generic list writer. A
-    Layout is written as its positions, [x, y] pairs row by row,
-    formatting each column's x and each row's y once and joining each
-    row in one step. Both append their lists to out in pieces, so only
-    the caller's final join copies their text.
+    nan or inf, sends the whole list to the generic list writer. Lists
+    are appended to out in pieces, so only the caller's final join
+    copies their text.
     """
     if isinstance(value, str):
         out.append(escape(value))
@@ -570,19 +574,6 @@ def _write_json(value, pad: str, out: list[str], escape: Callable[[str], str]) -
             _write_json(item, inner, out, escape)
             sep = "," + inner
         out.append(pad + "}")
-    elif isinstance(value, Layout):
-        if not value.xs or not value.ys:
-            out.append("[]")
-            return
-        inner = pad + "  "
-        cell = inner + "  "
-        sep = "," + inner
-        heads = ["[" + cell + _json_float(x) + "," + cell for x in value.xs]
-        out.append("[" + inner)
-        for y in value.ys:
-            tail = _json_float(y) + inner + "]"
-            out += (tail + sep).join(heads), tail, sep
-        out[-1] = pad + "]"
     elif isinstance(value, _Floats):
         values = value.values
         first = len(out)
@@ -660,17 +651,19 @@ def _human_batch(entries: Sequence[CorpusEntry]) -> str:
         if entry.report is not None:
             r = entry.report
             lines.append(
-                f"{entry.label:<10} {r.fabric_id:<24} force {r.holding_force:>9.4g} N  "
+                f"{entry.label!s:<10} {r.fabric_id:<24} force {r.holding_force:>9.4g} N  "
                 f"req {r.required_pressure_single_cup:>9.6g} Pa  "
                 f"net {r.net_supply:>9.6g} Pa  {r.verdict.value}"
             )
         else:
-            lines.append(f"{entry.label:<10} error: {entry.error}")
+            lines.append(f"{entry.label!s:<10} error: {entry.error}")
     return "\n".join(lines) + "\n"
 
 
 def emit_batch(entries: Sequence[CorpusEntry], format: str = "human") -> bytes:
-    """Render a corpus run; error entries keep their slot."""
+    """Render a corpus run; error entries keep their slot. A label that is not
+    a str is written as str() gives it, except that csv writes None as an
+    empty cell and structured output as null."""
     return _render(format, "batch", {
         "human": lambda: _human_batch(entries),
         "csv": lambda: _csv_text(
@@ -680,7 +673,7 @@ def emit_batch(entries: Sequence[CorpusEntry], format: str = "human") -> bytes:
         "structured": lambda: [
             {
                 "index": e.index,
-                "label": e.label,
+                "label": e.label if e.label is None else str(e.label),
                 "report": report_to_dict(e.report) if e.report else None,
                 "error": e.error,
             }
@@ -866,17 +859,6 @@ def load_bundled_corpus() -> list[CorpusRow]:
 # ---------------------------------------------------------------------------
 # command dispatch
 
-class _Parser(argparse.ArgumentParser):
-    def error(self, message):  # argparse default exits 2; we reserve 2 for validation
-        raise UsageError(message)
-
-    def print_help(self, file=None):
-        # argparse swallows a write error; stdout help fails like any command's output
-        if file is not None:
-            return super().print_help(file)
-        _write_stdout(self.format_help().encode("utf-8"))
-
-
 def _parse_cli_quantity(text: str, kind: str, flag: str) -> float:
     try:
         return _parse_quantity(text, kind, {}, flag, None)
@@ -886,16 +868,32 @@ def _parse_cli_quantity(text: str, kind: str, flag: str) -> float:
 
 def _target_count(text: str) -> int:
     """--target-count read by _parse_count; an error quotes at most 40 characters of it."""
+    from argparse import ArgumentTypeError  # loaded already: only build_parser's parser calls this
+
     try:
         count = _parse_count(text)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {_echo(text)}") from None
+        raise ArgumentTypeError(f"invalid int value: {_echo(text)}") from None
     if isinstance(count, float):  # +-inf: more digits than a float holds
-        raise argparse.ArgumentTypeError(f"{_echo(text)} is out of range")
+        raise ArgumentTypeError(f"{_echo(text)} is out of range")
     return count
 
 
-def build_parser() -> _Parser:
+def build_parser():
+    """The command line's argparse parser. argparse, which loads gettext, is
+    imported here, not at start-up: the library never parses arguments."""
+    import argparse
+
+    class _Parser(argparse.ArgumentParser):
+        def error(self, message):  # argparse default exits 2; we reserve 2 for validation
+            raise UsageError(message)
+
+        def print_help(self, file=None):
+            # argparse swallows a write error; stdout help fails like any command's output
+            if file is not None:
+                return super().print_help(file)
+            _write_stdout(self.format_help().encode("utf-8"))
+
     parser = _Parser(prog="vacgrab", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 

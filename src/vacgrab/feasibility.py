@@ -239,9 +239,12 @@ def scenario_from_row(row: CorpusRow) -> Scenario:
     The table records the vacuum delivered at the gripper, so the
     generator is set to that magnitude over a lossless single-segment
     line. Masses come from the reference pieces keyed by application.
+    The four text fields must be str.
     """
-    if not isinstance(row.application, str):
-        raise ValidationError(f"application must be text, got {_echo(row.application)}", "application")
+    for field in ("lot", "application", "fabric_code", "material"):
+        value = getattr(row, field)
+        if not isinstance(value, str):
+            raise ValidationError(f"{field} must be text, got {_echo(value)}", field)
     key = row.application.strip().casefold()
     if key not in MASS_BY_APPLICATION:
         raise ValidationError(

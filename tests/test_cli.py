@@ -313,6 +313,29 @@ def test_batch_error_entries_keep_slots(bag_scenario):
     assert emit_batch(entries, "human").decode().splitlines()[1] == "bad        error: boom"
 
 
+@pytest.mark.parametrize("field", ["lot", "application", "fabric_code", "material"])
+@pytest.mark.parametrize("bad", [None, 7, 1j], ids=["None", "int", "complex"])
+def test_every_batch_format_keeps_each_entry_past_a_row_whose_text_is_no_str(field, bad):
+    rows = load_bundled_corpus()[:3]
+    rows[1] = rows[1].replace(**{field: bad})
+    entries = run_corpus(rows)
+    error = f"{field} must be text, got {bad!r}"
+    assert [e.error for e in entries] == [None, error, None]
+    label, good = rows[1].lot, run_corpus(rows[::2])
+
+    human = emit_batch(good, "human").decode().splitlines()
+    assert emit_batch(entries, "human").decode().splitlines() == [human[0], f"{label!s:<10} error: {error}", human[1]]
+
+    table = list(csv.reader(io.StringIO(emit_batch(good, "csv").decode())))
+    row = ["" if label is None else str(label), "", "", "", "", "", f"error: {error}"]
+    assert list(csv.reader(io.StringIO(emit_batch(entries, "csv").decode()))) == [*table[:2], row, table[2]]
+
+    first, third = json.loads(emit_batch(good, "structured"))
+    third["index"] = 2
+    entry = {"index": 1, "label": None if label is None else str(label), "report": None, "error": error}
+    assert json.loads(emit_batch(entries, "structured")) == [first, entry, third]
+
+
 _JSON_LEAVES = st.none() | st.booleans() | st.integers() | st.floats() | st.text()
 _FLOAT_LISTS = st.lists(st.floats()) | st.lists(st.sampled_from([1.0, 0.5, 0.0, -0.0, math.nan, math.inf]))
 _JSON_TREES = st.recursive(
@@ -378,16 +401,15 @@ _AXIS = st.lists(st.floats(allow_nan=False, allow_infinity=False), max_size=6)
 
 
 @settings(max_examples=200)
-@given(xs=_AXIS, ys=_AXIS, depth=st.integers(0, 2))
-@example(xs=[], ys=[0.5], depth=0)
-@example(xs=[0.25], ys=[], depth=0)
-@example(xs=[0.1], ys=[-0.0], depth=1)
-def test_json_writer_grid_matches_json_dumps(xs, ys, depth):
-    grid = Layout(xs=tuple(xs), ys=tuple(ys), spacing=0.01, margin=0.0)
-    pairs = [[x, y] for y in ys for x in xs]
-    for _ in range(depth):
-        grid, pairs = {"positions": grid, "rows": len(ys)}, {"positions": pairs, "rows": len(ys)}
-    assert _json_text(grid) == json.dumps(pairs, indent=2) + "\n"
+@given(xs=_AXIS, ys=_AXIS, spacing=st.floats(0, 1, exclude_min=True), margin=st.floats(0, 1))
+@example(xs=[], ys=[], spacing=0.01, margin=0.0)
+@example(xs=[], ys=[0.5], spacing=0.01, margin=0.0)
+@example(xs=[0.25], ys=[], spacing=0.01, margin=-0.0)
+@example(xs=[0.1, -0.0], ys=[-0.0, 0.0], spacing=0.01, margin=0.0)
+def test_layout_record_matches_json_dumps(xs, ys, spacing, margin):
+    layout = Layout(xs=tuple(xs), ys=tuple(ys), spacing=spacing, margin=margin)
+    plain = {"xs": xs, "ys": ys, "spacing": spacing, "margin": margin, "rows": len(ys), "cols": len(xs)}
+    assert _json_text({"layout": _layout_dict(layout)}) == json.dumps({"layout": plain}, indent=2) + "\n"
 
 
 def plain_report(report) -> dict:
@@ -396,7 +418,8 @@ def plain_report(report) -> dict:
     return {
         **vars(report),
         "layout": {
-            "positions": [[x, y] for x, y in layout.positions],
+            "xs": list(layout.xs),
+            "ys": list(layout.ys),
             "spacing": layout.spacing,
             "margin": layout.margin,
             "rows": layout.rows,
@@ -413,6 +436,49 @@ def test_structured_check_at_full_scale_matches_json_dumps(big_piece_config, cap
     report = evaluate(parse_config(Path(big_piece_config).read_text()))
     assert (report.layout.cols, report.layout.rows) == (197, 147)
     assert out == (json.dumps(plain_report(report), indent=2) + "\n").encode()
+    # the layout is its 344 axis values, not one [x, y] pair per position:
+    # about 9.2 bytes a position, nearly all of them the ratios
+    assert len(out) < 12 * 28_959
+
+
+@pytest.fixture(scope="module")
+def grid_config_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("box_grid") / "box.conf"
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    x0=st.floats(-1, 1), y0=st.floats(-1, 1), length=st.floats(0.05, 0.4), width=st.floats(0.05, 0.4),
+    margin=st.floats(0, 0.02), radius=st.floats(0.005, 0.05), spacing=st.floats(0.01, 0.1),
+    command=st.sampled_from(["check", "plan"]),
+)
+@example(x0=0.0, y0=0.0, length=0.26, width=0.19, margin=0.02, radius=0.03, spacing=0.03, command="check")
+@example(x0=-0.5, y0=0.25, length=0.26, width=0.05, margin=0.02, radius=0.044, spacing=0.044, command="plan")
+def test_structured_axes_rebuild_the_positions_in_ratio_order(
+    grid_config_path, x0, y0, length, width, margin, radius, spacing, command
+):
+    x1, y1 = x0 + length, y0 + width
+    outline = f"vertices = {x0!r}, {y0!r}; {x1!r}, {y0!r}; {x1!r}, {y1!r}; {x0!r}, {y1!r}"
+    config = shipped("pocket_bag.conf").replace("length = 26 cm\nwidth = 19 cm", outline, 1)
+    config += f"\n[vgtc]\nradius = {radius!r}\np_min = 30 kPa\nmargin = {margin!r}\n"
+    grid_config_path.write_text(config)
+    argv = [command, "--config", str(grid_config_path), "--format", "structured"]
+    if command == "plan":
+        argv += ["--spacing", repr(spacing)]
+    else:
+        spacing = radius  # check lays its grid at the circle's radius
+    out = io.StringIO()
+    with redirect_stdout(out):
+        assert main(argv) == 0
+    written = json.loads(out.getvalue())
+    record = written["layout"]
+    scenario = parse_config(config)
+    layout = generate_layout(scenario.fabric.outline, scenario.margin, spacing)
+    rebuilt = [[x, y] for y in record["ys"] for x in record["xs"]]
+    assert repr(rebuilt) == repr([list(p) for p in layout])
+    assert (record["rows"], record["cols"]) == (len(record["ys"]), len(record["xs"]))
+    ratios = [effective_ratio(scenario.vgtc, scenario.fabric.outline, (x, y)) for x, y in rebuilt]
+    assert written["effective_ratios"] == ratios
 
 
 def test_clipped_grid_at_scale_matches_json_dumps_and_shades_its_border(tmp_path, capsysbinary):
@@ -509,8 +575,8 @@ def test_svg_empty_layout_outline_only():
     assert "<g" not in svg  # no group is written around no element
 
 
-@pytest.mark.parametrize("xs, ys", [((), (0.1,)), ((0.1,), ())], ids=["no-cols", "no-rows"])
-def test_layout_with_one_empty_axis_writes_no_position(xs, ys):
+@pytest.mark.parametrize("xs, ys, empty", [((), (0.1,), "xs"), ((0.1,), (), "ys")], ids=["no-cols", "no-rows"])
+def test_layout_with_one_empty_axis_writes_no_position(xs, ys, empty):
     # each grid row is joined in one step: a row of no columns must not leave its tail behind
     outline = Polygon.rectangle(0.26, 0.19)
     vgtc = Vgtc(radius=0.02, pressure_window=PressureWindow(p_min=30_000.0))
@@ -520,8 +586,10 @@ def test_layout_with_one_empty_axis_writes_no_position(xs, ys):
     assert "<g" not in svg
     assert svg.endswith('stroke-dasharray="6 4"/>\n</svg>\n')
     text = _json_text({"layout": _layout_dict(layout)})  # as structured plan and check write it
-    assert '\n    "positions": [],\n' in text
-    assert json.loads(text)["layout"]["positions"] == []
+    assert f'\n    "{empty}": [],\n' in text
+    record = json.loads(text)["layout"]
+    assert [[x, y] for y in record["ys"] for x in record["xs"]] == []
+    assert (record["xs"], record["ys"]) == (list(xs), list(ys))
 
 
 def test_svg_holds_at_most_one_copy_of_itself():
@@ -1204,9 +1272,10 @@ def test_an_edge_longer_than_2_to_the_16_radii_is_refused(tmp_path, command):
 
 def test_start_up_imports_neither_typing_nor_importlib_resources():
     # -S: no site hooks, which may load any of them before vacgrab does;
-    # json and csv wait for structured output and corpus files
+    # json and csv wait for structured output and corpus files, argparse
+    # and its gettext for the command line's parser
     env = dict(os.environ, PYTHONPATH=str(Path(vacgrab.__file__).parents[1]))
-    unloaded = "{'typing', 'importlib.resources', 'fractions', 'json', 'csv'}"
+    unloaded = "{'typing', 'importlib.resources', 'fractions', 'json', 'csv', 'argparse', 'gettext'}"
     code = f"import sys, vacgrab.cli; print(sorted({unloaded} & set(sys.modules)))"
     run = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True, timeout=30, env=env)
     assert (run.returncode, run.stdout, run.stderr) == (0, "[]\n", "")

@@ -355,11 +355,12 @@ def test_run_corpus_keeps_every_entry_past_a_mistyped_row(field, named, bad):
     assert entries[1].report is None and named in entries[1].error
 
 
+@pytest.mark.parametrize("field", ["lot", "application", "fabric_code", "material"])
 @pytest.mark.parametrize("bad", [None, 1j, 26], ids=["None", "complex", "int"])
-def test_scenario_from_row_refuses_an_application_that_is_no_text(bad):
-    with pytest.raises(ValidationError, match="^application must be text, got ") as err:
-        scenario_from_row(make_row(application=bad))
-    assert err.value.field == "application"
+def test_scenario_from_row_refuses_a_text_field_that_is_no_str(field, bad):
+    with pytest.raises(ValidationError, match=f"^{field} must be text, got ") as err:
+        scenario_from_row(make_row(**{field: bad}))
+    assert err.value.field == field
 
 
 def test_run_corpus_preserves_order():
