@@ -420,9 +420,9 @@ def build_scenario(doc: ConfigDocument) -> Scenario:
 
 
 def parse_config(text: str | bytes) -> Scenario:
-    """Parse a full scenario config; raises ConfigError or ValidationError."""
-    text = text.decode("utf-8-sig") if isinstance(text, bytes) else text.removeprefix("\ufeff")
-    return build_scenario(parse_document(text))
+    """Parse a full scenario config, bytes as UTF-8, one leading BOM dropped; raises ConfigError or ValidationError."""
+    text = text.decode("utf-8") if isinstance(text, bytes) else text
+    return build_scenario(parse_document(text.removeprefix("\ufeff")))
 
 
 # ---------------------------------------------------------------------------
@@ -599,10 +599,13 @@ def _json_text(value) -> str:
     json.dumps runs its pure-Python encoder whenever indent is set.
     This writer gives every scalar the encoding json gives it
     (float.__repr__ and NaN/Infinity, int.__repr__, the C string
-    escaper) and lays out the indentation itself. json is imported
-    here, not at start-up: only structured output uses it.
+    escaper) and lays out the indentation itself. The escaper is
+    imported here, not at start-up, from _json, as json.encoder takes it.
     """
-    from json.encoder import encode_basestring_ascii
+    try:
+        from _json import encode_basestring_ascii
+    except ImportError:  # json.encoder's own pure-Python fallback
+        from json.encoder import encode_basestring_ascii
 
     out: list[str] = []
     _write_json(value, "\n", out, encode_basestring_ascii)
@@ -851,9 +854,10 @@ def parse_corpus_csv(text: str) -> list[CorpusRow]:
 
 
 def load_bundled_corpus() -> list[CorpusRow]:
-    from importlib import resources  # here, not at start-up: only batch reads the bundled table
-    text = resources.files("vacgrab").joinpath("data/table1.csv").read_text("utf-8")
-    return parse_corpus_csv(text)
+    """The bundled Table 1, opened as a plain file beside this module: package
+    data installs as plain files, never in a zip, so importlib.resources is not needed."""
+    with open(os.path.join(os.path.dirname(__file__), "data", "table1.csv"), encoding="utf-8") as fh:
+        return parse_corpus_csv(fh.read())
 
 
 # ---------------------------------------------------------------------------
@@ -879,9 +883,10 @@ def _target_count(text: str) -> int:
     return count
 
 
-def build_parser():
+def build_parser(command: str | None):
     """The command line's argparse parser. argparse, which loads gettext, is
-    imported here, not at start-up: the library never parses arguments."""
+    imported here, not at start-up: the library never parses arguments. Help
+    and the choices name every command, but only `command` gets its arguments."""
     import argparse
 
     class _Parser(argparse.ArgumentParser):
@@ -899,6 +904,8 @@ def build_parser():
 
     def add(name: str, run: Callable, help_text: str, config: bool = True):
         p = sub.add_parser(name, help=help_text)
+        if name != command:
+            return None
         p.set_defaults(run=run, config=None)
         if config:
             p.add_argument("--config", required=True, help="path to a scenario config file")
@@ -914,38 +921,38 @@ def build_parser():
     add("pressure", _cmd_pressure, "required suction pressure per cup")
     add("line-loss", _cmd_line_loss, "pressure loss along the hose line and net supply")
 
-    plan = add("plan", _cmd_plan, "gripper layout from the calibrated grabbing circle")
-    plan.add_argument("--spacing", help="override grid spacing (quantity, e.g. '4.4 cm')")
-    plan.add_argument("--margin", help="override edge margin (quantity)")
-    plan.add_argument("--svg", help="write a layout diagram to this path")
+    if plan := add("plan", _cmd_plan, "gripper layout from the calibrated grabbing circle"):
+        plan.add_argument("--spacing", help="override grid spacing (quantity, e.g. '4.4 cm')")
+        plan.add_argument("--margin", help="override edge margin (quantity)")
+        plan.add_argument("--svg", help="write a layout diagram to this path")
 
-    cal = add("calibrate", _cmd_calibrate, "spacing intervals that hit a target gripper count")
-    cal.add_argument("--target-count", required=True, type=_target_count)
-    cal.add_argument("--range", default="1 cm,15 cm", help="search range 'low,high' (quantities)")
-    cal.add_argument(
-        "--step",
-        default="1 mm",
-        help="resolution of the answer (quantity); the cost is logarithmic in range/step",
-    )
-    cal.add_argument(
-        "--margin", help="edge margin (quantity; default: the config's [vgtc] margin, else 2 cm)"
-    )
+    if cal := add("calibrate", _cmd_calibrate, "spacing intervals that hit a target gripper count"):
+        cal.add_argument("--target-count", required=True, type=_target_count)
+        cal.add_argument("--range", default="1 cm,15 cm", help="search range 'low,high' (quantities)")
+        cal.add_argument(
+            "--step",
+            default="1 mm",
+            help="resolution of the answer (quantity); the cost is logarithmic in range/step",
+        )
+        cal.add_argument(
+            "--margin", help="edge margin (quantity; default: the config's [vgtc] margin, else 2 cm)"
+        )
 
-    check = add("check", _cmd_check, "full grasp feasibility verdict")
-    check.add_argument("--svg", help="write a layout diagram when a grabbing circle is set")
-    check.add_argument("--strict", action="store_true", help="advisories escalate to exit 3")
+    if check := add("check", _cmd_check, "full grasp feasibility verdict"):
+        check.add_argument("--svg", help="write a layout diagram when a grabbing circle is set")
+        check.add_argument("--strict", action="store_true", help="advisories escalate to exit 3")
 
-    batch = add("batch", _cmd_batch, "evaluate a grabbing-test corpus", config=False)
-    batch.add_argument("--corpus", help="corpus CSV path (default: bundled test table)")
-    batch.add_argument("--strict", action="store_true", help="advisories escalate to exit 3")
+    if batch := add("batch", _cmd_batch, "evaluate a grabbing-test corpus", config=False):
+        batch.add_argument("--corpus", help="corpus CSV path (default: bundled test table)")
+        batch.add_argument("--strict", action="store_true", help="advisories escalate to exit 3")
     return parser
 
 
 def _read_text(path: str, what: str) -> str:
-    """A config or corpus file as text; a UTF-8 BOM is dropped."""
+    """A config or corpus file as UTF-8 text, one leading BOM dropped; a decode error's offset counts the BOM."""
     try:
-        with open(path, encoding="utf-8-sig") as fh:
-            return fh.read()
+        with open(path, encoding="utf-8") as fh:
+            return fh.read().removeprefix("\ufeff")
     except OSError as exc:
         raise ConfigError(f"cannot read {what} {path!r}: {exc.strerror}") from exc
     except UnicodeDecodeError as exc:
@@ -1176,7 +1183,9 @@ def _finish(code: int, diagnostics: list[str]) -> int:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    # the command is the first token that is not an option: no top-level option takes a value
+    parser = build_parser(next((arg for arg in argv if not arg.startswith("-")), None))
     try:
         args = parser.parse_args(argv)
         doc = None if args.config is None else parse_document(_read_text(args.config, "config"))

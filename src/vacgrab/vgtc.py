@@ -32,11 +32,14 @@ row as the ratio pass reads them, and the emitters format each column
 and each row once. Layouts exist only for outlines that are an exact
 box (Polygon.box, no tolerance): a rectangle given as vertices must
 list its corners in ring order, each edge repeating one coordinate
-exactly, or come from length and width. On a real layout almost
-every disk lies wholly on the piece. So when the outline's box
-contains the disk's bounding square, the intersection is the disk's
-own area, returned without integrating, and the ratio is the shared
-constant 1.0. The fast path sits inside
+exactly, or come from length and width. On an exact box, disk ∩ box
+has an area log-concave in the disk's centre (Prékopa 1973; Saumard
+and Wellner 2014) and symmetric about the box's centre, so a grid
+centred in it has its smallest ratio at a corner, up to rounding. On
+a real layout almost every disk lies wholly on the piece. So when
+the outline's box contains the disk's bounding square, the
+intersection is the disk's own area, returned without integrating,
+and the ratio is the shared constant 1.0. The fast path sits inside
 circle_polygon_intersection_area, not in effective_ratios, so every
 caller of the intersection gets it and each layout position still
 makes exactly one intersection call. effective_ratios then tells a

@@ -12,11 +12,13 @@ from contextlib import redirect_stderr, redirect_stdout
 from decimal import Decimal
 from importlib import resources
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import HealthCheck, assume, example, given, settings, strategies as st
 
 import vacgrab
+import vacgrab.cli
 from vacgrab import (
     Layout,
     Permeability,
@@ -1270,15 +1272,80 @@ def test_an_edge_longer_than_2_to_the_16_radii_is_refused(tmp_path, command):
     )
 
 
-def test_start_up_imports_neither_typing_nor_importlib_resources():
-    # -S: no site hooks, which may load any of them before vacgrab does;
-    # json and csv wait for structured output and corpus files, argparse
-    # and its gettext for the command line's parser
+@pytest.mark.parametrize("argv, unloaded", [
+    # json and csv wait for structured output and corpus files, argparse and its gettext for the parser
+    ([], "typing importlib.resources fractions json _json csv argparse gettext encodings.utf_8_sig"),
+    # a config is read as utf-8, not utf-8-sig
+    (["check", "--config", "CONFIG"], "json _json csv importlib.resources encodings.utf_8_sig"),
+    # structured output takes json's C string escaper from _json, not from the json package
+    (["check", "--config", "CONFIG", "--format", "structured"], "json csv importlib.resources encodings.utf_8_sig"),
+    # the bundled table is a plain file beside the module (contextlib comes with dataclasses)
+    (["batch"], "importlib.resources pathlib json _json encodings.utf_8_sig"),
+    (["--help"], "json _json csv importlib.resources"),
+], ids=["import", "check", "check-structured", "batch", "help"])
+def test_each_command_loads_only_what_it_runs(argv, unloaded, bag_config):
+    # -S: no site hooks, which may load any of these before vacgrab does;
+    # each command in its own interpreter, so a regression names its module
     env = dict(os.environ, PYTHONPATH=str(Path(vacgrab.__file__).parents[1]))
-    unloaded = "{'typing', 'importlib.resources', 'fractions', 'json', 'csv', 'argparse', 'gettext'}"
-    code = f"import sys, vacgrab.cli; print(sorted({unloaded} & set(sys.modules)))"
-    run = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True, timeout=30, env=env)
-    assert (run.returncode, run.stdout, run.stderr) == (0, "[]\n", "")
+    code = (
+        "import sys, vacgrab.cli\n"
+        "code = 0\n"
+        "try:\n"
+        "    if sys.argv[1:]:\n"
+        "        code = vacgrab.cli.main(sys.argv[1:])\n"
+        "finally:  # --help ends in SystemExit\n"
+        f"    print(sorted({set(unloaded.split())!r} & set(sys.modules)), file=sys.stderr)\n"
+        "sys.exit(code)\n"
+    )
+    argv = [bag_config if arg == "CONFIG" else arg for arg in argv]
+    run = subprocess.run([sys.executable, "-S", "-c", code, *argv], capture_output=True, text=True, timeout=30, env=env)
+    if not argv:
+        assert (run.returncode, run.stdout, run.stderr) == (0, "", "[]\n")
+    else:  # a run that succeeded, so the budget covers its output path
+        assert (run.returncode, bool(run.stdout)) == (0, True), run.stderr
+        assert run.stderr.splitlines()[-1] == "[]"
+
+
+def _answer(argv):
+    """main(argv) in-process: its exit code (help's SystemExit code), stdout and stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exit_:
+            code = exit_.code
+    return code, out.getvalue(), err.getvalue()
+
+
+# help, usage errors and runs; options and `--` placed before the command; tokens that look like one
+@pytest.mark.parametrize("argv", [
+    [], ["-h"], ["--he"], ["-h", "check"], ["-hcheck"], ["--version"], ["-"], [""], ["-1"], ["chek"], ["Check"],
+    ["check", "check", "--config", "CONFIG"], ["--", "check", "--config", "CONFIG"],
+    ["--strict", "check", "--config", "CONFIG"], ["--format", "csv", "check", "--config", "CONFIG"],
+    ["--config", "CONFIG", "check"], ["check", "--config", "CONFIG"], ["batch", "--format", "csv"],
+    *([command, *flags] for command in ("force", "pressure", "line-loss", "plan", "calibrate", "check", "batch")
+      for flags in ([], ["-h"], ["--bogus"], ["--format"])),
+])
+def test_the_named_commands_arguments_alone_answer_like_every_commands(argv, bag_config, monkeypatch):
+    # build_parser(mock.ANY) gives every command its arguments, since ANY equals each name
+    monkeypatch.setenv("COLUMNS", "80")
+    argv = [bag_config if arg == "CONFIG" else arg for arg in argv]
+    named = _answer(argv)
+    build_parser = vacgrab.cli.build_parser
+    monkeypatch.setattr(vacgrab.cli, "build_parser", lambda command: build_parser(mock.ANY))
+    assert named == _answer(argv)
+
+
+def test_the_command_is_the_first_token_that_is_no_option(bag_config, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    assert _answer(["-h", "check"]) == _answer(["-h"])
+    assert _answer(["-h"])[:2] == (0, vacgrab.cli.build_parser(None).format_help())
+    # check got its arguments, so only the option before it is left over
+    assert _answer(["--strict", "check", "--config", bag_config]) == (
+        1, "", "usage error: unrecognized arguments: --strict\n"
+    )
+    # main's rule holds only while no top-level option takes a value: -h is the only one
+    assert [action.nargs for action in vacgrab.cli.build_parser(None)._actions if action.option_strings] == [0]
 
 
 @pytest.mark.parametrize(
@@ -1345,6 +1412,19 @@ def test_a_nul_byte_in_a_corpus_never_ends_in_a_traceback(tmp_path):
     result = run_cli("batch", "--corpus", str(path))
     assert result.returncode == (0 if sys.version_info >= (3, 11) else 2)
     assert "Traceback" not in result.stderr
+
+
+def test_a_decode_error_after_a_bom_names_its_offset_in_the_file(tmp_path):
+    data = b"\xef\xbb\xbf[fabric]\nid = a\xff\n"  # the BOM counts: 0xff is byte 18 of the file
+    assert data.index(b"\xff") == 18
+    path = tmp_path / "bad.conf"
+    path.write_bytes(data)
+    result = run_cli("check", "--config", str(path))
+    assert (result.returncode, result.stdout) == (2, "")
+    assert result.stderr == f"error: cannot read config {str(path)!r}: not UTF-8 text (invalid start byte at byte 18)\n"
+    with pytest.raises(UnicodeDecodeError) as error:
+        parse_config(data)
+    assert error.value.start == 18
 
 
 def test_bom_config_reads_like_the_file_without_it(tmp_path, bag_config):

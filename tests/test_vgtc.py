@@ -983,6 +983,43 @@ def test_layout_ratios_are_mirror_symmetric(x0, y0, length, width, radius, share
             assert ratio == pytest.approx(ratios[(rows - 1 - j) * cols + i], rel=0, abs=1e-12), (i, j)
 
 
+@settings(max_examples=200, deadline=None)
+@example(x0=0.0, y0=0.0, length=0.5, width=0.25, radius=0.0625, share=0.0, grid="free", spacing=0.0625)  # margin 0
+# margin = r on a dyadic piece: the outer rings are tangent to the sides
+@example(x0=0.0, y0=0.0, length=0.5, width=0.25, radius=0.0625, share=1.0, grid="free", spacing=0.0625)
+@example(x0=0.0, y0=0.0, length=0.5, width=0.25, radius=0.1, share=0.0, grid="one row", spacing=0.05)
+@example(x0=0.0, y0=0.0, length=0.5, width=0.25, radius=0.1, share=0.0, grid="one column", spacing=0.05)
+@given(
+    x0=st.floats(-1.0, 1.0),
+    y0=st.floats(-1.0, 1.0),
+    length=st.floats(0.05, 1.0),
+    width=st.floats(0.05, 1.0),
+    radius=st.floats(0.002, 0.2),
+    share=st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 2.0)),
+    grid=st.sampled_from(["free", "one row", "one column"]),
+    spacing=st.floats(0.02, 0.5),
+)
+def test_the_smallest_ratio_is_a_corner_ratio(x0, y0, length, width, radius, share, grid, spacing):
+    # on an exact box the disk's area on the piece is log-concave in its
+    # centre and symmetric about the box's centre, and the grid is centred:
+    # in exact arithmetic the smallest ratio is at a corner position
+    margin = share * radius  # margin 0 and margin r (tangent rings) drawn on purpose
+    assume(2.0 * margin < min(length, width))
+    if grid == "one row":  # a spacing longer than the usable width
+        spacing = max(spacing, 1.5 * width)
+    elif grid == "one column":
+        spacing = max(spacing, 1.5 * length)
+    x1, y1 = x0 + length, y0 + width
+    outline = Polygon(((x0, y0), (x1, y0), (x1, y1), (x0, y1)))
+    layout = generate_layout(outline, margin, spacing)
+    assert grid != "one row" or layout.rows == 1
+    assert grid != "one column" or layout.cols == 1
+    ratios = effective_ratios(circle(radius), outline, layout)
+    cols = layout.cols
+    corner = min(ratios[0], ratios[cols - 1], ratios[-cols], ratios[-1])
+    assert corner - min(ratios) <= 8 * math.ulp(corner)
+
+
 @settings(max_examples=100, deadline=None)
 # margin = r on a dyadic piece: the outer rings are tangent to the sides
 @example(x0=0.0, y0=0.0, length=0.5, width=0.25, radius=0.0625, share=1.0, spacing=0.0625, kx=1536, ky=-768)
