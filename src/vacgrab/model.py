@@ -31,7 +31,7 @@ import enum
 import math
 import sys
 from functools import cached_property
-from itertools import product
+from itertools import chain, product
 
 
 class ValidationError(ValueError):
@@ -237,29 +237,32 @@ def _on_segment(p: Point, q: Point, r: Point) -> bool:
     )
 
 
-def _segments_intersect(p1: Point, p2: Point, q1: Point, q2: Point) -> bool:
-    """True if closed segments p1-p2 and q1-q2 share any point."""
-    d1 = _cross(q1, q2, p1)
-    d2 = _cross(q1, q2, p2)
-    d3 = _cross(p1, p2, q1)
-    d4 = _cross(p1, p2, q2)
-    if math.isnan(d1 + d2 + d3 + d4):  # an overflow left no sign: decide again exactly
-        from fractions import Fraction
-        p1, p2, q1, q2 = [(Fraction(x), Fraction(y)) for x, y in (p1, p2, q1, q2)]
-        d1, d2, d3, d4 = _cross(q1, q2, p1), _cross(q1, q2, p2), _cross(p1, p2, q1), _cross(p1, p2, q2)
-    if ((d1 > 0 and d2 < 0) or (d1 < 0 and d2 > 0)) and (
-        (d3 > 0 and d4 < 0) or (d3 < 0 and d4 > 0)
-    ):
-        return True
-    if d1 == 0 and _on_segment(q1, q2, p1):
-        return True
-    if d2 == 0 and _on_segment(q1, q2, p2):
-        return True
-    if d3 == 0 and _on_segment(p1, p2, q1):
-        return True
-    if d4 == 0 and _on_segment(p1, p2, q2):
-        return True
-    return False
+def _segments_intersect(p1: Point, p2: Point, q1: Point, q2: Point, tol: float) -> bool:
+    """True if closed segments p1-p2 and q1-q2 share any point.
+
+    tol is 64*eps*m^2 (at least 1e-290), m the polygon's largest
+    |coordinate|: each difference is at most 2m and each product 4m^2,
+    so a cross product is off by about 16*eps*m^2 at most. Four cross
+    products larger than tol have their exact signs, and none is 0; if
+    any is not (nan too), all four are computed again with fractions,
+    so near-collinear, collinear and touching pairs are decided exactly.
+    Past m = 2^510 a product may overflow, so tol is inf.
+    """
+    (ax, ay), (bx, by), (cx, cy), (dx, dy) = p1, p2, q1, q2
+    ux, uy, vx, vy = bx - ax, by - ay, dx - cx, dy - cy
+    d1 = vx * (ay - cy) - vy * (ax - cx)  # _cross(q1, q2, p1) and so on, inline: once per swept pair
+    d2 = vx * (by - cy) - vy * (bx - cx)
+    d3 = ux * (cy - ay) - uy * (cx - ax)
+    d4 = ux * (dy - ay) - uy * (dx - ax)
+    if abs(d1) > tol and abs(d2) > tol and abs(d3) > tol and abs(d4) > tol:
+        return (d1 > 0) is not (d2 > 0) and (d3 > 0) is not (d4 > 0)
+    from fractions import Fraction
+    p1, p2, q1, q2 = [(Fraction(x), Fraction(y)) for x, y in (p1, p2, q1, q2)]
+    d1, d2, d3, d4 = _cross(q1, q2, p1), _cross(q1, q2, p2), _cross(p1, p2, q1), _cross(p1, p2, q2)
+    return (d1 * d2 < 0 and d3 * d4 < 0) or (
+        (d1 == 0 and _on_segment(q1, q2, p1)) or (d2 == 0 and _on_segment(q1, q2, p2))
+        or (d3 == 0 and _on_segment(p1, p2, q1)) or (d4 == 0 and _on_segment(p1, p2, q2))
+    )
 
 
 def _ring_box(verts: tuple[Point, ...]) -> tuple[float, float, float, float] | None:
@@ -329,6 +332,8 @@ class Polygon(Record):
         if box is not None:
             return
         lo = [min(p[0], q[0]) for p, q in zip(verts, ends)]
+        m = max(map(abs, chain.from_iterable(verts)))  # see _segments_intersect
+        tol = max(64 * sys.float_info.epsilon * m * m, 1e-290) if m < 2.0**510 else math.inf
         active: list[int] = []
         for i in sorted(range(n), key=lo.__getitem__):
             p, q, x_lo = verts[i], ends[i], lo[i]
@@ -341,7 +346,7 @@ class Polygon(Record):
                 kept.append(j)
                 if (r[1] < y_lo and s[1] < y_lo) or (r[1] > y_hi and s[1] > y_hi):
                     continue
-                if abs(i - j) not in (1, n - 1) and _segments_intersect(p, q, r, s):
+                if abs(i - j) not in (1, n - 1) and _segments_intersect(p, q, r, s, tol):
                     raise ValidationError("polygon must be simple (non-self-intersecting)")
             active = kept
 

@@ -356,27 +356,6 @@ def generate_layout(outline: Polygon, margin: float, spacing: float) -> Layout:
     return Layout(xs=xs, ys=ys, spacing=spacing, margin=margin)
 
 
-def _sample_end(low: float, high: float, step: float) -> int:
-    """First k >= 1 with low + k*step >= cutoff = high - 1e-12: samples 1 .. k-1 lie below it.
-
-    The search starts just below the quotient ceil((cutoff - low) / step),
-    which rounding leaves on or near the answer, and gallops upward (1,
-    2, 4, ... past it) until the sum reaches the cutoff. bisect_left then
-    searches up from the last k found below it, or from k = 1 if the
-    start was already past. low + k*step never decreases as k grows, so
-    the cost is logarithmic even where low >> step flattens that sum.
-    """
-    cutoff = high - 1e-12
-
-    def past(k: int) -> bool:
-        return low + k * step >= cutoff
-
-    lo, hi, gap = 0, max(1, math.ceil((cutoff - low) / step) - 1), 1
-    while not past(hi):
-        lo, hi, gap = hi, hi + gap, 2 * gap
-    return 1 + bisect_left(range(1, hi), True, lo, key=past)
-
-
 def calibrate_spacing(
     outline: Polygon,
     margin: float,
@@ -394,19 +373,22 @@ def calibrate_spacing(
 
     s_k never decreases as k grows, and each axis count never increases
     as the spacing grows, so the count never increases along the
-    samples: the matching samples form one contiguous run. The end of
-    the samples comes from the quotient (high - 1e-12 - low) / step,
-    searched upward from just below there, then bisected (_sample_end).
-    Each probe is one call that returns minus the count, so bisect_left
-    finds the first sample with count <= target_count directly. If that
-    sample is past the end or its count is not the target, no sample
-    matches: an unmatched target costs that one bisection plus one
-    probe. Else a second bisection, from the next sample on, finds the
-    first with count < target_count. That is O(log(samples)) probes,
-    and no layout is built. The result is [(first, last)] of the run,
-    or [] when no sample matches -- a valid answer: no spacing in range
-    reproduces the target. A margin that leaves no usable area fits no
-    grid at any spacing, so it also yields [].
+    samples: the matching samples form one contiguous run. A sample at
+    or past high - 1e-12 counts 0 grippers, which keeps that order and
+    matches no target, so the bisections run over k from 1 to
+    ceil(n + 2*ulp(high)/step) + 1, n = (high - low) / step: the last k
+    is past the range, and no search for the end of the samples is
+    made. Each probe is one call that returns minus the count, so
+    bisect_left finds the first sample with count <= target_count
+    directly. If its count is not the target, no sample matches: an
+    unmatched target costs that one bisection plus one probe. Else a
+    second bisection, from the next sample on, finds the first with
+    count < target_count. A call makes at most two bisections of
+    O(log(samples)) probes, and builds no layout. The result is
+    [(first, last)] of the run, or [] when no sample matches -- a valid
+    answer: no spacing in range reproduces the target. A margin that
+    leaves no usable area fits no grid at any spacing, so it also
+    yields [].
 
     Raises ValidationError for a target_count that is no integer from 1
     to the largest float, a negative or non-finite margin, an outline
@@ -427,16 +409,20 @@ def calibrate_spacing(
         return []
 
     span_l, span_w = usable_l + BOUNDARY_TOL, usable_w + BOUNDARY_TOL
+    cutoff = high - 1e-12
 
     def minus_count(k: int) -> int | float:
         # minus the grid count at s_k, each axis by _axis_count's own expression
         s = low + k * step
+        if s >= cutoff:
+            return 0
         q, r = span_l / s, span_w / s
         return -((floor(q) + 1 if q < inf else inf) * (floor(r) + 1 if r < inf else inf))
 
-    samples = range(1, _sample_end(low, high, step))
+    # the last index is past the cutoff; split this way, no term overflows
+    samples = range(1, math.ceil(n + 2.0 * (math.ulp(high) / step)) + 2)
     first = bisect_left(samples, -target_count, key=minus_count)
-    if first == len(samples) or minus_count(samples[first]) != -target_count:
+    if minus_count(samples[first]) != -target_count:
         return []
     stop = bisect_left(samples, 1 - target_count, first + 1, key=minus_count)
     return [(low + samples[first] * step, low + samples[stop - 1] * step)]

@@ -1367,6 +1367,14 @@ def test_calibrate_extreme_inputs_end_promptly(bag_config, extra, code):
         assert result.stderr.startswith("error: ")
 
 
+def test_calibrate_subnormal_step_in_a_subnormal_range_answers(bag_config):
+    # the range is narrower than the 1e-12 m cutoff, so it holds no sample
+    result = run_cli(
+        "calibrate", "--config", bag_config, "--target-count", "1", "--range", "0 m,5e-324 m", "--step", "5e-324 m"
+    )
+    assert (result.returncode, result.stdout, result.stderr) == (0, "no spacing in range yields 1 grippers\n", "")
+
+
 @pytest.mark.parametrize("spacing", ["0.001 mm", "1e-320 m"])
 def test_plan_oversized_layout_exit_two(facing_config, spacing):
     result = run_cli("plan", "--config", facing_config, "--spacing", spacing)

@@ -6,6 +6,7 @@ import math
 import random
 import struct
 import sys
+from fractions import Fraction
 from functools import cached_property
 
 import pytest
@@ -44,7 +45,7 @@ from vacgrab import (
 from vacgrab.cli import CONFIG_FIELDS
 from vacgrab.model import Record, circular_area, supported_units
 from vacgrab.pneumatics import MAX_BRANCHES, LineLossResult, NetSupplyResult
-from oracles import brute_self_intersects
+from oracles import _closed_segments_meet, brute_self_intersects
 
 
 # ---------------------------------------------------------------------------
@@ -569,6 +570,32 @@ _Q1, _Q2 = (4.490159433385054, 5.896241263305568), (6.201190552115094, 8.1779195
 def test_simplicity_check_matches_brute_oracle(vertices, self_intersects):
     assert brute_self_intersects(vertices) is self_intersects
     _assert_simplicity_matches_oracle(vertices)
+
+
+def test_segment_test_is_exact_on_near_collinear_pairs():
+    # four points rounded off one line through points near the origin, the
+    # two segments overlapping along it: the rounded cross products are
+    # about as large as their errors, so only the exact fallback under the
+    # tolerance agrees with the rational oracle on every pair
+    rng = random.Random(26)
+    wrong_without_tolerance = 0
+    pairs = 0
+    while pairs < 20_000:
+        scale = 10 ** rng.uniform(-3, 3)
+        x0, y0 = (rng.uniform(-1.0, 1.0) * scale * 10 ** -rng.uniform(0, 2) for _ in range(2))
+        dx, dy = (rng.uniform(-1.0, 1.0) * scale for _ in range(2))
+        ts = (rng.uniform(-1.0, 0.2), rng.uniform(0.2, 1.0), rng.uniform(-0.2, 1.0), rng.uniform(-1.0, -0.2))
+        points = [(x0 + t * dx, y0 + t * dy) for t in ts]
+        p1, p2, q1, q2 = points
+        if p1 == p2 or q1 == q2:
+            continue
+        pairs += 1
+        m = max(abs(c) for point in points for c in point)
+        tol = max(64 * sys.float_info.epsilon * m * m, 1e-290)  # the smallest a polygon of these points uses
+        exact = _closed_segments_meet(*[(Fraction(x), Fraction(y)) for x, y in points])
+        assert vacgrab.model._segments_intersect(p1, p2, q1, q2, tol) is exact, points
+        wrong_without_tolerance += vacgrab.model._segments_intersect(p1, p2, q1, q2, 0.0) is not exact
+    assert wrong_without_tolerance > 500  # the rounded signs alone are wrong on these
 
 
 def test_simplicity_check_work_is_near_linear(monkeypatch):

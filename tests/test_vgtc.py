@@ -1,5 +1,6 @@
 import math
 import random
+import sys
 import tracemalloc
 from bisect import bisect_left
 
@@ -750,8 +751,8 @@ def test_calibrate_never_builds_a_layout(monkeypatch):
 
 
 @pytest.mark.parametrize("target, calls, expected", [
-    (8, 2, []),  # table1 row 6: the sample end, then the first count <= 8 holds 6, so no run
-    (6, 3, [(0.076, 0.11)]),  # the sample end, the run's first sample, then its end
+    (8, 1, []),  # table1 row 6: the first count <= 8 holds 6, so no run
+    (6, 2, [(0.076, 0.11)]),  # the run's first sample, then its end
 ])
 def test_calibrate_bisects_once_for_an_unmatched_target(monkeypatch, target, calls, expected):
     searches = []
@@ -782,31 +783,79 @@ def _doubling_end(low, high, step):
     return lo
 
 
-def test_sample_end_matches_doubling_search():
+def test_sample_end_matches_doubling_search(monkeypatch):
+    # the indices calibrate_spacing bisects start at 1 and end at or past the first sample past the range
     rng = random.Random(16)
     cases = [
         (1e3, 1e3 + 1e-6, 1e-13),  # low >> step: low + k*step is flat over runs of k
         (1e3, 1e3 + 1e-9, 1e-16),
         (0.01, 0.15, 0.001),
         (0.0, 1.0, 1.0 / 2**53),
+        (0.0, 5e-324, 5e-324),  # subnormal, and narrower than the cutoff
+        (1e-320, 2e-320, 5e-324),
+        (0.0, sys.float_info.max, 1e293),  # the largest float
+        (sys.float_info.max / 2, sys.float_info.max, sys.float_info.max / 2**40),
+        (9.798043597939954e17, 2.1596572885255555e18, 134.48207199136453),  # k = ceil(n) + 1 falls short
     ]
-    for _ in range(3000):
+    for _ in range(3100):
         low = rng.choice([0.0, rng.uniform(0.0, 0.2), 10 ** rng.uniform(-3, 4)])
         step = 10 ** rng.uniform(-16, -1)
         k = 10 ** rng.uniform(0, 8)
         high = low + rng.choice([k * step, round(k) * step, round(k) * step + 1e-12])
         if high > low and (high - low) / step <= vgtc.MAX_CALIBRATION_SAMPLES:
             cases.append((low, high, step))
+    assert len(cases) > 3000
+    searched = []
+    monkeypatch.setattr(vgtc, "bisect_left", lambda samples, *args, **kwargs: searched.append(samples) or 0)
+    rect = Polygon.rectangle(0.26, 0.19)
     for low, high, step in cases:
-        assert vgtc._sample_end(low, high, step) == _doubling_end(low, high, step), (low, high, step)
+        searched.clear()
+        calibrate_spacing(rect, 0.02, 6, (low, high), step)
+        samples = searched[0]
+        assert samples.start == 1 and samples.step == 1, (low, high, step)
+        assert samples[-1] >= _doubling_end(low, high, step), (low, high, step)
 
 
 @pytest.mark.parametrize("low", [0.0, 0.01, 1e3])
 def test_range_within_the_cutoff_has_no_samples(low):
     # samples lie below high - 1e-12, so a range that narrow holds none
     for high in (low + 1e-12, low + 5e-13, math.nextafter(low, math.inf)):
-        assert vgtc._sample_end(low, high, 1e-13) == 1
         assert calibrate_spacing(Polygon.rectangle(0.26, 0.19), 0.02, 6, (low, high), 1e-13) == []
+
+
+def test_calibrate_answers_at_the_ends_of_the_floats():
+    rect = Polygon.rectangle(0.26, 0.19)
+    assert calibrate_spacing(rect, 0.02, 6, (1e-320, 2e-320), 5e-324) == []
+    assert calibrate_spacing(rect, 0.02, 1, (0.0, sys.float_info.max), 1e293) == [(1e293, 1.797693134862315e308)]
+
+
+def test_calibrate_only_answers_or_refuses_extreme_finite_floats():
+    rng = random.Random(37)
+    largest = sys.float_info.max
+    pool = [0.0, 5e-324, 1e-320, 1e-308, 1e-300, 5e-13, 1e-12, 0.02, 0.26, 1e300, largest,
+            math.nextafter(largest, 0.0)]
+
+    def draw():
+        value = rng.choice(pool) if rng.random() < 0.6 else 10 ** rng.uniform(-323, 308)
+        return math.nextafter(value, math.inf) if rng.random() < 0.2 and value < largest else value
+
+    outlines = [Polygon.rectangle(*sides) for sides in ((0.26, 0.19), (1e-150, 1e-150), (1e150, 1e150))]
+    answered = 0
+    for _ in range(4000):
+        low, step = draw(), draw()
+        high = min(low + draw(), largest) if rng.random() < 0.5 else draw()
+        try:
+            intervals = calibrate_spacing(
+                rng.choice(outlines), rng.choice([0.0, 0.02, 1e-320]), rng.choice([1, 2, 6, 8, 10**6]),
+                (low, high), step,
+            )
+        except ValidationError:
+            continue
+        answered += 1
+        assert len(intervals) <= 1
+        for a, b in intervals:
+            assert low < a <= b < high
+    assert answered > 500
 
 
 # ---------------------------------------------------------------------------
